@@ -33,14 +33,12 @@ from .liealg import (
 )
 from .cohomology import (
     BilinearForm,
-    CohomologyClass,
     H2Result,
     LinearFunctional,
     are_cohomologous,
     b2_basis,
     coboundary,
     cocycle_residual,
-    cohomology_class,
     form_from_json,
     form_to_json,
     functional_from_json,

@@ -21,8 +21,9 @@ from .cohomology import (
     form_from_json,
     form_to_json,
     functional_from_json,
+    h2,
 )
-from .errors import DomainError
+from .errors import BadDocument, DimensionMismatch, DomainError
 from .extensions import (
     cocycle_from_extension,
     equivalence_map,
@@ -44,8 +45,10 @@ from .liealg import (
     plesken_algebra,
 )
 from .projreps import (
+    _shift_diagonal,
     cocycle_from_rep,
     projective_rep,
+    rep_from_json,
     rep_to_json,
     twist,
     verify_projective_equivalence,
@@ -64,8 +67,18 @@ def _write_doc(path: str, doc) -> None:
 
 
 def _read_doc(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        column = err.start - raw.rfind(b"\n", 0, err.start)
+        raise BadDocument(f"{path}: not UTF-8 at line {line} column {column}",
+                          witness=[path, line, column]) from None
+    except json.JSONDecodeError as err:
+        raise BadDocument(f"{path}: {err.msg} at line {err.lineno} column {err.colno}",
+                          witness=[path, err.lineno, err.colno]) from None
 
 
 def _emit(args, json_doc, text_lines: list[str]) -> None:
@@ -92,15 +105,10 @@ def _load_rep(path: str, algebra=None):
     """Load a representation document; without an algebra, matrices are
     wrapped over a zero-bracket stand-in and any stored cocycle is ignored."""
     doc = _read_doc(path)
-    matrices = [[[Scalar.parse(x) for x in row] for row in m]
-                for m in doc["matrices"]]
     if algebra is None:
-        algebra = from_structure_constants(int(doc["dim"]), {})
-        return projective_rep(algebra, matrices, cocycle=None)
-    cocycle = None
-    if doc.get("alpha") is not None:
-        cocycle = form_from_json(doc["alpha"])
-    return projective_rep(algebra, matrices, cocycle=cocycle)
+        return rep_from_json(from_structure_constants(int(doc["dim"]), {}),
+                             {**doc, "alpha": None})
+    return rep_from_json(algebra, doc)
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -142,7 +150,6 @@ def _cmd_algebra_plesken(args) -> int:
 
 
 def _cmd_cohomology_h2(args) -> int:
-    from .cohomology import h2
     algebra = algebra_from_json(_read_doc(args.algebra))
     result = h2(algebra)
     doc = {
@@ -258,18 +265,10 @@ def _cmd_rep_twist(args) -> int:
         # without bracket data the cocycle cannot be tracked; shift matrices only
         rep = _load_rep(args.rep, None)
         if sigma.dim != rep.algebra.dim:
-            from .errors import DimensionMismatch
             raise DimensionMismatch(
                 f"functional of dim {sigma.dim} for rep of dim {rep.algebra.dim}")
-        mats = []
-        for i, m in enumerate(rep.matrices):
-            rows = [list(row) for row in m]
-            s = sigma.vector[i]
-            if s:
-                for t in range(rep.degree):
-                    rows[t][t] = rows[t][t] - s
-            mats.append(rows)
-        twisted = projective_rep(rep.algebra, mats, cocycle=None)
+        twisted = projective_rep(rep.algebra, [
+            _shift_diagonal(m, s) for m, s in zip(rep.matrices, sigma.vector)])
     doc = rep_to_json(twisted)
     if args.output:
         _write_doc(args.output, doc)

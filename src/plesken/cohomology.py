@@ -120,14 +120,6 @@ class BilinearForm:
                     acc = acc + m * coeff
         return acc
 
-    def against_basis(self, u: Vector, t: int) -> Scalar:
-        """alpha(u, x_t) for a basis vector x_t."""
-        acc = ZERO
-        for m, um in enumerate(u):
-            if um and m != t:
-                acc = acc + um * self.entry(m, t)
-        return acc
-
     def add(self, other: "BilinearForm") -> "BilinearForm":
         if other.dim != self.dim:
             raise DimensionMismatch(f"forms of dim {self.dim} and {other.dim}")
@@ -136,11 +128,7 @@ class BilinearForm:
             for r1, r2 in zip(self.upper, other.upper)))
 
     def sub(self, other: "BilinearForm") -> "BilinearForm":
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"forms of dim {self.dim} and {other.dim}")
-        return BilinearForm(self.dim, tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.upper, other.upper)))
+        return self.add(other.scale(-ONE))
 
     def scale(self, c: Scalar) -> "BilinearForm":
         return BilinearForm(self.dim, tuple(
@@ -187,19 +175,6 @@ class LinearFunctional:
 
 
 @dataclass(frozen=True)
-class CohomologyClass:
-    """A cocycle together with the coboundary space that defines its class."""
-
-    representative: BilinearForm
-    algebra: LieAlgebra
-    b2: Subspace
-
-    def same_class(self, other_cocycle: BilinearForm) -> bool:
-        diff = linalg.vec_sub(other_cocycle.flatten(), self.representative.flatten())
-        return self.b2.contains(diff) if self.b2.ambient_dim else True
-
-
-@dataclass(frozen=True)
 class H2Result:
     """dim H^2 with a canonical set of class representatives."""
 
@@ -218,6 +193,45 @@ def coboundary(algebra: LieAlgebra, sigma: LinearFunctional) -> BilinearForm:
     return BilinearForm.from_entries(n, entries)
 
 
+def _cocycle_terms(algebra: LieAlgebra, i: int, j: int, k: int):
+    """(flat index, coefficient) terms of the cocycle condition on (i, j, k).
+
+    alpha([x_i,x_j],x_k) + alpha([x_j,x_k],x_i) + alpha([x_k,x_i],x_j) is the
+    sum of coefficient * flat[index] over the yielded terms; an index may
+    repeat.
+    """
+    n = algebra.dim
+    for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
+        if a == b:
+            continue
+        c = algebra.brackets.get((a, b) if a < b else (b, a))
+        if c is None:
+            continue
+        flip = a > b
+        for m, cm in enumerate(c):
+            if not cm or m == t:
+                continue
+            if m < t:
+                yield pair_index(n, m, t), (-cm if flip else cm)
+            else:
+                yield pair_index(n, t, m), (cm if flip else -cm)
+
+
+def _flat_over(algebra: LieAlgebra, alpha: BilinearForm) -> list[Scalar]:
+    if alpha.dim != algebra.dim:
+        raise DimensionMismatch(
+            f"form of dim {alpha.dim} over algebra of dim {algebra.dim}")
+    return alpha.flatten()
+
+
+def _residual(algebra: LieAlgebra, flat: Vector, i: int, j: int, k: int) -> Scalar:
+    acc = ZERO
+    for idx, c in _cocycle_terms(algebra, i, j, k):
+        if flat[idx]:
+            acc = acc + c * flat[idx]
+    return acc
+
+
 def cocycle_residual(algebra: LieAlgebra, alpha: BilinearForm,
                      i: int, j: int, k: int) -> Scalar:
     """alpha([x_i,x_j],x_k) + alpha([x_j,x_k],x_i) + alpha([x_k,x_i],x_j)."""
@@ -225,20 +239,18 @@ def cocycle_residual(algebra: LieAlgebra, alpha: BilinearForm,
     for idx in (i, j, k):
         if not 0 <= idx < n:
             raise IndexOutOfRange(f"index {idx} out of range for dim {n}")
-    acc = ZERO
-    for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-        acc = acc + alpha.against_basis(algebra.structure(a, b), t)
-    return acc
+    return _residual(algebra, _flat_over(algebra, alpha), i, j, k)
 
 
 def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
                ) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """True iff all residuals vanish; otherwise the first violating triple."""
     n = algebra.dim
+    flat = _flat_over(algebra, alpha)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if cocycle_residual(algebra, alpha, i, j, k):
+                if _residual(algebra, flat, i, j, k):
                     return False, (i, j, k)
     return True, None
 
@@ -251,21 +263,12 @@ def _constraint_rows(algebra: LieAlgebra) -> list[list[Scalar]]:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                row = linalg.zeros(nflat)
-                nonzero = False
-                for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-                    c = algebra.structure(a, b)
-                    for m, cm in enumerate(c):
-                        if not cm or m == t:
-                            continue
-                        if m < t:
-                            idx = pair_index(n, m, t)
-                            row[idx] = row[idx] + cm
-                        else:
-                            idx = pair_index(n, t, m)
-                            row[idx] = row[idx] - cm
-                        nonzero = True
-                if nonzero:
+                row = None
+                for idx, c in _cocycle_terms(algebra, i, j, k):
+                    if row is None:
+                        row = linalg.zeros(nflat)
+                    row[idx] = row[idx] + c
+                if row is not None:
                     rows.append(row)
     return rows
 
@@ -280,35 +283,29 @@ def z2_basis(algebra: LieAlgebra) -> Subspace:
 
 
 def b2_basis(algebra: LieAlgebra) -> Subspace:
-    """Coboundary space: image of sigma -> (x,y) -> -sigma([x,y])."""
+    """Coboundary space: the span of the flattened :func:`coboundary` of each
+    basis functional, that is the image of sigma -> (x,y) -> -sigma([x,y])."""
     n = algebra.dim
-    nflat = flat_dim(n)
-    generators = []
-    for t in range(n):
-        row = linalg.zeros(nflat)
-        for (i, j), c in algebra.brackets.items():
-            if c[t]:
-                row[pair_index(n, i, j)] = -c[t]
-        generators.append(row)
-    return Subspace.from_spanning(nflat, generators)
+    generators = [coboundary(algebra, LinearFunctional(tuple(row))).flatten()
+                  for row in linalg.identity_matrix(n)]
+    return Subspace.from_spanning(flat_dim(n), generators)
 
 
 def h2(algebra: LieAlgebra) -> H2Result:
     """dim H^2 = dim Z^2 - dim B^2, with canonical class representatives.
 
-    The inclusion B^2 within Z^2 is asserted, not assumed; representatives
-    are chosen by greedily extending the B^2 RREF basis through the Z^2 basis
-    and collecting the reduced, pivot-normalized residues.
+    The inclusion B^2 within Z^2 is asserted, not assumed.  Representatives
+    are the Z^2 basis vectors reduced, in order, against the B^2 RREF basis
+    and the representatives found so far, normalized to lead 1.  Each residue
+    is zero on every earlier pivot, so it joins the basis as it stands:
+    re-reducing the basis to RREF would give the same residues.
     """
     z2 = z2_basis(algebra)
     b2 = b2_basis(algebra)
-    z2_pivots = z2.pivots()
-    for row in b2.basis:
-        residue = linalg.reduce_against(row, z2.basis, z2_pivots)
-        if not linalg.vec_is_zero(residue):
-            raise InternalInclusionViolation(
-                "a coboundary fell outside the cocycle space; "
-                "the algebra data is inconsistent")
+    if not all(z2.contains(row) for row in b2.basis):
+        raise InternalInclusionViolation(
+            "a coboundary fell outside the cocycle space; "
+            "the algebra data is inconsistent")
     work = [list(r) for r in b2.basis]
     work_pivots = list(b2.pivots())
     reps = []
@@ -321,8 +318,8 @@ def h2(algebra: LieAlgebra) -> H2Result:
         if piv != ONE:
             residue = [x / piv for x in residue]
         reps.append(BilinearForm.from_flat(algebra.dim, residue))
-        rows, pivots = linalg.rref(work + [residue], z2.ambient_dim)
-        work, work_pivots = rows, pivots
+        work.append(residue)
+        work_pivots.append(lead)
     dimension = z2.dim - b2.dim
     if len(reps) != dimension:
         raise InternalInclusionViolation(
@@ -360,14 +357,6 @@ def are_cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
     if solution is None:
         return None
     return LinearFunctional(tuple(solution))
-
-
-def cohomology_class(algebra: LieAlgebra, alpha: BilinearForm) -> CohomologyClass:
-    ok, witness = is_cocycle(algebra, alpha)
-    if not ok:
-        raise NotACocycle("representative is not a cocycle", witness=list(witness))
-    return CohomologyClass(representative=alpha, algebra=algebra,
-                           b2=b2_basis(algebra))
 
 
 # -- serialization ---------------------------------------------------------------

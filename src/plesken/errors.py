@@ -55,3 +55,7 @@ class DefectNotScalar(DomainError): pass
 class NotAHomomorphism(DomainError): pass
 class SingularF(DomainError): pass
 class NotEquivalent(DomainError): pass
+
+
+# cli
+class BadDocument(DomainError): pass

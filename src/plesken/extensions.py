@@ -25,11 +25,17 @@ from .cohomology import BilinearForm, are_cohomologous, is_cocycle
 from .errors import (
     BaseMismatch,
     DefectNotInKernel,
-    DimensionMismatch,
     NoSection,
     NotACocycle,
 )
-from .liealg import LieAlgebra, bracket
+from .liealg import (
+    LieAlgebra,
+    _bracket_with_basis,
+    algebra_from_json,
+    algebra_to_json,
+    bracket,
+    from_structure_constants,
+)
 from .linalg import Matrix, Vector
 from .scalars import ONE, ZERO, Scalar
 
@@ -53,8 +59,6 @@ def extension_from_cocycle(base: LieAlgebra, alpha: BilinearForm) -> CentralExte
     canonical section s(x) = (x,0) is stored.
     """
     n = base.dim
-    if alpha.dim != n:
-        raise DimensionMismatch(f"form of dim {alpha.dim} over algebra of dim {n}")
     ok, witness = is_cocycle(base, alpha)
     if not ok:
         raise NotACocycle("form fails the cocycle condition", witness=list(witness))
@@ -64,7 +68,6 @@ def extension_from_cocycle(base: LieAlgebra, alpha: BilinearForm) -> CentralExte
             vec = list(base.structure(i, j)) + [alpha.entry(i, j)]
             if any(vec):
                 table[(i, j)] = vec
-    from .liealg import from_structure_constants
     total = from_structure_constants(
         n + 1, table, labels=tuple(base.basis_labels) + ("z",), force=True)
     injection = tuple([ZERO] * n + [ONE])
@@ -91,14 +94,9 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
     if any(bracket(total, f, f)):
         failures.append("injection bracket [f,f] is nonzero")
     # g is a homomorphism on all total basis pairs
-    for i in range(n + 1):
-        ei = _basis_vec(n + 1, i)
-        for j in range(i + 1, n + 1):
-            lhs = linalg.mat_vec(g, total.structure(i, j))
-            rhs = bracket(ext.base, linalg.mat_vec(g, ei),
-                          linalg.mat_vec(g, _basis_vec(n + 1, j)))
-            if not linalg.vec_eq(lhs, rhs):
-                failures.append(f"projection is not a homomorphism at ({i},{j})")
+    for i, j, defect in _homomorphism_defects(g, total, ext.base):
+        if any(defect):
+            failures.append(f"projection is not a homomorphism at ({i},{j})")
     # exactness: g f = 0 and rank g = n, so ker g = span f
     if any(linalg.mat_vec(g, f)):
         failures.append("g(f) is nonzero; image of f is not in ker g")
@@ -106,7 +104,7 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
         failures.append("projection is not surjective")
     # centrality of the kernel line inside the total algebra
     for j in range(n + 1):
-        if any(_bracket_basis(total, f, j)):
+        if any(_bracket_with_basis(total, f, j)):
             failures.append(f"kernel line is not central: [f, x_{j}] != 0")
     if ext.section_s is not None:
         gs = linalg.mat_mul(g, ext.section_s)
@@ -115,22 +113,16 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
     return failures
 
 
-def _basis_vec(n: int, i: int) -> list[Scalar]:
-    v = linalg.zeros(n)
-    v[i] = ONE
-    return v
+def _homomorphism_defects(m: Matrix, source: LieAlgebra, target: LieAlgebra):
+    """(i, j, [M e_i, M e_j] - M [e_i, e_j]) for i < j, M mapping source to target.
 
-
-def _bracket_basis(algebra: LieAlgebra, u: Vector, j: int) -> list[Scalar]:
-    out = linalg.zeros(algebra.dim)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        c = algebra.structure(i, j)
-        for k, ck in enumerate(c):
-            if ck:
-                out[k] = out[k] + ui * ck
-    return out
+    M is a homomorphism exactly when every defect is zero.
+    """
+    cols = [[row[c] for row in m] for c in range(source.dim)]
+    for i in range(source.dim):
+        for j in range(i + 1, source.dim):
+            yield i, j, linalg.vec_sub(bracket(target, cols[i], cols[j]),
+                                       linalg.mat_vec(m, source.structure(i, j)))
 
 
 def find_section(ext: CentralExtension) -> list[list[Scalar]]:
@@ -141,8 +133,8 @@ def find_section(ext: CentralExtension) -> list[list[Scalar]]:
     """
     n = ext.base.dim
     cols = []
-    for j in range(n):
-        col = linalg.solve(ext.projection_g, _basis_vec(n, j), n + 1)
+    for j, e_j in enumerate(linalg.identity_matrix(n)):
+        col = linalg.solve(ext.projection_g, e_j, n + 1)
         if col is None:
             raise NoSection(f"projection has no right inverse at column {j}",
                             witness=j)
@@ -171,14 +163,8 @@ def cocycle_from_extension(ext: CentralExtension,
     gs = linalg.mat_mul(ext.projection_g, section)
     if not linalg.mat_eq(gs, linalg.identity_matrix(n)):
         raise NoSection("given map is not a section: g s != I")
-    s_cols = [[section[r][j] for r in range(n + 1)] for j in range(n)]
-    entries: dict[tuple[int, int], Scalar] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            lifted = bracket(ext.total, s_cols[i], s_cols[j])
-            pushed = linalg.mat_vec(section, ext.base.structure(i, j))
-            defect = linalg.vec_sub(lifted, pushed)
-            entries[(i, j)] = _kernel_coefficient(ext, defect)
+    entries = {(i, j): _kernel_coefficient(ext, defect)
+               for i, j, defect in _homomorphism_defects(section, ext.base, ext.total)}
     alpha = BilinearForm.from_entries(n, entries)
     ok, witness = is_cocycle(ext.base, alpha)
     if not ok:
@@ -208,8 +194,7 @@ def equivalence_map(ext1: CentralExtension,
     n = base.dim
     f2 = ext2.injection_f
     phi_cols = []
-    for k in range(n + 1):
-        ek = _basis_vec(n + 1, k)
+    for ek in linalg.identity_matrix(n + 1):
         y = linalg.mat_vec(ext1.projection_g, ek)
         residue = linalg.vec_sub(ek, linalg.mat_vec(s1, y))
         c = _kernel_coefficient(ext1, residue)
@@ -228,13 +213,9 @@ def verify_equivalence_map(ext1: CentralExtension, ext2: CentralExtension,
     n1 = ext1.total.dim
     if len(phi) != n1 or any(len(row) != n1 for row in phi):
         return [f"phi must be {n1} x {n1}"]
-    cols = [[phi[r][k] for r in range(n1)] for k in range(n1)]
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            lhs = linalg.mat_vec(phi, ext1.total.structure(i, j))
-            rhs = bracket(ext2.total, cols[i], cols[j])
-            if not linalg.vec_eq(lhs, rhs):
-                failures.append(f"phi is not a homomorphism at ({i},{j})")
+    for i, j, defect in _homomorphism_defects(phi, ext1.total, ext2.total):
+        if any(defect):
+            failures.append(f"phi is not a homomorphism at ({i},{j})")
     if not linalg.vec_eq(linalg.mat_vec(phi, ext1.injection_f),
                          list(ext2.injection_f)):
         failures.append("phi does not carry the first injection to the second")
@@ -274,15 +255,11 @@ def is_split(ext: CentralExtension) -> SplitResult:
     f = ext.injection_f
     witness = [[section[r][j] - sigma.vector[j] * f[r] for j in range(n)]
                for r in range(n + 1)]
-    w_cols = [[witness[r][j] for r in range(n + 1)] for j in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = bracket(ext.total, w_cols[i], w_cols[j])
-            rhs = linalg.mat_vec(witness, base.structure(i, j))
-            if not linalg.vec_eq(lhs, rhs):
-                raise DefectNotInKernel(
-                    "split witness failed the homomorphism check; "
-                    "extension data is inconsistent", witness=[i, j])
+    for i, j, defect in _homomorphism_defects(witness, base, ext.total):
+        if any(defect):
+            raise DefectNotInKernel(
+                "split witness failed the homomorphism check; "
+                "extension data is inconsistent", witness=[i, j])
     return SplitResult(split=True, section=linalg.freeze_matrix(witness))
 
 
@@ -290,7 +267,6 @@ def is_split(ext: CentralExtension) -> SplitResult:
 
 
 def extension_to_json(ext: CentralExtension) -> dict:
-    from .liealg import algebra_to_json
     doc = {
         "base": algebra_to_json(ext.base),
         "total": algebra_to_json(ext.total),
@@ -304,7 +280,6 @@ def extension_to_json(ext: CentralExtension) -> dict:
 
 
 def extension_from_json(doc: dict) -> CentralExtension:
-    from .liealg import algebra_from_json
     base = algebra_from_json(doc["base"])
     total = algebra_from_json(doc["total"])
     f = tuple(Scalar.parse(s) for s in doc["f"])

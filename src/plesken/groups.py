@@ -7,6 +7,8 @@ always a genuine group.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -194,7 +196,7 @@ def from_matrix_generators_mod_p(generators: Sequence[Sequence[Sequence[int]]],
         mat = tuple(tuple(int(x) % p for x in row) for row in g)
         if len(mat) != k or any(len(row) != k for row in mat):
             raise BadParameter("generators must be square matrices of equal size")
-        if _gcd(_det_int(mat) % p, p) != 1:
+        if math.gcd(_det_int(mat) % p, p) != 1:
             raise NotInvertibleModP(
                 f"generator is singular mod {p}", witness=[list(r) for r in mat])
         gens.append(mat)
@@ -211,12 +213,6 @@ def from_matrix_generators_mod_p(generators: Sequence[Sequence[Sequence[int]]],
                               for row in mat) + "]"
 
     return _closure(gens, mul, ident, label_of, order_cap)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _det_int(mat: tuple) -> int:
@@ -294,8 +290,6 @@ def _dihedral(n: int) -> FiniteGroup:
 def _symmetric(m: int) -> FiniteGroup:
     if m < 1:
         raise BadParameter(f"symmetric degree must be positive, got {m}")
-    import itertools
-    import math
     if math.factorial(m) > DEFAULT_ORDER_CAP:
         raise BadParameter(f"symmetric group of degree {m} exceeds the order cap")
     perms = sorted(itertools.permutations(range(m)))

@@ -108,8 +108,7 @@ def _default_labels(dim: int) -> tuple[str, ...]:
 
 def _normalize_table(dim: int, table) -> dict[tuple[int, int], tuple[Scalar, ...]]:
     brackets: dict[tuple[int, int], tuple[Scalar, ...]] = {}
-    items = table.items() if hasattr(table, "items") else table
-    for (i, j), vec in items:
+    for (i, j), vec in table.items():
         if not (0 <= i < j < dim):
             raise BadParameter(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
         v = tuple(x if isinstance(x, Scalar) else Scalar(x) for x in vec)
@@ -197,10 +196,6 @@ def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Sc
 
 
 # -- group algebra ------------------------------------------------------------
-
-
-def group_algebra_element(coefficients: dict[int, Scalar]) -> GroupAlgebraElement:
-    return GroupAlgebraElement({g: c for g, c in coefficients.items() if c})
 
 
 def hat_element(group: FiniteGroup, g: int) -> GroupAlgebraElement:

@@ -84,10 +84,6 @@ def mat_mul(a: Matrix, b: Matrix) -> list[list[Scalar]]:
     return out
 
 
-def transpose(m: Matrix) -> list[list[Scalar]]:
-    return [list(col) for col in zip(*m)]
-
-
 def freeze_matrix(m: Matrix) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(row) for row in m)
 

@@ -22,6 +22,8 @@ from .cohomology import (
     BilinearForm,
     LinearFunctional,
     coboundary,
+    form_from_json,
+    form_to_json,
     is_cocycle,
 )
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .liealg import LieAlgebra
 from .linalg import Matrix
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +55,7 @@ def _freeze(matrices: Sequence[Matrix]) -> tuple:
 
 
 def projective_rep(algebra: LieAlgebra, matrices: Sequence[Matrix],
-                   cocycle: Optional[BilinearForm] = None,
-                   check: bool = True) -> ProjectiveRep:
+                   cocycle: Optional[BilinearForm] = None) -> ProjectiveRep:
     """Bundle matrices into a representation, validating shapes and, when a
     cocycle is supplied, the defining identity."""
     n = algebra.dim
@@ -71,7 +72,7 @@ def projective_rep(algebra: LieAlgebra, matrices: Sequence[Matrix],
         raise DimensionMismatch("degree must be at least 1")
     rep = ProjectiveRep(algebra=algebra, degree=d, matrices=_freeze(matrices),
                         cocycle=cocycle)
-    if cocycle is not None and check:
+    if cocycle is not None:
         failures = validate_alpha_rep(algebra, rep.matrices, cocycle)
         if failures:
             i, j, _ = failures[0]
@@ -110,16 +111,13 @@ def _defect(rep: ProjectiveRep, i: int, j: int) -> list[list[Scalar]]:
     return [linalg.vec_sub(r1, r2) for r1, r2 in zip(comm, image)]
 
 
-def _as_scalar_multiple(defect: Matrix) -> Optional[Scalar]:
-    """c with defect = c I, or None; exact, no tolerance."""
-    d = len(defect)
-    c = defect[0][0]
-    for r in range(d):
-        for s in range(d):
-            expected = c if r == s else ZERO
-            if defect[r][s] != expected:
-                return None
-    return c
+def _shift_diagonal(m: Matrix, s: Scalar) -> list[list[Scalar]]:
+    """m - s I, as a fresh list of rows."""
+    out = [list(row) for row in m]
+    if s:
+        for t in range(len(out)):
+            out[t][t] = out[t][t] - s
+    return out
 
 
 def cocycle_from_rep(rep: ProjectiveRep) -> BilinearForm:
@@ -129,11 +127,11 @@ def cocycle_from_rep(rep: ProjectiveRep) -> BilinearForm:
     for i in range(n):
         for j in range(i + 1, n):
             defect = _defect(rep, i, j)
-            c = _as_scalar_multiple(defect)
-            if c is None:
-                bad = next((r, s) for r in range(rep.degree)
-                           for s in range(rep.degree)
-                           if defect[r][s] != (defect[0][0] if r == s else ZERO))
+            c = defect[0][0]
+            off = _shift_diagonal(defect, c)
+            bad = next(((r, s) for r in range(rep.degree)
+                        for s in range(rep.degree) if off[r][s]), None)
+            if bad is not None:
                 raise DefectNotScalar(
                     f"defect of pair ({i},{j}) is not a scalar matrix",
                     witness=[i, j, [bad[0], bad[1], str(defect[bad[0]][bad[1]])]])
@@ -151,18 +149,11 @@ def validate_alpha_rep(algebra: LieAlgebra, matrices, alpha: BilinearForm
                        ) -> list[tuple[int, int, tuple]]:
     """Failures of [Phi(x_i),Phi(x_j)] = alpha(i,j) I + Phi([x_i,x_j]);
     each failure carries (i, j, residual matrix)."""
-    if hasattr(matrices, "matrices"):
-        matrices = matrices.matrices
     rep = projective_rep(algebra, matrices, cocycle=None)
-    d = rep.degree
     failures = []
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            residual = _defect(rep, i, j)
-            a = alpha.entry(i, j)
-            if a:
-                for t in range(d):
-                    residual[t][t] = residual[t][t] - a
+            residual = _shift_diagonal(_defect(rep, i, j), alpha.entry(i, j))
             if any(x for row in residual for x in row):
                 failures.append((i, j, linalg.freeze_matrix(residual)))
     return failures
@@ -170,17 +161,15 @@ def validate_alpha_rep(algebra: LieAlgebra, matrices, alpha: BilinearForm
 
 def lift_linear(algebra: LieAlgebra, matrices: Sequence[Matrix]) -> ProjectiveRep:
     """Wrap a Lie homomorphism as a representation with zero cocycle."""
-    rep = projective_rep(algebra, matrices, cocycle=None)
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            defect = _defect(rep, i, j)
-            if any(x for row in defect for x in row):
-                raise NotAHomomorphism(
-                    f"images of pair ({i},{j}) do not commute with the bracket",
-                    witness=[i, j])
-    return ProjectiveRep(algebra=algebra, degree=rep.degree,
-                         matrices=rep.matrices,
-                         cocycle=BilinearForm.zero(algebra.dim))
+    zero = BilinearForm.zero(algebra.dim)
+    failures = validate_alpha_rep(algebra, matrices, zero)
+    if failures:
+        i, j, _ = failures[0]
+        raise NotAHomomorphism(
+            f"images of pair ({i},{j}) do not commute with the bracket",
+            witness=[i, j])
+    return ProjectiveRep(algebra=algebra, degree=len(matrices[0]),
+                         matrices=_freeze(matrices), cocycle=zero)
 
 
 def twist(rep: ProjectiveRep, sigma: LinearFunctional) -> ProjectiveRep:
@@ -188,19 +177,11 @@ def twist(rep: ProjectiveRep, sigma: LinearFunctional) -> ProjectiveRep:
     n = rep.algebra.dim
     if sigma.dim != n:
         raise DimensionMismatch(f"functional of dim {sigma.dim} for algebra of dim {n}")
-    d = rep.degree
-    new_matrices = []
-    for i in range(n):
-        mat = [list(row) for row in rep.matrices[i]]
-        s = sigma.vector[i]
-        if s:
-            for t in range(d):
-                mat[t][t] = mat[t][t] - s
-        new_matrices.append(mat)
+    new_matrices = [_shift_diagonal(m, s) for m, s in zip(rep.matrices, sigma.vector)]
     alpha = rep.cocycle if rep.cocycle is not None else cocycle_from_rep(rep)
     # alpha_2(x,y) = alpha_1(x,y) + sigma([x,y]), i.e. alpha_1 - alpha_2 = -sigma o [,]
     shifted = alpha.sub(coboundary(rep.algebra, sigma))
-    return ProjectiveRep(algebra=rep.algebra, degree=d,
+    return ProjectiveRep(algebra=rep.algebra, degree=rep.degree,
                          matrices=_freeze(new_matrices), cocycle=shifted)
 
 
@@ -239,12 +220,9 @@ def verify_projective_equivalence(rep1: ProjectiveRep, rep2: ProjectiveRep,
     failures = []
     for i in range(n):
         conj = linalg.mat_mul(linalg.mat_mul(f, rep1.matrices[i]), f_inv)
-        dv = delta.vector[i]
-        if dv:
-            for t in range(d):
-                conj[t][t] = conj[t][t] + dv
-        residual = [linalg.vec_sub(r1, r2)
-                    for r1, r2 in zip(rep2.matrices[i], conj)]
+        # Phi_2(x_i) - delta(x_i) I - f Phi_1(x_i) f^-1
+        residual = [linalg.vec_sub(r1, r2) for r1, r2 in
+                    zip(_shift_diagonal(rep2.matrices[i], delta.vector[i]), conj)]
         if any(x for row in residual for x in row):
             failures.append((i, linalg.freeze_matrix(residual)))
     return EquivalenceReport(failures=tuple(failures),
@@ -282,7 +260,6 @@ def cohomologous_witness_from_equivalence(rep1: ProjectiveRep, rep2: ProjectiveR
 
 
 def rep_to_json(rep: ProjectiveRep) -> dict:
-    from .cohomology import form_to_json
     doc = {
         "dim": rep.algebra.dim,
         "degree": rep.degree,
@@ -295,7 +272,6 @@ def rep_to_json(rep: ProjectiveRep) -> dict:
 
 
 def rep_from_json(algebra: LieAlgebra, doc: dict) -> ProjectiveRep:
-    from .cohomology import form_from_json
     if int(doc["dim"]) != algebra.dim:
         raise DimensionMismatch(
             f"document dim {doc['dim']} does not match algebra dim {algebra.dim}")

@@ -178,6 +178,22 @@ def test_missing_file_is_domain_error(capsys):
     assert "FileNotFound" in err
 
 
+@pytest.mark.parametrize("raw,line,column", [
+    (b'{"dim": 2, "brackets": [', 1, 25),
+    (b'{"dim": 2,\n "labels": ["\xff"]}', 2, 14),
+], ids=["truncated", "not-utf8"])
+def test_malformed_document_is_domain_error(tmp_path, capsys, raw, line, column):
+    path = tmp_path / "L.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "cohomology", "h2", "-L", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: BadDocument: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "cohomology", "h2", "-L", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "BadDocument",
+                               "witness": [str(path), line, column]}
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["group", "bogus"])

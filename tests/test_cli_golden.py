@@ -60,13 +60,6 @@ CASES = [
 ]
 
 
-def _run(capsys, argv: list[str]) -> str:
-    code = main(argv)
-    out = capsys.readouterr().out
-    assert code == 0, out
-    return out
-
-
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -84,8 +77,9 @@ def paths(tmp_path_factory):
         f"algebra plesken -g {out['e25_group']} -o {out['L_e25']}",
         f"rep twist -r {out['rep']} --sigma {out['sigma']} -L {out['heis3']} "
         f"-o {out['twisted']}",
-    ] + [f"extension build -L {out['heis3']} --alpha {out['a' + e[1:]]} -o {out[e]}"
-         for e in ("e01", "e02", "e02b", "e12")]
+    ] + [f"extension build -L {out['heis3']} --alpha {out[alpha]} -o {out[ext]}"
+         for ext, alpha in (("e01", "a01"), ("e02", "a02"), ("e02b", "a02b"),
+                            ("e12", "a12"))]
     for argv in builds:
         assert main(argv.split()) == 0
     return out
@@ -96,7 +90,8 @@ def paths(tmp_path_factory):
 def test_stdout_matches_golden(case, argv, as_json, paths, capsys):
     capsys.readouterr()
     args = argv.format(**paths).split() + (["--json"] if as_json else [])
-    got = _run(capsys, args)
+    assert main(args) == 0
+    got = capsys.readouterr().out
     name = f"{case}.json" if as_json else f"{case}.txt"
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
         assert got == handle.read()

@@ -76,7 +76,7 @@ def test_cocycle_heis_rep(heis_rep):
 
 def test_validate_alpha_rep_accepts_extracted(heis_rep, heis3):
     alpha = cocycle_from_rep(heis_rep)
-    assert validate_alpha_rep(heis3, heis_rep, alpha) == []
+    assert validate_alpha_rep(heis3, heis_rep.matrices, alpha) == []
 
 
 def test_validate_alpha_rep_reports_mismatch(abelian2):

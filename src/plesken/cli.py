@@ -67,10 +67,15 @@ def _write_doc(path: str, doc) -> None:
 
 
 def _read_doc(path: str) -> dict:
-    with open(path, "rb") as handle:
-        raw = handle.read()
     try:
-        return json.loads(raw.decode("utf-8"))
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except FileNotFoundError:
+        raise
+    except OSError as err:
+        raise BadDocument(f"{path}: {err.strerror}", witness=[path]) from None
+    try:
+        doc = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as err:
         line = raw.count(b"\n", 0, err.start) + 1
         column = err.start - raw.rfind(b"\n", 0, err.start)
@@ -79,6 +84,9 @@ def _read_doc(path: str) -> dict:
     except json.JSONDecodeError as err:
         raise BadDocument(f"{path}: {err.msg} at line {err.lineno} column {err.colno}",
                           witness=[path, err.lineno, err.colno]) from None
+    if not isinstance(doc, dict):
+        raise BadDocument(f"{path}: top-level value is not an object", witness=[path])
+    return doc
 
 
 def _emit(args, json_doc, text_lines: list[str]) -> None:

@@ -201,20 +201,13 @@ def _cocycle_terms(algebra: LieAlgebra, i: int, j: int, k: int):
     repeat.
     """
     n = algebra.dim
+    terms = algebra.bracket_terms
     for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-        if a == b:
-            continue
-        c = algebra.brackets.get((a, b) if a < b else (b, a))
-        if c is None:
-            continue
-        flip = a > b
-        for m, cm in enumerate(c):
-            if not cm or m == t:
-                continue
+        for m, cm in terms.get((a, b), ()):
             if m < t:
-                yield pair_index(n, m, t), (-cm if flip else cm)
-            else:
-                yield pair_index(n, t, m), (cm if flip else -cm)
+                yield pair_index(n, m, t), cm
+            elif m > t:
+                yield pair_index(n, t, m), -cm
 
 
 def _flat_over(algebra: LieAlgebra, alpha: BilinearForm) -> list[Scalar]:

@@ -3,7 +3,9 @@
 A :class:`LieAlgebra` is a dimension plus structure constants over Q(i): for
 each basis pair i < j a vector c(i,j) with [x_i, x_j] = sum_k c(i,j)_k x_k.
 Antisymmetry is built into the representation; the Jacobi identity is checked
-on construction (or on demand via :func:`verify_lie_axioms`).
+on construction (or on demand via :func:`verify_lie_axioms`).  Those vectors
+are the one stored form; kernels that only need the nonzero terms read
+:attr:`LieAlgebra.bracket_terms`, derived from them once per algebra.
 
 The Plesken algebra of a finite group G is the span of the elements
 g_hat = g - g^-1 inside the group algebra, closed under the commutator.  Its
@@ -15,6 +17,7 @@ hard-coded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
@@ -95,6 +98,17 @@ class LieAlgebra:
             return tuple([ZERO] * self.dim)
         return tuple(-x for x in vec)
 
+    @cached_property
+    def bracket_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]:
+        """Nonzero terms ((k, c), ...) of [x_a, x_b] for each ordered pair
+        (a, b) with a nonzero bracket, derived once from :attr:`brackets`."""
+        terms = {}
+        for (i, j), vec in self.brackets.items():
+            forward = tuple((k, c) for k, c in enumerate(vec) if c)
+            terms[(i, j)] = forward
+            terms[(j, i)] = tuple((k, -c) for k, c in forward)
+        return terms
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
@@ -163,34 +177,34 @@ def bracket(algebra: LieAlgebra, u: Vector, v: Vector) -> list[Scalar]:
 def _bracket_with_basis(algebra: LieAlgebra, u: Vector, k: int) -> list[Scalar]:
     # [u, x_k] without building a basis vector
     out = linalg.zeros(algebra.dim)
+    terms = algebra.bracket_terms
     for i, ui in enumerate(u):
         if not ui:
             continue
-        c = algebra.structure(i, k)
-        for t, ct in enumerate(c):
-            if ct:
-                out[t] = out[t] + ui * ct
+        for t, ct in terms.get((i, k), ()):
+            out[t] = out[t] + ui * ct
     return out
 
 
-def jacobi_residual(algebra: LieAlgebra, i: int, j: int, k: int) -> list[Scalar]:
-    """[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j] as a vector."""
-    total = linalg.zeros(algebra.dim)
-    for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-        term = _bracket_with_basis(algebra, algebra.structure(a, b), t)
-        total = linalg.vec_add(total, term)
-    return total
-
-
 def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Scalar, ...]]]:
-    """All basis triples violating Jacobi; empty means the data is a Lie algebra."""
+    """All basis triples violating Jacobi, in lexicographic order, each with
+    its residual [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j];
+    empty means the data is a Lie algebra."""
+    terms = algebra.bracket_terms
     failures = []
     n = algebra.dim
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                residual = jacobi_residual(algebra, i, j, k)
-                if any(residual):
+                total: dict[int, Scalar] = {}
+                for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, c in terms.get((a, b), ()):
+                        for s, d in terms.get((m, t), ()):
+                            total[s] = total[s] + c * d if s in total else c * d
+                if any(total.values()):
+                    residual = linalg.zeros(n)
+                    for s, x in total.items():
+                        residual[s] = x
                     failures.append((i, j, k, tuple(residual)))
     return failures
 
@@ -290,12 +304,14 @@ def plesken_algebra(group: FiniteGroup) -> tuple[LieAlgebra, PleskenBasis]:
 def center(algebra: LieAlgebra) -> Subspace:
     """{v : [v, x_j] = 0 for all j}, as the nullspace of the stacked adjoints."""
     n = algebra.dim
+    terms = algebra.bracket_terms
     rows = []
     for j in range(n):
-        for k in range(n):
-            row = [algebra.structure(i, j)[k] for i in range(n)]
-            if any(row):
-                rows.append(row)
+        by_k: dict[int, list[Scalar]] = {}
+        for i in range(n):
+            for k, c in terms.get((i, j), ()):
+                by_k.setdefault(k, linalg.zeros(n))[i] = c
+        rows.extend(by_k[k] for k in sorted(by_k))
     if not rows:
         return Subspace.from_spanning(n, linalg.identity_matrix(n))
     null = linalg.nullspace(rows, n)
@@ -324,15 +340,17 @@ def killing_form(algebra: LieAlgebra) -> list[list[Scalar]]:
     """K(i,j) = trace(ad x_i composed with ad x_j); always symmetric."""
     n = algebra.dim
     ads = [ad_matrix(algebra, i) for i in range(n)]
+    nonzeros = [[(r, s, x) for r, row in enumerate(a) for s, x in enumerate(row) if x]
+                for a in ads]
     out = linalg.zero_matrix(n, n)
     for i in range(n):
         for j in range(i, n):
             acc = ZERO
-            a, b = ads[i], ads[j]
-            for r in range(n):
-                for s in range(n):
-                    if a[r][s] and b[s][r]:
-                        acc = acc + a[r][s] * b[s][r]
+            b = ads[j]
+            for r, s, x in nonzeros[i]:
+                y = b[s][r]
+                if y:
+                    acc = acc + x * y
             out[i][j] = acc
             out[j][i] = acc
     return out

@@ -1,12 +1,14 @@
 """Exact linear algebra over Q(i).
 
 Vectors are sequences of :class:`~plesken.scalars.Scalar`; matrices are
-row-major sequences of such rows.  The primary elimination path is
-division-based Gauss-Jordan choosing the lexicographically earliest nonzero
-pivot (first eligible row, left-to-right columns), which makes every reduced
-object canonical.  :func:`rank_reversed` is a deliberately different
-elimination ordering kept as an independent cross-check path; callers that
-need a verified rank run both and compare.
+row-major sequences of such rows.  The one exact elimination path is
+:func:`rref`, which works on sparse ``{column: entry}`` rows and takes them
+fewest nonzeros first.  Its output is still canonical because the reduced
+row echelon form of a matrix is unique, whatever order produced it; every
+reduced object (nullspace bases, solutions, inverses, subspaces) is read off
+it.  :func:`rank_reversed` is a deliberately different, dense elimination
+ordering (right-to-left columns, bottom-up pivots) kept as an independent
+cross-check path; callers that need a verified rank run both and compare.
 """
 
 from __future__ import annotations
@@ -89,36 +91,53 @@ def freeze_matrix(m: Matrix) -> tuple[tuple[Scalar, ...], ...]:
 
 
 def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Rows are eliminated as ``{column: nonzero entry}`` maps, so the work
+    follows the nonzeros.  They are taken fewest nonzeros first (ties go to
+    the lowest input index), and each is reduced against the rows kept so
+    far, which are always the RREF of the rows taken.  A nonzero residue is
+    scaled to lead 1 at its first column and cleared from the kept rows that
+    hold that column; a dependent row costs one pass against sparse reduced
+    rows.  The RREF of a matrix is unique, so the order changes only the
+    work, never the result.
+    """
+    work = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    order = sorted((i for i, row in enumerate(work) if row),
+                   key=lambda i: (len(work[i]), i))
+    kept: dict[int, dict[int, Scalar]] = {}
+    for i in order:
+        row = work[i]
+        for p in [c for c in row if c in kept]:
+            _subtract_multiple(row, row[p], kept[p])
+        if not row:
             continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
+        lead = min(row)
+        piv = row[lead]
         if piv != ONE:
-            m[r] = [x / piv for x in m[r]]
-        pivot_row = m[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = m[i][c]
-            if not f:
-                continue
-            row = m[i]
-            for j in range(c, ncols):
-                if pivot_row[j]:
-                    row[j] = row[j] - f * pivot_row[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+            inv = ONE / piv
+            for j in row:
+                row[j] = row[j] * inv
+        for other in kept.values():
+            if lead in other:
+                _subtract_multiple(other, other[lead], row)
+        kept[lead] = row
+    pivots = sorted(kept)
+    return [[kept[p].get(j, ZERO) for j in range(ncols)] for p in pivots], pivots
+
+
+def _subtract_multiple(row: dict[int, Scalar], f: Scalar, other: dict[int, Scalar]) -> None:
+    # row -= f * other on sparse rows, dropping entries that cancel
+    for j, x in other.items():
+        v = row.get(j)
+        if v is None:
+            row[j] = -(f * x)
+        else:
+            v = v - f * x
+            if v:
+                row[j] = v
+            else:
+                del row[j]
 
 
 def rank(rows: Iterable[Vector], ncols: int) -> int:

@@ -194,6 +194,22 @@ def test_malformed_document_is_domain_error(tmp_path, capsys, raw, line, column)
                                "witness": [str(path), line, column]}
 
 
+@pytest.mark.parametrize("raw", [b"[]", b"3", b'"x"', b"null", None],
+                         ids=["array", "number", "string", "null", "directory"])
+def test_unreadable_or_non_object_document_is_domain_error(tmp_path, capsys, raw):
+    path = tmp_path / "L.json"
+    if raw is None:
+        path.mkdir()
+    else:
+        path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "cohomology", "h2", "-L", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: BadDocument: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "cohomology", "h2", "-L", str(path), "--json")
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out) == {"error": "BadDocument", "witness": [str(path)]}
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["group", "bogus"])

@@ -25,7 +25,8 @@ from plesken.cohomology import (
     pair_index,
     z2_basis,
 )
-from plesken.liealg import derived_subalgebra, from_structure_constants
+from plesken.groups import from_permutation_generators
+from plesken.liealg import derived_subalgebra, from_structure_constants, plesken_algebra
 from plesken.scalars import ONE, ZERO, I, Scalar
 
 S = Scalar
@@ -101,6 +102,17 @@ def test_is_cocycle_witness(sl2, heis3):
     assert not ok and witness == (0, 1, 3)
 
 
+@pytest.mark.parametrize("entries,witness", [
+    ({(0, 1): ONE}, (1, 4, 5)),
+    ({(2, 5): ONE, (3, 7): S(2)}, (0, 2, 4)),
+    ({(4, 9): ONE}, (0, 4, 5)),
+])
+def test_is_cocycle_first_witness_heis27(fixture_set, entries, witness):
+    # expected triples computed by the dense-tuple cocycle check
+    algebra = fixture_set.algebra("L(Heis27)")
+    assert is_cocycle(algebra, BilinearForm.from_entries(13, entries)) == (False, witness)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_z2_abelian_full(n):
     algebra = from_structure_constants(n, {})
@@ -166,6 +178,27 @@ def test_h2_heisenberg27_frozen_dims(fixture_set):
     b2_rows = [list(r) for r in result.b2.basis]
     assert linalg.rank_reversed(b2_rows, nflat) == 8
     assert derived_subalgebra(algebra).dim == 8
+
+
+def test_h2_dims_agree_with_reversed_rank_on_fixtures(fixture_set):
+    # nullity and coboundary rank by the independent elimination ordering
+    for name, algebra in fixture_set.algebras:
+        result = fixture_set.h2_of(name)
+        nflat = flat_dim(algebra.dim)
+        rows = _constraint_rows(algebra)
+        assert nflat - linalg.rank_reversed(rows, nflat) == result.z2.dim, name
+        generators = [coboundary(algebra, LinearFunctional(tuple(row))).flatten()
+                      for row in linalg.identity_matrix(algebra.dim)]
+        assert linalg.rank_reversed(generators, nflat) == result.b2.dim, name
+
+
+def test_h2_alternating5_vanishes():
+    # L(A5) is semisimple: every cocycle is a coboundary
+    group = from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    assert group.order == 60
+    algebra, _ = plesken_algebra(group)
+    result = h2(algebra)
+    assert (result.z2.dim, result.b2.dim, result.dimension) == (22, 22, 0)
 
 
 def test_h2_representatives_are_cocycles_outside_b2(heis3):

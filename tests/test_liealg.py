@@ -26,7 +26,7 @@ from plesken.liealg import (
     verify_lie_axioms,
 )
 from plesken.linalg import vec_is_zero
-from plesken.scalars import ONE, ZERO, Scalar
+from plesken.scalars import ONE, ZERO, I, Scalar
 
 S = Scalar
 
@@ -173,6 +173,26 @@ def test_verify_axioms_broken_table():
     i, j, k, residual = failures[0]
     assert (i, j, k) == (0, 1, 2)
     assert residual == (ZERO, ZERO, ONE)
+
+
+# breaks Jacobi on three of the four triples, with complex residuals;
+# the expected list was computed by the dense-tuple Jacobi check
+MULTI_BROKEN_TABLE = {(0, 1): [1, 0, 0, 1], (0, 2): [0, 0, 1, 0],
+                      (1, 2): [0, 1, 0, 2], (1, 3): [0, 0, 0, 1],
+                      (2, 3): [1, 0, I, 0]}
+
+
+def test_verify_lie_axioms_lists_failures_in_order():
+    algebra = from_structure_constants(4, MULTI_BROKEN_TABLE, force=True)
+    P = Scalar.parse
+    assert verify_lie_axioms(algebra) == [
+        (0, 1, 2, (P("-2"), ONE, P("1-1*I"), ONE)),
+        (0, 2, 3, (ONE, ZERO, ZERO, ZERO)),
+        (1, 2, 3, (P("2"), P("-1*I"), P("1*I"), P("2-2*I"))),
+    ]
+    with pytest.raises(errors.JacobiViolation) as exc:
+        from_structure_constants(4, MULTI_BROKEN_TABLE)
+    assert exc.value.witness == [0, 1, 2, ["-2", "1", "1-1*I", "1"]]
 
 
 def test_from_structure_constants_rejects_broken_table():

@@ -4,7 +4,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from plesken import linalg
+from plesken.cohomology import _constraint_rows, flat_dim
 from plesken.scalars import ONE, ZERO, Scalar
 
 
@@ -32,6 +35,78 @@ def leibniz_det(m):
             term = term * m[i][perm[i]]
         total = total + term
     return total
+
+
+def dense_rref(rows, ncols):
+    """Reference oracle: dense Gauss-Jordan, first nonzero row as pivot."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        if piv != ONE:
+            m[r] = [x / piv for x in m[r]]
+        pivot_row = m[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = m[i][c]
+            if not f:
+                continue
+            row = m[i]
+            for j in range(c, ncols):
+                if pivot_row[j]:
+                    row[j] = row[j] - f * pivot_row[j]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def _rand_complex_matrix(rng, rows, cols, density):
+    """Sparse-ish Q(i) matrix with some zero rows and duplicated rows."""
+    m = []
+    for _ in range(rows):
+        roll = rng.random()
+        if m and roll < 0.15:
+            m.append(list(rng.choice(m)))
+        elif roll < 0.25:
+            m.append([ZERO] * cols)
+        else:
+            m.append([Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                             Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+                      if rng.random() < density else ZERO for _ in range(cols)])
+    return m
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+def test_rref_matches_dense_oracle_on_random_complex(shape):
+    rng = random.Random(f"rref-{shape}")
+    for _ in range(40):
+        small, large = rng.randint(1, 5), rng.randint(5, 12)
+        rows, cols = {"tall": (large, small), "wide": (small, large),
+                      "square": (small, small)}[shape]
+        m = _rand_complex_matrix(rng, rows, cols, rng.choice([0.2, 0.5, 0.9]))
+        assert linalg.rref(m, cols) == dense_rref(m, cols)
+
+
+def test_rref_matches_dense_oracle_on_empty_shapes():
+    for rows, ncols in (([], 0), ([], 3), ([[], []], 0), ([[ZERO] * 4] * 3, 4)):
+        assert linalg.rref(rows, ncols) == dense_rref(rows, ncols)
+
+
+def test_rref_matches_dense_oracle_on_fixture_constraints(fixture_set):
+    for name, algebra in fixture_set.algebras:
+        nflat = flat_dim(algebra.dim)
+        rows = _constraint_rows(algebra)
+        assert linalg.rref(rows, nflat) == dense_rref(rows, nflat), name
 
 
 def test_rref_canonical_shape():

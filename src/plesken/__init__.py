@@ -17,7 +17,6 @@ from .liealg import (
     GroupAlgebraElement,
     LieAlgebra,
     PleskenBasis,
-    Subspace,
     algebra_from_json,
     algebra_to_json,
     bracket,
@@ -31,6 +30,7 @@ from .liealg import (
     plesken_algebra,
     verify_lie_axioms,
 )
+from .linalg import Subspace
 from .cohomology import (
     BilinearForm,
     H2Result,

@@ -89,6 +89,18 @@ def _read_doc(path: str) -> dict:
     return doc
 
 
+def _load(path: str, reader, *args):
+    """``reader(*args, doc)`` on the document at ``path``; a missing key or a
+    value of the wrong type, shape or form is a :class:`BadDocument`."""
+    doc = _read_doc(path)
+    try:
+        return reader(*args, doc)
+    except KeyError as err:
+        raise BadDocument(f"{path}: missing key {err}", witness=[path]) from None
+    except (ValueError, TypeError, IndexError, OverflowError) as err:
+        raise BadDocument(f"{path}: {err}", witness=[path]) from None
+
+
 def _emit(args, json_doc, text_lines: list[str]) -> None:
     if args.json:
         sys.stdout.write(_dump(json_doc))
@@ -112,11 +124,10 @@ def _form_lines(form: BilinearForm) -> list[str]:
 def _load_rep(path: str, algebra=None):
     """Load a representation document; without an algebra, matrices are
     wrapped over a zero-bracket stand-in and any stored cocycle is ignored."""
-    doc = _read_doc(path)
     if algebra is None:
-        return rep_from_json(from_structure_constants(int(doc["dim"]), {}),
-                             {**doc, "alpha": None})
-    return rep_from_json(algebra, doc)
+        return _load(path, lambda doc: rep_from_json(
+            from_structure_constants(int(doc["dim"]), {}), {**doc, "alpha": None}))
+    return _load(path, rep_from_json, algebra)
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -137,7 +148,7 @@ def _cmd_group_make(args) -> int:
 
 
 def _cmd_algebra_plesken(args) -> int:
-    group = group_from_json(_read_doc(args.group))
+    group = _load(args.group, group_from_json)
     algebra, _ = plesken_algebra(group)
     doc = algebra_to_json(algebra)
     if args.output:
@@ -158,7 +169,7 @@ def _cmd_algebra_plesken(args) -> int:
 
 
 def _cmd_cohomology_h2(args) -> int:
-    algebra = algebra_from_json(_read_doc(args.algebra))
+    algebra = _load(args.algebra, algebra_from_json)
     result = h2(algebra)
     doc = {
         "z2": result.z2.dim,
@@ -175,8 +186,8 @@ def _cmd_cohomology_h2(args) -> int:
 
 
 def _cmd_extension_build(args) -> int:
-    algebra = algebra_from_json(_read_doc(args.algebra))
-    alpha = form_from_json(_read_doc(args.alpha))
+    algebra = _load(args.algebra, algebra_from_json)
+    alpha = _load(args.alpha, form_from_json)
     ext = extension_from_cocycle(algebra, alpha)
     doc = extension_to_json(ext)
     if args.output:
@@ -189,7 +200,7 @@ def _cmd_extension_build(args) -> int:
 
 
 def _cmd_extension_cocycle(args) -> int:
-    ext = extension_from_json(_read_doc(args.extension))
+    ext = _load(args.extension, extension_from_json)
     alpha = cocycle_from_extension(ext, find_section(ext))
     doc = form_to_json(alpha)
     if args.output:
@@ -199,8 +210,8 @@ def _cmd_extension_cocycle(args) -> int:
 
 
 def _cmd_extension_equiv(args) -> int:
-    ext1 = extension_from_json(_read_doc(args.e1))
-    ext2 = extension_from_json(_read_doc(args.e2))
+    ext1 = _load(args.e1, extension_from_json)
+    ext2 = _load(args.e2, extension_from_json)
     phi = equivalence_map(ext1, ext2)
     if phi is None:
         _emit(args, {"equivalent": False, "phi": None, "verified": None},
@@ -219,7 +230,7 @@ def _cmd_extension_equiv(args) -> int:
 
 
 def _cmd_extension_split(args) -> int:
-    ext = extension_from_json(_read_doc(args.extension))
+    ext = _load(args.extension, extension_from_json)
     result = is_split(ext)
     doc = {"split": result.split,
            "section": ([[str(x) for x in row] for row in result.section]
@@ -234,7 +245,7 @@ def _cmd_extension_split(args) -> int:
 
 
 def _cmd_rep_cocycle(args) -> int:
-    algebra = algebra_from_json(_read_doc(args.algebra))
+    algebra = _load(args.algebra, algebra_from_json)
     rep = _load_rep(args.rep, algebra)
     alpha = cocycle_from_rep(rep)
     doc = form_to_json(alpha)
@@ -245,11 +256,12 @@ def _cmd_rep_cocycle(args) -> int:
 
 
 def _cmd_rep_verify_equiv(args) -> int:
-    algebra = algebra_from_json(_read_doc(args.algebra)) if args.algebra else None
+    algebra = _load(args.algebra, algebra_from_json) if args.algebra else None
     rep1 = _load_rep(args.r1, algebra)
     rep2 = _load_rep(args.r2, algebra)
-    f = [[Scalar.parse(x) for x in row] for row in _read_doc(args.f)["matrix"]]
-    delta = functional_from_json(_read_doc(args.delta))
+    f = _load(args.f, lambda doc: [[Scalar.parse(x) for x in row]
+                                   for row in doc["matrix"]])
+    delta = _load(args.delta, functional_from_json)
     report = verify_projective_equivalence(rep1, rep2, f, delta)
     doc = {
         "ok": report.ok,
@@ -265,9 +277,9 @@ def _cmd_rep_verify_equiv(args) -> int:
 
 
 def _cmd_rep_twist(args) -> int:
-    sigma = functional_from_json(_read_doc(args.sigma))
+    sigma = _load(args.sigma, functional_from_json)
     if args.algebra:
-        algebra = algebra_from_json(_read_doc(args.algebra))
+        algebra = _load(args.algebra, algebra_from_json)
         twisted = twist(_load_rep(args.rep, algebra), sigma)
     else:
         # without bracket data the cocycle cannot be tracked; shift matrices only

@@ -25,8 +25,8 @@ from .errors import (
     InternalInclusionViolation,
     NotACocycle,
 )
-from .liealg import LieAlgebra, Subspace
-from .linalg import Vector
+from .liealg import LieAlgebra
+from .linalg import Subspace, Vector
 from .scalars import ONE, ZERO, Scalar
 
 

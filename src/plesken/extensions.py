@@ -30,7 +30,6 @@ from .errors import (
 )
 from .liealg import (
     LieAlgebra,
-    _bracket_with_basis,
     algebra_from_json,
     algebra_to_json,
     bracket,
@@ -86,8 +85,15 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
     total = ext.total
     if total.dim != n + 1:
         return [f"total dim {total.dim} is not base dim {n} + 1"]
-    f = ext.injection_f
-    g = ext.projection_g
+    f, g, s = ext.injection_f, ext.projection_g, ext.section_s
+    if len(f) != n + 1:
+        failures.append(f"injection has length {len(f)}, not {n + 1}")
+    if len(g) != n or any(len(row) != n + 1 for row in g):
+        failures.append(f"projection is not {n} x {n + 1}")
+    if s is not None and (len(s) != n + 1 or any(len(row) != n for row in s)):
+        failures.append(f"stored section is not {n + 1} x {n}")
+    if failures:
+        return failures
     if linalg.vec_is_zero(f):
         failures.append("injection vector is zero")
     # f is a homomorphism from the abelian line: [f, f] = 0
@@ -103,11 +109,11 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
     if linalg.rank(g, n + 1) != n:
         failures.append("projection is not surjective")
     # centrality of the kernel line inside the total algebra
-    for j in range(n + 1):
-        if any(_bracket_with_basis(total, f, j)):
+    for j, e_j in enumerate(linalg.identity_matrix(n + 1)):
+        if any(bracket(total, f, e_j)):
             failures.append(f"kernel line is not central: [f, x_{j}] != 0")
-    if ext.section_s is not None:
-        gs = linalg.mat_mul(g, ext.section_s)
+    if s is not None:
+        gs = linalg.mat_mul(g, s)
         if not linalg.mat_eq(gs, linalg.identity_matrix(n)):
             failures.append("stored section does not satisfy g s = I")
     return failures
@@ -119,10 +125,15 @@ def _homomorphism_defects(m: Matrix, source: LieAlgebra, target: LieAlgebra):
     M is a homomorphism exactly when every defect is zero.
     """
     cols = [[row[c] for row in m] for c in range(source.dim)]
+    terms = source.bracket_terms
     for i in range(source.dim):
         for j in range(i + 1, source.dim):
-            yield i, j, linalg.vec_sub(bracket(target, cols[i], cols[j]),
-                                       linalg.mat_vec(m, source.structure(i, j)))
+            defect = bracket(target, cols[i], cols[j])
+            for k, c in terms.get((i, j), ()):
+                for r, x in enumerate(cols[k]):
+                    if x:
+                        defect[r] = defect[r] - c * x
+            yield i, j, defect
 
 
 def find_section(ext: CentralExtension) -> list[list[Scalar]]:

@@ -4,8 +4,8 @@ A :class:`LieAlgebra` is a dimension plus structure constants over Q(i): for
 each basis pair i < j a vector c(i,j) with [x_i, x_j] = sum_k c(i,j)_k x_k.
 Antisymmetry is built into the representation; the Jacobi identity is checked
 on construction (or on demand via :func:`verify_lie_axioms`).  Those vectors
-are the one stored form; kernels that only need the nonzero terms read
-:attr:`LieAlgebra.bracket_terms`, derived from them once per algebra.
+are the one stored form; the bracket, Jacobi, the center, ad and the Killing
+form read their nonzero terms, :attr:`LieAlgebra.bracket_terms`, made once.
 
 The Plesken algebra of a finite group G is the span of the elements
 g_hat = g - g^-1 inside the group algebra, closed under the commutator.  Its
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import BadParameter, DimensionMismatch, JacobiViolation
 from .groups import FiniteGroup
-from .linalg import Vector
+from .linalg import Subspace, Vector
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -47,33 +47,6 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         return self.coefficients == other.coefficients
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace given by an RREF basis; the canonical form of a span."""
-
-    ambient_dim: int
-    basis: tuple[tuple[Scalar, ...], ...]
-
-    @classmethod
-    def from_spanning(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
-        rows, _ = linalg.rref(vectors, ambient_dim)
-        return cls(ambient_dim, linalg.freeze_matrix(rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def pivots(self) -> list[int]:
-        return [next(j for j, x in enumerate(row) if x) for row in self.basis]
-
-    def contains(self, vector: Vector) -> bool:
-        if len(vector) != self.ambient_dim:
-            raise DimensionMismatch(
-                f"vector of length {len(vector)} in ambient dim {self.ambient_dim}")
-        residue = linalg.reduce_against(vector, self.basis, self.pivots())
-        return linalg.vec_is_zero(residue)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,25 +137,18 @@ def bracket(algebra: LieAlgebra, u: Vector, v: Vector) -> list[Scalar]:
     if len(u) != n or len(v) != n:
         raise DimensionMismatch(
             f"expected vectors of length {n}, got {len(u)} and {len(v)}")
-    out = linalg.zeros(n)
-    for (i, j), c in algebra.brackets.items():
-        coeff = u[i] * v[j] - u[j] * v[i]
-        if coeff:
-            for k, ck in enumerate(c):
-                if ck:
-                    out[k] = out[k] + coeff * ck
-    return out
-
-
-def _bracket_with_basis(algebra: LieAlgebra, u: Vector, k: int) -> list[Scalar]:
-    # [u, x_k] without building a basis vector
-    out = linalg.zeros(algebra.dim)
     terms = algebra.bracket_terms
-    for i, ui in enumerate(u):
-        if not ui:
+    v_nonzero = [(j, y) for j, y in enumerate(v) if y]
+    out = linalg.zeros(n)
+    for i, x in enumerate(u):
+        if not x:
             continue
-        for t, ct in terms.get((i, k), ()):
-            out[t] = out[t] + ui * ct
+        for j, y in v_nonzero:
+            ij = terms.get((i, j))
+            if ij:
+                coeff = x * y
+                for k, c in ij:
+                    out[k] = out[k] + coeff * c
     return out
 
 
@@ -304,13 +270,11 @@ def plesken_algebra(group: FiniteGroup) -> tuple[LieAlgebra, PleskenBasis]:
 def center(algebra: LieAlgebra) -> Subspace:
     """{v : [v, x_j] = 0 for all j}, as the nullspace of the stacked adjoints."""
     n = algebra.dim
-    terms = algebra.bracket_terms
     rows = []
     for j in range(n):
         by_k: dict[int, list[Scalar]] = {}
-        for i in range(n):
-            for k, c in terms.get((i, j), ()):
-                by_k.setdefault(k, linalg.zeros(n))[i] = c
+        for (k, i), c in _ad_terms(algebra, j).items():
+            by_k.setdefault(k, linalg.zeros(n))[i] = c
         rows.extend(by_k[k] for k in sorted(by_k))
     if not rows:
         return Subspace.from_spanning(n, linalg.identity_matrix(n))
@@ -328,27 +292,28 @@ def ad_matrix(algebra: LieAlgebra, i: int) -> list[list[Scalar]]:
     """Matrix of ad x_i: column j holds the coordinates of [x_i, x_j]."""
     n = algebra.dim
     mat = linalg.zero_matrix(n, n)
-    for j in range(n):
-        c = algebra.structure(i, j)
-        for k in range(n):
-            if c[k]:
-                mat[k][j] = c[k]
+    for (k, j), c in _ad_terms(algebra, i).items():
+        mat[k][j] = c
     return mat
+
+
+def _ad_terms(algebra: LieAlgebra, i: int) -> dict[tuple[int, int], Scalar]:
+    # nonzero entries {(k, j): c} of ad x_i, c the x_k-coordinate of [x_i, x_j]
+    terms = algebra.bracket_terms
+    return {(k, j): c for j in range(algebra.dim) for k, c in terms.get((i, j), ())}
 
 
 def killing_form(algebra: LieAlgebra) -> list[list[Scalar]]:
     """K(i,j) = trace(ad x_i composed with ad x_j); always symmetric."""
     n = algebra.dim
-    ads = [ad_matrix(algebra, i) for i in range(n)]
-    nonzeros = [[(r, s, x) for r, row in enumerate(a) for s, x in enumerate(row) if x]
-                for a in ads]
+    ads = [_ad_terms(algebra, i) for i in range(n)]
     out = linalg.zero_matrix(n, n)
     for i in range(n):
         for j in range(i, n):
             acc = ZERO
             b = ads[j]
-            for r, s, x in nonzeros[i]:
-                y = b[s][r]
+            for (k, m), x in ads[i].items():
+                y = b.get((m, k))
                 if y:
                     acc = acc + x * y
             out[i][j] = acc
@@ -357,8 +322,8 @@ def killing_form(algebra: LieAlgebra) -> list[list[Scalar]]:
 
 
 def is_semisimple(algebra: LieAlgebra) -> bool:
-    """Cartan's criterion: the Killing form is nondegenerate."""
-    return bool(linalg.det(killing_form(algebra)))
+    """Cartan's criterion: the Killing form is nondegenerate, i.e. of full rank."""
+    return linalg.rank(killing_form(algebra), algebra.dim) == algebra.dim
 
 
 # -- serialization --------------------------------------------------------------

@@ -4,17 +4,19 @@ Vectors are sequences of :class:`~plesken.scalars.Scalar`; matrices are
 row-major sequences of such rows.  The one exact elimination path is
 :func:`rref`, which works on sparse ``{column: entry}`` rows and takes them
 fewest nonzeros first.  Its output is still canonical because the reduced
-row echelon form of a matrix is unique, whatever order produced it; every
-reduced object (nullspace bases, solutions, inverses, subspaces) is read off
-it.  :func:`rank_reversed` is a deliberately different, dense elimination
+row echelon form of a matrix is unique, whatever order produced it; ranks,
+nullspace bases, solutions, inverses and :class:`Subspace` are read off it.
+The one other path, :func:`rank_reversed`, is a deliberately different, dense
 ordering (right-to-left columns, bottom-up pivots) kept as an independent
-cross-check path; callers that need a verified rank run both and compare.
+cross-check; callers that need a verified rank run both and compare.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .errors import DimensionMismatch
 from .scalars import ONE, ZERO, Scalar
 
 Vector = Sequence[Scalar]
@@ -220,34 +222,6 @@ def invert(m: Matrix) -> Optional[list[list[Scalar]]]:
     return [row[n:] for row in red]
 
 
-def det(m: Matrix) -> Scalar:
-    n = len(m)
-    work = [list(row) for row in m]
-    sign = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c]), None)
-        if pr is None:
-            return ZERO
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            sign = -sign
-        piv = work[c][c]
-        for i in range(c + 1, n):
-            f = work[i][c]
-            if not f:
-                continue
-            scale = f / piv
-            row = work[i]
-            prow = work[c]
-            for j in range(c, n):
-                if prow[j]:
-                    row[j] = row[j] - scale * prow[j]
-    result = ONE if sign > 0 else -ONE
-    for i in range(n):
-        result = result * work[i][i]
-    return result
-
-
 def reduce_against(v: Vector, rref_rows: Sequence[Vector], pivots: Sequence[int]) -> list[Scalar]:
     """Subtract the projection of v onto the row space of an RREF basis."""
     out = list(v)
@@ -259,3 +233,30 @@ def reduce_against(v: Vector, rref_rows: Sequence[Vector], pivots: Sequence[int]
             if x:
                 out[j] = out[j] - f * x
     return out
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """Subspace given by an RREF basis; the canonical form of a span."""
+
+    ambient_dim: int
+    basis: tuple[tuple[Scalar, ...], ...]
+
+    @classmethod
+    def from_spanning(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
+        rows, _ = rref(vectors, ambient_dim)
+        return cls(ambient_dim, freeze_matrix(rows))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def pivots(self) -> list[int]:
+        return [next(j for j, x in enumerate(row) if x) for row in self.basis]
+
+    def contains(self, vector: Vector) -> bool:
+        if len(vector) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"vector of length {len(vector)} in ambient dim {self.ambient_dim}")
+        residue = reduce_against(vector, self.basis, self.pivots())
+        return vec_is_zero(residue)

@@ -82,23 +82,6 @@ def projective_rep(algebra: LieAlgebra, matrices: Sequence[Matrix],
     return rep
 
 
-def apply_rep(rep: ProjectiveRep, vector: Sequence[Scalar]) -> list[list[Scalar]]:
-    """Phi(v) for a coordinate vector v, by linearity."""
-    if len(vector) != rep.algebra.dim:
-        raise DimensionMismatch(
-            f"vector of length {len(vector)} for algebra of dim {rep.algebra.dim}")
-    d = rep.degree
-    out = linalg.zero_matrix(d, d)
-    for coeff, mat in zip(vector, rep.matrices):
-        if not coeff:
-            continue
-        for r in range(d):
-            for c in range(d):
-                if mat[r][c]:
-                    out[r][c] = out[r][c] + coeff * mat[r][c]
-    return out
-
-
 def _commutator(a: Matrix, b: Matrix) -> list[list[Scalar]]:
     return [linalg.vec_sub(r1, r2)
             for r1, r2 in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
@@ -106,9 +89,13 @@ def _commutator(a: Matrix, b: Matrix) -> list[list[Scalar]]:
 
 def _defect(rep: ProjectiveRep, i: int, j: int) -> list[list[Scalar]]:
     """[Phi(x_i), Phi(x_j)] - Phi([x_i, x_j])."""
-    comm = _commutator(rep.matrices[i], rep.matrices[j])
-    image = apply_rep(rep, rep.algebra.structure(i, j))
-    return [linalg.vec_sub(r1, r2) for r1, r2 in zip(comm, image)]
+    out = _commutator(rep.matrices[i], rep.matrices[j])
+    for k, c in rep.algebra.bracket_terms.get((i, j), ()):
+        for row, image_row in zip(out, rep.matrices[k]):
+            for s, x in enumerate(image_row):
+                if x:
+                    row[s] = row[s] - c * x
+    return out
 
 
 def _shift_diagonal(m: Matrix, s: Scalar) -> list[list[Scalar]]:
@@ -280,4 +267,9 @@ def rep_from_json(algebra: LieAlgebra, doc: dict) -> ProjectiveRep:
     cocycle = None
     if doc.get("alpha") is not None:
         cocycle = form_from_json(doc["alpha"])
-    return projective_rep(algebra, matrices, cocycle=cocycle)
+    rep = projective_rep(algebra, matrices, cocycle=cocycle)
+    if "degree" in doc and int(doc["degree"]) != rep.degree:
+        raise DimensionMismatch(
+            f"document degree {doc['degree']} does not match {rep.degree} x "
+            f"{rep.degree} matrices")
+    return rep

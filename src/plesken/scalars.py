@@ -180,6 +180,8 @@ class Scalar:
     @classmethod
     def parse(cls, text: str) -> "Scalar":
         """Read the canonical string form back into a scalar."""
+        if not isinstance(text, str):
+            raise TypeError(f"scalar must be a string, got {type(text).__name__}")
         s = text.strip()
         if not s:
             raise ValueError("empty scalar string")

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plesken
 from plesken.cli import main
 from plesken.cohomology import BilinearForm, form_from_json
-from plesken.extensions import extension_from_json
+from plesken.extensions import (
+    extension_from_cocycle,
+    extension_from_json,
+    extension_to_json,
+)
 from plesken.groups import group_from_json
 from plesken.liealg import algebra_from_json
 from plesken.scalars import Scalar
@@ -194,8 +201,15 @@ def test_malformed_document_is_domain_error(tmp_path, capsys, raw, line, column)
                                "witness": [str(path), line, column]}
 
 
-@pytest.mark.parametrize("raw", [b"[]", b"3", b'"x"', b"null", None],
-                         ids=["array", "number", "string", "null", "directory"])
+@pytest.mark.parametrize("raw", [
+    b"[]", b"3", b'"x"', b"null", None,
+    b'{"labels": []}', b'{"dim": "x"}', b'{"dim": 1e999}',
+    b'{"dim": 2, "brackets": [{"i": 0, "j": 1}]}',
+    b'{"dim": 2, "brackets": [{"i": 0, "j": 1, "c": "ab"}]}',
+    b'{"dim": 2, "brackets": [{"i": 0, "j": 1, "c": ["1/0", "0"]}]}',
+    b'{"dim": 2, "brackets": [{"i": 0, "j": 1, "c": [1, 0]}]}',
+], ids=["array", "number", "string", "null", "directory", "no-dim", "dim-not-int",
+        "dim-infinite", "no-c", "c-string", "zero-denominator", "scalar-number"])
 def test_unreadable_or_non_object_document_is_domain_error(tmp_path, capsys, raw):
     path = tmp_path / "L.json"
     if raw is None:
@@ -208,6 +222,127 @@ def test_unreadable_or_non_object_document_is_domain_error(tmp_path, capsys, raw
     code, out, err = run_cli(capsys, "cohomology", "h2", "-L", str(path), "--json")
     assert code == 1 and out.count("\n") == 1
     assert json.loads(out) == {"error": "BadDocument", "witness": [str(path)]}
+
+
+HEIS3_DOC = {"dim": 3, "labels": ["X", "Y", "Z"],
+             "brackets": [{"i": 0, "j": 1, "c": ["0", "0", "1"]}]}
+ALPHA_DOC = {"dim": 3, "upper": [["1", "0"], ["0"]]}
+READER_DOCS = {
+    "group": {"order": 3, "identity": 0, "labels": ["e", "a", "b"],
+              "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+    "algebra": HEIS3_DOC,
+    "alpha": ALPHA_DOC,
+    "extension": extension_to_json(extension_from_cocycle(
+        algebra_from_json(HEIS3_DOC), form_from_json(ALPHA_DOC))),
+    "rep": {"dim": 3, "degree": 2,
+            "matrices": [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]],
+                         [["-1", "0"], ["0", "-1"]]],
+            "alpha": ALPHA_DOC},
+    "sigma": {"v": ["2", "0", "1/3"]},
+    "f": {"matrix": [["1", "0"], ["1+I", "1"]]},
+}
+READER_VERBS = [
+    "algebra plesken -g {group}",
+    "cohomology h2 -L {algebra}",
+    "extension build -L {algebra} --alpha {alpha}",
+    "extension cocycle -e {extension}",
+    "extension equiv -e1 {extension} -e2 {extension}",
+    "extension split -e {extension}",
+    "rep cocycle -L {algebra} -r {rep}",
+    "rep twist -r {rep} --sigma {sigma} -L {algebra}",
+    "rep twist -r {rep} --sigma {sigma}",
+    "rep verify-equiv -r1 {rep} -r2 {rep} --f {f} --delta {sigma} -L {algebra}",
+    "rep verify-equiv -r1 {rep} -r2 {rep} --f {f} --delta {sigma}",
+]
+
+
+def _key_paths(value, prefix=()):
+    """Every dict key and list index path inside a JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+# small numbers only: a huge finite "dim" is a cost question, not a decoding one
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+    | st.text(max_size=4) | st.sampled_from(["1/0", "ab", "1/2+I", "-I", " "]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=3)),
+    max_leaves=8)
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("verb", READER_VERBS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_any_value_under_any_document_key_is_one_line(verb, tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("docs")
+    names = sorted({name for name in READER_DOCS if "{" + name + "}" in verb})
+    name = data.draw(st.sampled_from(names), label="document")
+    doc = json.loads(json.dumps(READER_DOCS[name]))
+    path = data.draw(st.sampled_from(list(_key_paths(doc))), label="key path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans(), label="drop key"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+    paths = {}
+    for other in names:
+        paths[other] = str(root / f"{other}.json")
+        with open(paths[other], "w", encoding="utf-8") as handle:
+            json.dump(doc if other == name else READER_DOCS[other], handle)
+    argv = verb.format(**paths).split()
+
+    code, out, err = _run_main(argv + ["--json"])
+    assert code in (0, 1) and err == "" and out.count("\n") == 1
+    reply = json.loads(out)
+    assert code == 0 or set(reply) == {"error", "witness"}
+    code, out, err = _run_main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,value,failure", [
+    ("f", ["0", "0", "1"], "injection has length 3, not 4"),
+    ("g", [["1", "0", "0", "0"], ["0", "1", "0"], ["0", "0", "1", "0"]],
+     "projection is not 3 x 4"),
+    ("g", [["1", "0", "0", "0"], ["0", "1", "0", "0"]], "projection is not 3 x 4"),
+    ("s", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+     "stored section is not 4 x 3"),
+    ("s", [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]],
+     "stored section is not 4 x 3"),
+], ids=["f-short", "g-ragged", "g-short", "s-short", "s-narrow"])
+def test_extension_shape_is_checked(tmp_path, capsys, key, value, failure):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({**READER_DOCS["extension"], key: value}))
+    code, out, _ = run_cli(capsys, "extension", "cocycle", "-e", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "DefectNotInKernel", "witness": [failure]}
+
+
+def test_rep_degree_must_match_matrices(tmp_path, capsys):
+    lpath, rpath = _write_heis_rep(tmp_path)
+    rpath.write_text(json.dumps({**READER_DOCS["rep"], "degree": 5}))
+    code, out, _ = run_cli(capsys, "rep", "cocycle", "-L", str(lpath),
+                           "-r", str(rpath), "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "DimensionMismatch"
+    code, _, err = run_cli(capsys, "rep", "cocycle", "-L", str(lpath), "-r", str(rpath))
+    assert err == ("error: DimensionMismatch: document degree 5 does not match "
+                   "2 x 2 matrices\n")
 
 
 def test_usage_error_exit_code():

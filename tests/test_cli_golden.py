@@ -41,6 +41,7 @@ DOCS = {
 CASES = [
     ("group_make_q8", "group make --preset quaternion8"),
     ("algebra_plesken_heis27", "algebra plesken -g {heis27_group}"),
+    ("algebra_plesken_q8", "algebra plesken -g {q8_group}"),
     ("h2_heis3", "cohomology h2 -L {heis3}"),
     ("h2_heis27", "cohomology h2 -L {L_heis27}"),
     ("h2_e25", "cohomology h2 -L {L_e25}"),
@@ -68,11 +69,12 @@ def paths(tmp_path_factory):
         with open(out[name], "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
     for name in ("e01", "e02", "e02b", "e12", "twisted", "heis27_group",
-                 "e25_group", "L_heis27", "L_e25"):
+                 "e25_group", "q8_group", "L_heis27", "L_e25"):
         out[name] = str(root / f"{name}.json")
     builds = [
         f"group make --preset heisenberg_p --n 3 -o {out['heis27_group']}",
         f"group make --preset elementary_abelian_p2 --n 5 -o {out['e25_group']}",
+        f"group make --preset quaternion8 -o {out['q8_group']}",
         f"algebra plesken -g {out['heis27_group']} -o {out['L_heis27']}",
         f"algebra plesken -g {out['e25_group']} -o {out['L_e25']}",
         f"rep twist -r {out['rep']} --sigma {out['sigma']} -L {out['heis3']} "

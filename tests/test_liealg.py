@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from plesken import errors
-from plesken.groups import preset, self_inverse_count
+from plesken.groups import from_permutation_generators, preset, self_inverse_count
 from plesken.liealg import (
     LieAlgebra,
     Subspace,
+    ad_matrix,
     algebra_from_json,
     algebra_to_json,
     bracket,
@@ -270,6 +271,121 @@ def test_killing_form_symmetry(sl2, heis3):
         for i in range(n):
             for j in range(n):
                 assert k[i][j] == k[j][i]
+
+
+# -- oracles: the dense code the sparse kernels replaced -------------------------
+
+
+def dense_bracket(algebra, u, v):
+    """[u, v] summed over every stored basis pair i < j."""
+    out = [ZERO] * algebra.dim
+    for (i, j), c in algebra.brackets.items():
+        coeff = u[i] * v[j] - u[j] * v[i]
+        if coeff:
+            for k, ck in enumerate(c):
+                if ck:
+                    out[k] = out[k] + coeff * ck
+    return out
+
+
+def dense_ad_matrix(algebra, i):
+    n = algebra.dim
+    mat = [[ZERO] * n for _ in range(n)]
+    for j in range(n):
+        c = algebra.structure(i, j)
+        for k in range(n):
+            if c[k]:
+                mat[k][j] = c[k]
+    return mat
+
+
+def ad_killing_form(algebra):
+    """trace(ad x_i ad x_j) from n dense adjoint matrices."""
+    n = algebra.dim
+    ads = [dense_ad_matrix(algebra, i) for i in range(n)]
+    nonzeros = [[(r, s, x) for r, row in enumerate(a) for s, x in enumerate(row) if x]
+                for a in ads]
+    out = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = ZERO
+            b = ads[j]
+            for r, s, x in nonzeros[i]:
+                y = b[s][r]
+                if y:
+                    acc = acc + x * y
+            out[i][j] = acc
+            out[j][i] = acc
+    return out
+
+
+def gauss_det(m):
+    """Determinant by forward elimination with row swaps."""
+    n = len(m)
+    work = [list(row) for row in m]
+    sign = 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if work[i][c]), None)
+        if pr is None:
+            return ZERO
+        if pr != c:
+            work[c], work[pr] = work[pr], work[c]
+            sign = -sign
+        piv = work[c][c]
+        for i in range(c + 1, n):
+            f = work[i][c]
+            if not f:
+                continue
+            scale = f / piv
+            row = work[i]
+            prow = work[c]
+            for j in range(c, n):
+                if prow[j]:
+                    row[j] = row[j] - scale * prow[j]
+    result = ONE if sign > 0 else -ONE
+    for i in range(n):
+        result = result * work[i][i]
+    return result
+
+
+@pytest.fixture(scope="module")
+def oracle_algebras(fixture_set):
+    group = from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    assert group.order == 60
+    return list(fixture_set.algebras) + [("L(A5)", plesken_algebra(group)[0])]
+
+
+def _random_vector(rng, n):
+    return [S(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+              Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            if rng.random() < 0.6 else ZERO for _ in range(n)]
+
+
+def test_bracket_matches_dense_oracle(oracle_algebras):
+    rng = random.Random(23)
+    for name, algebra in oracle_algebras:
+        n = algebra.dim
+        basis = [[ONE if t == k else ZERO for t in range(n)] for k in range(n)]
+        for u in basis:
+            for v in basis:
+                assert bracket(algebra, u, v) == dense_bracket(algebra, u, v), name
+        for _ in range(6):
+            u, v = _random_vector(rng, n), _random_vector(rng, n)
+            assert bracket(algebra, u, v) == dense_bracket(algebra, u, v), name
+
+
+def test_killing_form_and_cartan_match_dense_oracles(oracle_algebras):
+    semisimple = set()
+    for name, algebra in oracle_algebras:
+        for i in range(algebra.dim):
+            assert ad_matrix(algebra, i) == dense_ad_matrix(algebra, i), name
+        k = ad_killing_form(algebra)
+        assert killing_form(algebra) == k, name
+        assert is_semisimple(algebra) == bool(gauss_det(k)), name
+        if is_semisimple(algebra):
+            semisimple.add(name)
+    assert {"L(Q8)", "sl2", "L(A5)"} <= semisimple
+    assert "heis3" not in semisimple
 
 
 def test_json_roundtrip(q8_algebra, heis3):

@@ -151,12 +151,18 @@ def test_solve_free_variables_are_zero():
     assert linalg.solve(m, [Scalar(6)], 2) == [ZERO, Scalar(2)]
 
 
-def test_det_matches_leibniz_oracle():
+def test_full_rank_iff_leibniz_det_nonzero():
     rng = random.Random(5)
+    singular = 0
     for n in (1, 2, 3, 4):
         for _ in range(8):
             m = _rand_matrix(rng, n, n)
-            assert linalg.det(m) == leibniz_det(m)
+            # the same matrix with its first row repeated last is singular
+            for a in (m, m[:-1] + m[:1]):
+                full = linalg.rank(a, n) == n
+                assert full == (leibniz_det(a) != ZERO)
+                singular += not full
+    assert singular >= 24
 
 
 def test_invert_roundtrip_and_singular():

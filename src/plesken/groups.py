@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import (
@@ -66,7 +67,26 @@ class FiniteGroup:
 
 def from_cayley_table(table: Sequence[Sequence[int]],
                       labels: Optional[Sequence[str]] = None) -> FiniteGroup:
-    """Validate a multiplication table and derive identity and inverses."""
+    """Validate a multiplication table and derive identity and inverses.
+
+    Entries must be ``int`` (a float, bool or string is a ``TypeError``,
+    never truncated or coerced) in [0, n); some element must be a two-sided
+    identity, and every element needs a two-sided inverse.
+
+    Associativity is certified by Light's test (Clifford & Preston, *The
+    Algebraic Theory of Semigroups*, vol. 1, 1961) in O(n^2 |S|).  The
+    elements a with (x a) y = x (a y) for all x, y form a submagma that
+    holds the identity, so if every s of a set S that generates the table
+    with the identity passes, every element passes.
+    :func:`_magma_generators` picks S greedily without assuming
+    associativity; for a group |S| <= log2 n, since each new generator at
+    least doubles the subgroup reached.  Each s is checked a whole row at a
+    time: row (x s) must equal x (s y) over all y, for every x.  When the
+    test fails, the witness is the lexicographically first failing
+    (i, j, k), as the O(n^3) triple loop would find it: rows (i j) k and
+    i (j k) are compared in (i, j) order, and single k are read only in the
+    first pair of rows that differ.
+    """
     n = len(table)
     if n == 0:
         raise BadParameter("empty multiplication table")
@@ -75,7 +95,10 @@ def from_cayley_table(table: Sequence[Sequence[int]],
         if len(row) != n:
             raise BadParameter(f"row {i} has length {len(row)}, expected {n}",
                                witness=[i])
-        rows.append(tuple(int(x) for x in row))
+        if set(map(type, row)) - {int}:
+            j, x = next((j, x) for j, x in enumerate(row) if type(x) is not int)
+            raise TypeError(f"table[{i}][{j}] = {x!r} is not an integer")
+        rows.append(tuple(row))
     for i in range(n):
         for j in range(n):
             v = rows[i][j]
@@ -98,12 +121,10 @@ def from_cayley_table(table: Sequence[Sequence[int]],
         if inverse[i] < 0:
             raise MissingInverse(f"element {i} has no two-sided inverse",
                                  witness=[i])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
-                    raise NotAssociative(
-                        f"({i}*{j})*{k} != {i}*({j}*{k})", witness=[i, j, k])
+    if not all(_associates_through(rows, s)
+               for s in _magma_generators(rows, identity)):
+        i, j, k = _first_nonassociative(rows)
+        raise NotAssociative(f"({i}*{j})*{k} != {i}*({j}*{k})", witness=[i, j, k])
     lab = tuple(str(s) for s in labels) if labels is not None else None
     if lab is not None and len(lab) != n:
         raise BadParameter(f"{len(lab)} labels for {n} elements")
@@ -111,9 +132,67 @@ def from_cayley_table(table: Sequence[Sequence[int]],
                        inverse=tuple(inverse), labels=lab)
 
 
+def _magma_generators(rows: list[tuple[int, ...]], identity: int) -> list[int]:
+    """Greedy set S that, with the identity, generates the table as a magma.
+
+    The identity passes Light's test outright, so the closure starts from
+    it.  Walk the elements in index order; each one outside the closure so
+    far joins S, and the closure grows breadth-first: every newly reached
+    element is multiplied on both sides by every element reached up to it,
+    itself included, so each pair is multiplied once and the walk costs
+    O(n^2).  It ends early once every element is reached.
+    """
+    n = len(rows)
+    inside = [False] * n
+    inside[identity] = True
+    reached = [identity]
+    generators = []
+    done = 0
+    for g in range(n):
+        if inside[g]:
+            continue
+        generators.append(g)
+        inside[g] = True
+        reached.append(g)
+        while done < len(reached) < n:
+            x = reached[done]
+            done += 1
+            row_x = rows[x]
+            for y in reached[:done]:
+                for z in (row_x[y], rows[y][x]):
+                    if not inside[z]:
+                        inside[z] = True
+                        reached.append(z)
+    return generators
+
+
+def _associates_through(rows: list[tuple[int, ...]], s: int) -> bool:
+    """(x s) y == x (s y) for all x, y, a whole row y at a time.  Needs
+    n >= 2 (an itemgetter of one index returns a bare item), which holds
+    because S never contains the identity."""
+    s_then = itemgetter(*rows[s])
+    return all(rows[row_x[s]] == s_then(row_x) for row_x in rows)
+
+
+def _first_nonassociative(rows: list[tuple[int, ...]]) -> Optional[tuple[int, int, int]]:
+    """Lexicographically first (i, j, k) with (i j) k != i (j k), if any."""
+    for i, row_i in enumerate(rows):
+        for j, row_j in enumerate(rows):
+            left = rows[row_i[j]]
+            right = tuple(map(row_i.__getitem__, row_j))
+            if left != right:
+                return i, j, next(k for k, a in enumerate(left) if a != right[k])
+    return None
+
+
 def _closure(generators: list, mul, identity, label_of,
              order_cap: int) -> FiniteGroup:
-    """Deterministic breadth-first closure; element 0 is the identity."""
+    """Deterministic breadth-first closure; element 0 is the identity.
+
+    The table goes through :func:`from_cayley_table` like any other: its
+    associativity check costs O(n^2 log n) for a group, cheap enough that
+    no table skips it.
+    """
     elems = [identity]
     index = {identity: 0}
     queue = [identity]
@@ -295,7 +374,7 @@ def _symmetric(m: int) -> FiniteGroup:
     perms = sorted(itertools.permutations(range(m)))
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
-    table = [[index[tuple(p[q[x]] for x in range(m))] for q in perms] for p in perms]
+    table = [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
     labels = [_cycle_notation(p) for p in perms]
     return from_cayley_table(table, labels)
 
@@ -369,11 +448,16 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(doc: dict) -> FiniteGroup:
+    """Read a group document; table entries, ``order`` and ``identity`` must
+    be JSON integers (not floats, bools or strings), else ``TypeError``."""
+    for key in ("order", "identity"):
+        if key in doc and type(doc[key]) is not int:
+            raise TypeError(f"{key} {doc[key]!r} is not an integer")
     group = from_cayley_table(doc["table"], doc.get("labels"))
-    if "identity" in doc and int(doc["identity"]) != group.identity:
+    if "identity" in doc and doc["identity"] != group.identity:
         raise BadParameter(
             f"declared identity {doc['identity']} but table forces {group.identity}")
-    if "order" in doc and int(doc["order"]) != group.order:
+    if "order" in doc and doc["order"] != group.order:
         raise BadParameter(
             f"declared order {doc['order']} but table has {group.order} rows")
     return group

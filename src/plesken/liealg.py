@@ -155,13 +155,26 @@ def bracket(algebra: LieAlgebra, u: Vector, v: Vector) -> list[Scalar]:
 def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Scalar, ...]]]:
     """All basis triples violating Jacobi, in lexicographic order, each with
     its residual [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j];
-    empty means the data is a Lie algebra."""
+    empty means the data is a Lie algebra.
+
+    A triple whose three pair brackets all vanish has a zero sum, so only
+    triples with a nonzero pair are visited: all k > j when [x_i, x_j] is
+    nonzero, else the k > j linked to i or j by a nonzero bracket."""
     terms = algebra.bracket_terms
     failures = []
     n = algebra.dim
+    linked: list[set[int]] = [set() for _ in range(n)]
+    for a, b in terms:
+        linked[a].add(b)
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
+            if (i, j) in terms:
+                third = range(j + 1, n)
+            elif linked[i] or linked[j]:
+                third = sorted(k for k in linked[i] | linked[j] if k > j)
+            else:
+                continue
+            for k in third:
                 total: dict[int, Scalar] = {}
                 for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, c in terms.get((a, b), ()):

@@ -224,6 +224,35 @@ def test_unreadable_or_non_object_document_is_domain_error(tmp_path, capsys, raw
     assert json.loads(out) == {"error": "BadDocument", "witness": [str(path)]}
 
 
+@pytest.mark.parametrize("table", [
+    [[0.0, 1.9], [1.2, 0.4]], [[False, True], [True, False]], [["0", "1"], ["1", "0"]],
+], ids=["float", "bool", "string"])
+def test_non_integer_group_table_is_domain_error(tmp_path, capsys, table):
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps({"table": table}))
+    code, out, err = run_cli(capsys, "algebra", "plesken", "-g", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: BadDocument: ") and err.count("\n") == 1
+    assert "table[0][0]" in err
+    code, out, err = run_cli(capsys, "algebra", "plesken", "-g", str(path), "--json")
+    assert code == 1
+    assert out == json.dumps({"error": "BadDocument", "witness": [str(path)]},
+                             separators=(",", ":")) + "\n"
+
+
+def test_non_associative_group_names_first_triple(tmp_path, capsys):
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps({"table": [
+        [0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}))
+    code, out, err = run_cli(capsys, "algebra", "plesken", "-g", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: NotAssociative: (1*1)*2 != 1*(1*2)\n"
+    code, out, err = run_cli(capsys, "algebra", "plesken", "-g", str(path), "--json")
+    assert code == 1
+    assert out == '{"error":"NotAssociative","witness":[1,1,2]}\n'
+
+
 HEIS3_DOC = {"dim": 3, "labels": ["X", "Y", "Z"],
              "brackets": [{"i": 0, "j": 1, "c": ["0", "0", "1"]}]}
 ALPHA_DOC = {"dim": 3, "upper": [["1", "0"], ["0"]]}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from plesken import errors
 from plesken.groups import (
     FiniteGroup,
+    _magma_generators,
     from_cayley_table,
     from_matrix_generators_mod_p,
     from_permutation_generators,
@@ -74,6 +76,7 @@ def test_bad_table_not_associative():
     i, j, k = exc.value.witness
     t = table
     assert t[t[i][j]][k] != t[i][t[j][k]]
+    assert exc.value.witness == [1, 1, 2]
 
 
 def test_permutation_cyclic4():
@@ -193,3 +196,160 @@ def test_json_rejects_inconsistent_identity():
     doc["identity"] = 1
     with pytest.raises(errors.BadParameter):
         group_from_json(doc)
+
+
+def test_json_rejects_non_integer_entries():
+    for table in ([[0.0, 1.9], [1.2, 0.4]], [[False, True], [True, False]],
+                  [["0", "1"], ["1", "0"]]):
+        with pytest.raises(TypeError, match=r"table\[0\]\[0\]"):
+            group_from_json({"table": table})
+    for key, value in (("order", 2.0), ("identity", True)):
+        with pytest.raises(TypeError, match=key):
+            group_from_json({"table": [[0, 1], [1, 0]], key: value})
+
+
+# -- associativity: Light's test against the brute-force triple loop -----------
+
+
+def first_nonassociative(table):
+    """Oracle: the O(n^3) loop, lexicographically first failing (i, j, k)."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return [i, j, k]
+    return None
+
+
+def relabel(table, rng):
+    """The same multiplication under a seeded permutation of the elements."""
+    n = len(table)
+    new = list(range(n))
+    rng.shuffle(new)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[new[a]][new[b]] = new[table[a][b]]
+    return out
+
+
+def test_relabelled_presets_are_accepted():
+    rng = random.Random(60)
+    presets = ([("cyclic", n) for n in range(1, 61)]
+               + [("dihedral", n) for n in range(1, 31)]
+               + [("symmetric", n) for n in range(1, 5)]
+               + [("quaternion8", 0), ("heisenberg_p", 3)]
+               + [("elementary_abelian_p2", p) for p in (2, 3, 5, 7)])
+    for name, param in presets:
+        group = preset(name, param)
+        assert group.order <= 60
+        for _ in range(2):
+            table = relabel(group.table, rng)
+            assert from_cayley_table(table).table == tuple(map(tuple, table))
+
+
+def swapped(group, rng):
+    """A group table (order >= 4) with two non-identity entries of one row
+    swapped: the identity row and column and every two-sided inverse stay."""
+    n, e = group.order, group.identity
+    table = [list(row) for row in group.table]
+    r = rng.choice([x for x in range(n) if x != e])
+    c1, c2 = rng.sample([c for c in range(n) if c != e and table[r][c] != e], 2)
+    table[r][c1], table[r][c2] = table[r][c2], table[r][c1]
+    return table
+
+
+def random_loop(n, rng):
+    """A seeded Latin square of order n with identity 0 and two-sided
+    inverses (an IP-free loop), filled cell by cell with backtracking."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            return True
+        i, j = divmod(cell, n)
+        if table[i][j] is not None:
+            return fill(cell + 1)
+        options = [v for v in range(n) if v not in table[i]
+                   and all(table[r][j] != v for r in range(i))
+                   and (j >= i or (v == 0) == (table[j][i] == 0))]
+        rng.shuffle(options)
+        for v in options:
+            table[i][j] = v
+            if fill(cell + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def loop_product(m, loop):
+    """C_m x M with (a, b) at index a + m*b.  Element 1 is (1, e), in the
+    nucleus: it passes Light's test although the table fails."""
+    n = m * len(loop)
+    return [[(x + y) % m + m * loop[x // m][y // m] for y in range(n)]
+            for x in range(n)]
+
+
+def non_associative_tables():
+    rng = random.Random(20260418)
+    tables = []
+    for name, param in [("cyclic", 6), ("cyclic", 12), ("cyclic", 60),
+                        ("dihedral", 2), ("dihedral", 3), ("dihedral", 5),
+                        ("dihedral", 12), ("dihedral", 30), ("symmetric", 3),
+                        ("symmetric", 4), ("quaternion8", 0), ("heisenberg_p", 3),
+                        ("elementary_abelian_p2", 2), ("elementary_abelian_p2", 3),
+                        ("elementary_abelian_p2", 5), ("elementary_abelian_p2", 7)]:
+        for _ in range(2):
+            tables.append(swapped(preset(name, param), rng))
+    for n in (5, 6) * 4:
+        table = random_loop(n, rng)
+        if first_nonassociative(table) is not None:
+            tables.append(table)
+    tables.append(loop_product(2, LOOP5))
+    tables.append(loop_product(3, LOOP5))
+    return tables
+
+
+def test_not_associative_witness_matches_oracle():
+    seen_many_generators = seen_failure_off_generator = False
+    tables = non_associative_tables()
+    for table in tables:
+        witness = first_nonassociative(table)
+        assert witness is not None
+        with pytest.raises(errors.NotAssociative) as exc:
+            from_cayley_table(table)
+        assert exc.value.witness == witness
+        generators = _magma_generators(tuple(map(tuple, table)), 0)
+        seen_many_generators |= len(generators) > 1
+        seen_failure_off_generator |= witness[1] not in generators
+    assert len(tables) >= 30
+    assert seen_many_generators and seen_failure_off_generator
+
+
+def test_first_generator_alone_does_not_certify():
+    # element 1 of C2 x M is in the nucleus: Light's test passes on it, and
+    # only a later generator exposes the failure
+    table = loop_product(2, LOOP5)
+    generators = _magma_generators(tuple(map(tuple, table)), 0)
+    assert generators[0] == 1 and len(generators) > 1
+    t = table
+    assert all(t[t[x][1]][y] == t[x][t[1][y]] for x in range(10) for y in range(10))
+    with pytest.raises(errors.NotAssociative) as exc:
+        from_cayley_table(table)
+    assert exc.value.witness == first_nonassociative(table)
+
+
+def test_symmetric6_validates():
+    # a regression guard for the cost: about 1 s with Light's test, about
+    # 38 s with the O(n^3) triple loop
+    group = preset("symmetric", 6)
+    assert group.order == 720
+    assert self_inverse_count(group) == 76

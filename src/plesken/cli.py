@@ -34,7 +34,7 @@ from .extensions import (
     is_split,
     verify_equivalence_map,
 )
-from .groups import group_from_json, group_to_json, preset, self_inverse_count
+from .groups import _json_int, group_from_json, group_to_json, preset, self_inverse_count
 from .liealg import (
     algebra_from_json,
     algebra_to_json,
@@ -126,7 +126,7 @@ def _load_rep(path: str, algebra=None):
     wrapped over a zero-bracket stand-in and any stored cocycle is ignored."""
     if algebra is None:
         return _load(path, lambda doc: rep_from_json(
-            from_structure_constants(int(doc["dim"]), {}), {**doc, "alpha": None}))
+            from_structure_constants(_json_int(doc, "dim"), {}), {**doc, "alpha": None}))
     return _load(path, rep_from_json, algebra)
 
 

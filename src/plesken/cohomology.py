@@ -5,7 +5,9 @@ alpha([x,y],z) + alpha([y,z],x) + alpha([z,x],y) = 0; coboundaries are the
 forms (x,y) -> -sigma([x,y]) for linear functionals sigma.  Both live inside
 the space of alternating forms, flattened over the strict upper triangle in
 row-major order (0,1), (0,2), ..., (n-2,n-1), so that subspace computations
-are canonical.
+are canonical.  A :class:`BilinearForm` stores that flat vector too, so forms
+and subspaces share one layout.  The cocycle condition walks the basis
+triples of :func:`~plesken.liealg._linked_triples`, as Jacobi does.
 
 Sign convention, used consistently by the extension and representation
 modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
@@ -25,7 +27,8 @@ from .errors import (
     InternalInclusionViolation,
     NotACocycle,
 )
-from .liealg import LieAlgebra
+from .groups import _json_int
+from .liealg import LieAlgebra, _linked_triples
 from .linalg import Subspace, Vector
 from .scalars import ONE, ZERO, Scalar
 
@@ -41,30 +44,34 @@ def pair_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
+def _pairs(n: int):
+    """The pairs (i, j), i < j, in :func:`pair_index` order."""
+    return ((i, j) for i in range(n) for j in range(i + 1, n))
+
+
 @dataclass(frozen=True, eq=False)
 class BilinearForm:
     """Alternating bilinear form stored by its strict upper triangle.
 
-    ``upper[i]`` holds the entries (i, i+1), ..., (i, n-1); alternation is
-    therefore structural, not a runtime invariant to re-check.
+    ``flat`` holds entry (i, j), i < j, at :func:`pair_index` (i, j); alternation
+    is therefore structural, not a runtime invariant to re-check.
     """
 
     dim: int
-    upper: tuple[tuple[Scalar, ...], ...]
+    flat: tuple[Scalar, ...]
 
     @classmethod
     def zero(cls, dim: int) -> "BilinearForm":
-        return cls(dim, tuple(tuple([ZERO] * (dim - 1 - i)) for i in range(max(dim - 1, 0))))
+        return cls(dim, tuple([ZERO] * flat_dim(max(dim, 0))))
 
     @classmethod
     def from_entries(cls, dim: int, entries: dict[tuple[int, int], Scalar]) -> "BilinearForm":
-        rows = [[ZERO] * (dim - 1 - i) for i in range(max(dim - 1, 0))]
+        flat = [ZERO] * flat_dim(max(dim, 0))
         for (i, j), value in entries.items():
             if not 0 <= i < j < dim:
                 raise IndexOutOfRange(f"entry ({i},{j}) out of range for dim {dim}")
-            v = value if isinstance(value, Scalar) else Scalar(value)
-            rows[i][j - i - 1] = v
-        return cls(dim, tuple(tuple(r) for r in rows))
+            flat[pair_index(dim, i, j)] = value if isinstance(value, Scalar) else Scalar(value)
+        return cls(dim, tuple(flat))
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[Scalar]]) -> "BilinearForm":
@@ -83,13 +90,7 @@ class BilinearForm:
         if len(flat) != flat_dim(dim):
             raise DimensionMismatch(
                 f"flat vector of length {len(flat)} for dim {dim}")
-        rows = []
-        pos = 0
-        for i in range(max(dim - 1, 0)):
-            width = dim - 1 - i
-            rows.append(tuple(flat[pos:pos + width]))
-            pos += width
-        return cls(dim, tuple(rows))
+        return cls(dim, tuple(flat))
 
     def entry(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -97,11 +98,11 @@ class BilinearForm:
         if i == j:
             return ZERO
         if i < j:
-            return self.upper[i][j - i - 1]
-        return -self.upper[j][i - j - 1]
+            return self.flat[pair_index(self.dim, i, j)]
+        return -self.flat[pair_index(self.dim, j, i)]
 
     def flatten(self) -> list[Scalar]:
-        return [x for row in self.upper for x in row]
+        return list(self.flat)
 
     def value(self, u: Vector, v: Vector) -> Scalar:
         """alpha(u, v) by bilinear extension."""
@@ -109,12 +110,8 @@ class BilinearForm:
             raise DimensionMismatch(
                 f"expected vectors of length {self.dim}")
         acc = ZERO
-        for i in range(self.dim):
-            row = self.upper[i] if i < self.dim - 1 else ()
-            for off, m in enumerate(row):
-                if not m:
-                    continue
-                j = i + 1 + off
+        for (i, j), m in zip(_pairs(self.dim), self.flat):
+            if m:
                 coeff = u[i] * v[j] - u[j] * v[i]
                 if coeff:
                     acc = acc + m * coeff
@@ -123,24 +120,21 @@ class BilinearForm:
     def add(self, other: "BilinearForm") -> "BilinearForm":
         if other.dim != self.dim:
             raise DimensionMismatch(f"forms of dim {self.dim} and {other.dim}")
-        return BilinearForm(self.dim, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.upper, other.upper)))
+        return BilinearForm(self.dim, tuple(a + b for a, b in zip(self.flat, other.flat)))
 
     def sub(self, other: "BilinearForm") -> "BilinearForm":
         return self.add(other.scale(-ONE))
 
     def scale(self, c: Scalar) -> "BilinearForm":
-        return BilinearForm(self.dim, tuple(
-            tuple(c * a for a in row) for row in self.upper))
+        return BilinearForm(self.dim, tuple(c * a for a in self.flat))
 
     def is_zero(self) -> bool:
-        return not any(x for row in self.upper for x in row)
+        return not any(self.flat)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BilinearForm):
             return NotImplemented
-        return self.dim == other.dim and self.upper == other.upper
+        return self.dim == other.dim and self.flat == other.flat
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,11 +204,11 @@ def _cocycle_terms(algebra: LieAlgebra, i: int, j: int, k: int):
                 yield pair_index(n, t, m), -cm
 
 
-def _flat_over(algebra: LieAlgebra, alpha: BilinearForm) -> list[Scalar]:
+def _flat_over(algebra: LieAlgebra, alpha: BilinearForm) -> tuple[Scalar, ...]:
     if alpha.dim != algebra.dim:
         raise DimensionMismatch(
             f"form of dim {alpha.dim} over algebra of dim {algebra.dim}")
-    return alpha.flatten()
+    return alpha.flat
 
 
 def _residual(algebra: LieAlgebra, flat: Vector, i: int, j: int, k: int) -> Scalar:
@@ -238,31 +232,25 @@ def cocycle_residual(algebra: LieAlgebra, alpha: BilinearForm,
 def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
                ) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """True iff all residuals vanish; otherwise the first violating triple."""
-    n = algebra.dim
     flat = _flat_over(algebra, alpha)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if _residual(algebra, flat, i, j, k):
-                    return False, (i, j, k)
+    for i, j, k in _linked_triples(algebra):
+        if _residual(algebra, flat, i, j, k):
+            return False, (i, j, k)
     return True, None
 
 
 def _constraint_rows(algebra: LieAlgebra) -> list[list[Scalar]]:
     """One linear constraint over the flattened form per basis triple."""
-    n = algebra.dim
-    nflat = flat_dim(n)
+    nflat = flat_dim(algebra.dim)
     rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                row = None
-                for idx, c in _cocycle_terms(algebra, i, j, k):
-                    if row is None:
-                        row = linalg.zeros(nflat)
-                    row[idx] = row[idx] + c
-                if row is not None:
-                    rows.append(row)
+    for i, j, k in _linked_triples(algebra):
+        row = None
+        for idx, c in _cocycle_terms(algebra, i, j, k):
+            if row is None:
+                row = linalg.zeros(nflat)
+            row[idx] = row[idx] + c
+        if row is not None:
+            rows.append(row)
     return rows
 
 
@@ -339,11 +327,9 @@ def are_cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
         rows.append(list(c))
         rhs.append(beta.entry(i, j) - alpha.entry(i, j))
     # pairs with zero bracket force nothing; alpha and beta must already agree
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in algebra.brackets:
-                if alpha.entry(i, j) != beta.entry(i, j):
-                    return None
+    for pair, a, b in zip(_pairs(n), alpha.flat, beta.flat):
+        if a != b and pair not in algebra.brackets:
+            return None
     if not rows:
         return LinearFunctional.zero(n)
     solution = linalg.solve(rows, rhs, n)
@@ -356,17 +342,20 @@ def are_cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
 
 
 def form_to_json(form: BilinearForm) -> dict:
+    """``upper[i]`` holds the entries (i, i+1), ..., (i, n-1) of the form."""
+    entries = iter(form.flat)
     return {"dim": form.dim,
-            "upper": [[str(x) for x in row] for row in form.upper]}
+            "upper": [[str(next(entries)) for _ in range(form.dim - 1 - i)]
+                      for i in range(form.dim - 1)]}
 
 
 def form_from_json(doc: dict) -> BilinearForm:
-    dim = int(doc["dim"])
+    dim = _json_int(doc, "dim")
     rows = [tuple(Scalar.parse(s) for s in row) for row in doc.get("upper", [])]
     expected = [dim - 1 - i for i in range(max(dim - 1, 0))]
     if [len(r) for r in rows] != expected:
         raise DimensionMismatch(f"upper-triangle shape does not match dim {dim}")
-    return BilinearForm(dim, tuple(rows))
+    return BilinearForm(dim, tuple(x for row in rows for x in row))
 
 
 def functional_to_json(sigma: LinearFunctional) -> dict:

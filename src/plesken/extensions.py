@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .cohomology import BilinearForm, are_cohomologous, is_cocycle
+from .cohomology import BilinearForm, _pairs, are_cohomologous, is_cocycle
 from .errors import (
     BaseMismatch,
     DefectNotInKernel,
@@ -61,14 +61,13 @@ def extension_from_cocycle(base: LieAlgebra, alpha: BilinearForm) -> CentralExte
     ok, witness = is_cocycle(base, alpha)
     if not ok:
         raise NotACocycle("form fails the cocycle condition", witness=list(witness))
-    table: dict[tuple[int, int], list[Scalar]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = list(base.structure(i, j)) + [alpha.entry(i, j)]
-            if any(vec):
-                table[(i, j)] = vec
+    table = {key: list(vec) + [ZERO] for key, vec in base.brackets.items()}
+    for key, a in zip(_pairs(n), alpha.flat):
+        if a:
+            table.setdefault(key, [ZERO] * (n + 1))[n] = a
     total = from_structure_constants(
-        n + 1, table, labels=tuple(base.basis_labels) + ("z",), force=True)
+        n + 1, dict(sorted(table.items())),
+        labels=tuple(base.basis_labels) + ("z",), force=True)
     injection = tuple([ZERO] * n + [ONE])
     projection = tuple(tuple(ONE if r == c else ZERO for c in range(n + 1))
                        for r in range(n))

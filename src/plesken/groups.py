@@ -185,8 +185,7 @@ def _first_nonassociative(rows: list[tuple[int, ...]]) -> Optional[tuple[int, in
     return None
 
 
-def _closure(generators: list, mul, identity, label_of,
-             order_cap: int) -> FiniteGroup:
+def _closure(generators: list, mul, identity, label_of) -> FiniteGroup:
     """Deterministic breadth-first closure; element 0 is the identity.
 
     The table goes through :func:`from_cayley_table` like any other: its
@@ -205,10 +204,10 @@ def _closure(generators: list, mul, identity, label_of,
                     index[prod] = len(elems)
                     elems.append(prod)
                     nxt.append(prod)
-                    if len(elems) > order_cap:
+                    if len(elems) > DEFAULT_ORDER_CAP:
                         raise OrderLimitExceeded(
-                            f"closure exceeded cap of {order_cap} elements",
-                            witness=order_cap)
+                            f"closure exceeded cap of {DEFAULT_ORDER_CAP} elements",
+                            witness=DEFAULT_ORDER_CAP)
         queue = nxt
     n = len(elems)
     table = [[index[mul(elems[i], elems[j])] for j in range(n)] for i in range(n)]
@@ -216,8 +215,7 @@ def _closure(generators: list, mul, identity, label_of,
     return from_cayley_table(table, labels)
 
 
-def from_permutation_generators(generators: Sequence[Sequence[int]],
-                                order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def from_permutation_generators(generators: Sequence[Sequence[int]]) -> FiniteGroup:
     """Group generated by permutations of {0..m-1} under composition.
 
     Enumeration is BFS from the identity, applying generators in the given
@@ -239,7 +237,7 @@ def from_permutation_generators(generators: Sequence[Sequence[int]],
         return tuple(p[q[x]] for x in range(m))
 
     ident = tuple(range(m))
-    return _closure(gens, mul, ident, _cycle_notation, order_cap)
+    return _closure(gens, mul, ident, _cycle_notation)
 
 
 def _cycle_notation(perm: tuple) -> str:
@@ -262,8 +260,7 @@ def _cycle_notation(perm: tuple) -> str:
 
 
 def from_matrix_generators_mod_p(generators: Sequence[Sequence[Sequence[int]]],
-                                 p: int,
-                                 order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+                                 p: int) -> FiniteGroup:
     """Multiplicative closure of k x k integer matrices mod p."""
     if p < 2:
         raise BadParameter(f"modulus must be at least 2, got {p}")
@@ -291,7 +288,7 @@ def from_matrix_generators_mod_p(generators: Sequence[Sequence[Sequence[int]]],
         return "[" + ",".join("[" + ",".join(str(x) for x in row) + "]"
                               for row in mat) + "]"
 
-    return _closure(gens, mul, ident, label_of, order_cap)
+    return _closure(gens, mul, ident, label_of)
 
 
 def _det_int(mat: tuple) -> int:
@@ -447,12 +444,21 @@ def group_to_json(group: FiniteGroup) -> dict:
     return doc
 
 
+def _json_int(doc: dict, key: str) -> int:
+    """``doc[key]`` when it is a JSON integer; a float, bool or string raises
+    ``TypeError`` rather than being truncated or coerced."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} {value!r} is not an integer")
+    return value
+
+
 def group_from_json(doc: dict) -> FiniteGroup:
     """Read a group document; table entries, ``order`` and ``identity`` must
     be JSON integers (not floats, bools or strings), else ``TypeError``."""
     for key in ("order", "identity"):
-        if key in doc and type(doc[key]) is not int:
-            raise TypeError(f"{key} {doc[key]!r} is not an integer")
+        if key in doc:
+            _json_int(doc, key)
     group = from_cayley_table(doc["table"], doc.get("labels"))
     if "identity" in doc and doc["identity"] != group.identity:
         raise BadParameter(

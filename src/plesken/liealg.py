@@ -6,6 +6,8 @@ Antisymmetry is built into the representation; the Jacobi identity is checked
 on construction (or on demand via :func:`verify_lie_axioms`).  Those vectors
 are the one stored form; the bracket, Jacobi, the center, ad and the Killing
 form read their nonzero terms, :attr:`LieAlgebra.bracket_terms`, made once.
+Jacobi and the cocycle condition are cyclic sums over basis triples; both walk
+the one sequence of triples that can give a nonzero sum, :func:`_linked_triples`.
 
 The Plesken algebra of a finite group G is the span of the elements
 g_hat = g - g^-1 inside the group algebra, closed under the commutator.  Its
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import BadParameter, DimensionMismatch, JacobiViolation
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _json_int
 from .linalg import Subspace, Vector
 from .scalars import ONE, ZERO, Scalar
 
@@ -152,16 +154,12 @@ def bracket(algebra: LieAlgebra, u: Vector, v: Vector) -> list[Scalar]:
     return out
 
 
-def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Scalar, ...]]]:
-    """All basis triples violating Jacobi, in lexicographic order, each with
-    its residual [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j];
-    empty means the data is a Lie algebra.
-
-    A triple whose three pair brackets all vanish has a zero sum, so only
-    triples with a nonzero pair are visited: all k > j when [x_i, x_j] is
-    nonzero, else the k > j linked to i or j by a nonzero bracket."""
+def _linked_triples(algebra: LieAlgebra):
+    """Basis triples i < j < k in lexicographic order with a nonzero pair
+    bracket: all k > j when [x_i, x_j] is nonzero, else the k > j linked to i
+    or j by one.  Any other triple has a zero cyclic sum, for Jacobi and the
+    cocycle condition alike."""
     terms = algebra.bracket_terms
-    failures = []
     n = algebra.dim
     linked: list[set[int]] = [set() for _ in range(n)]
     for a, b in terms:
@@ -175,16 +173,26 @@ def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Sc
             else:
                 continue
             for k in third:
-                total: dict[int, Scalar] = {}
-                for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, c in terms.get((a, b), ()):
-                        for s, d in terms.get((m, t), ()):
-                            total[s] = total[s] + c * d if s in total else c * d
-                if any(total.values()):
-                    residual = linalg.zeros(n)
-                    for s, x in total.items():
-                        residual[s] = x
-                    failures.append((i, j, k, tuple(residual)))
+                yield i, j, k
+
+
+def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Scalar, ...]]]:
+    """All basis triples violating Jacobi, in lexicographic order, each with
+    its residual [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j];
+    empty means the data is a Lie algebra."""
+    terms = algebra.bracket_terms
+    failures = []
+    for i, j, k in _linked_triples(algebra):
+        total: dict[int, Scalar] = {}
+        for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in terms.get((a, b), ()):
+                for s, d in terms.get((m, t), ()):
+                    total[s] = total[s] + c * d if s in total else c * d
+        if any(total.values()):
+            residual = linalg.zeros(algebra.dim)
+            for s, x in total.items():
+                residual[s] = x
+            failures.append((i, j, k, tuple(residual)))
     return failures
 
 
@@ -351,11 +359,10 @@ def algebra_to_json(algebra: LieAlgebra) -> dict:
             "brackets": entries}
 
 
-def algebra_from_json(doc: dict, force: bool = False) -> LieAlgebra:
-    dim = int(doc["dim"])
+def algebra_from_json(doc: dict) -> LieAlgebra:
+    dim = _json_int(doc, "dim")
     table = {}
     for entry in doc.get("brackets", []):
-        i, j = int(entry["i"]), int(entry["j"])
+        i, j = _json_int(entry, "i"), _json_int(entry, "j")
         table[(i, j)] = [Scalar.parse(s) for s in entry["c"]]
-    return from_structure_constants(dim, table, labels=doc.get("labels"),
-                                    force=force)
+    return from_structure_constants(dim, table, labels=doc.get("labels"))

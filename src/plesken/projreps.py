@@ -35,6 +35,7 @@ from .errors import (
     NotEquivalent,
     SingularF,
 )
+from .groups import _json_int
 from .liealg import LieAlgebra
 from .linalg import Matrix
 from .scalars import Scalar
@@ -259,7 +260,7 @@ def rep_to_json(rep: ProjectiveRep) -> dict:
 
 
 def rep_from_json(algebra: LieAlgebra, doc: dict) -> ProjectiveRep:
-    if int(doc["dim"]) != algebra.dim:
+    if _json_int(doc, "dim") != algebra.dim:
         raise DimensionMismatch(
             f"document dim {doc['dim']} does not match algebra dim {algebra.dim}")
     matrices = [[[Scalar.parse(x) for x in row] for row in m]
@@ -268,7 +269,7 @@ def rep_from_json(algebra: LieAlgebra, doc: dict) -> ProjectiveRep:
     if doc.get("alpha") is not None:
         cocycle = form_from_json(doc["alpha"])
     rep = projective_rep(algebra, matrices, cocycle=cocycle)
-    if "degree" in doc and int(doc["degree"]) != rep.degree:
+    if "degree" in doc and _json_int(doc, "degree") != rep.degree:
         raise DimensionMismatch(
             f"document degree {doc['degree']} does not match {rep.degree} x "
             f"{rep.degree} matrices")

@@ -344,6 +344,71 @@ def test_any_value_under_any_document_key_is_one_line(verb, tmp_path_factory, da
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def _raw_document(name):
+    """Arbitrary bytes, or a prefix of the valid document ``name``."""
+    valid = json.dumps(READER_DOCS[name]).encode("utf-8")
+    return st.binary(max_size=40) | st.integers(0, len(valid)).map(lambda k: valid[:k])
+
+
+@pytest.mark.parametrize("verb", READER_VERBS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_any_bytes_as_a_document_are_one_line(verb, tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("raw")
+    names = sorted({name for name in READER_DOCS if "{" + name + "}" in verb})
+    name = data.draw(st.sampled_from(names), label="document")
+    raw = data.draw(_raw_document(name), label="bytes")
+    paths = {}
+    for other in names:
+        paths[other] = str(root / f"{other}.json")
+        with open(paths[other], "wb") as handle:
+            handle.write(raw if other == name
+                         else json.dumps(READER_DOCS[other]).encode("utf-8"))
+    argv = verb.format(**paths).split()
+
+    code, out, err = _run_main(argv + ["--json"])
+    assert code in (0, 1) and err == "" and out.count("\n") == 1
+    assert code == 0 or set(json.loads(out)) == {"error", "witness"}
+    code, out, err = _run_main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+# readers take JSON integers only: a float is not truncated, a bool not coerced
+NON_INTEGER_FIELDS = [
+    ("cohomology h2 -L {algebra}", "algebra",
+     {"dim": 2.9, "brackets": [{"i": 0.7, "j": True, "c": ["0", "0"]}]}),
+    ("cohomology h2 -L {algebra}", "algebra", {**HEIS3_DOC, "dim": 3.0}),
+    ("cohomology h2 -L {algebra}", "algebra", {**HEIS3_DOC, "brackets": [
+        {"i": 0, "j": True, "c": ["0", "0", "1"]}]}),
+    ("extension build -L {algebra} --alpha {alpha}", "alpha", {**ALPHA_DOC, "dim": 3.0}),
+    ("extension build -L {algebra} --alpha {alpha}", "alpha", {"dim": True}),
+    ("rep cocycle -L {algebra} -r {rep}", "rep", {**READER_DOCS["rep"], "degree": 2.0}),
+    ("rep cocycle -L {algebra} -r {rep}", "rep", {**READER_DOCS["rep"], "dim": 3.0}),
+    ("rep twist -r {rep} --sigma {sigma}", "rep", {**READER_DOCS["rep"], "dim": 3.0}),
+]
+
+
+@pytest.mark.parametrize("verb,name,doc", NON_INTEGER_FIELDS, ids=[
+    "float-dim-and-index", "algebra-float-dim", "bool-index", "form-float-dim", "form-bool-dim",
+    "rep-float-degree", "rep-float-dim", "rep-float-dim-no-algebra"])
+def test_non_integer_document_field_is_domain_error(tmp_path, capsys, verb, name, doc):
+    paths = {}
+    for other in READER_DOCS:
+        paths[other] = str(tmp_path / f"{other}.json")
+        with open(paths[other], "w", encoding="utf-8") as handle:
+            json.dump(doc if other == name else READER_DOCS[other], handle)
+    argv = verb.format(**paths).split()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BadDocument: ") and err.count("\n") == 1
+    assert "is not an integer" in err
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "BadDocument", "witness": [paths[name]]}
+
+
 @pytest.mark.parametrize("key,value,failure", [
     ("f", ["0", "0", "1"], "injection has length 3, not 4"),
     ("g", [["1", "0", "0", "0"], ["0", "1", "0"], ["0", "0", "1", "0"]],

@@ -26,6 +26,7 @@ REP = {"dim": 3, "degree": 2,
        "alpha": {"dim": 3, "upper": [["1", "0"], ["0"]]}}
 DOCS = {
     "heis3": HEIS3,
+    "dim0": {"dim": 0},
     "rep": REP,
     "a01": {"dim": 3, "upper": [["1", "0"], ["0"]]},
     "a02": {"dim": 3, "upper": [["0", "1"], ["0"]]},
@@ -40,6 +41,10 @@ DOCS = {
 # (case, argv with {name} placeholders for the fixture files)
 CASES = [
     ("group_make_q8", "group make --preset quaternion8"),
+    # the trivial group: L(C1) = 0, semisimple by Cartan's criterion vacuously
+    ("group_make_c1", "group make --preset cyclic --n 1"),
+    ("algebra_plesken_c1", "algebra plesken -g {c1_group}"),
+    ("h2_dim0", "cohomology h2 -L {dim0}"),
     ("algebra_plesken_heis27", "algebra plesken -g {heis27_group}"),
     ("algebra_plesken_q8", "algebra plesken -g {q8_group}"),
     ("h2_heis3", "cohomology h2 -L {heis3}"),
@@ -69,12 +74,13 @@ def paths(tmp_path_factory):
         with open(out[name], "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
     for name in ("e01", "e02", "e02b", "e12", "twisted", "heis27_group",
-                 "e25_group", "q8_group", "L_heis27", "L_e25"):
+                 "e25_group", "q8_group", "c1_group", "L_heis27", "L_e25"):
         out[name] = str(root / f"{name}.json")
     builds = [
         f"group make --preset heisenberg_p --n 3 -o {out['heis27_group']}",
         f"group make --preset elementary_abelian_p2 --n 5 -o {out['e25_group']}",
         f"group make --preset quaternion8 -o {out['q8_group']}",
+        f"group make --preset cyclic --n 1 -o {out['c1_group']}",
         f"algebra plesken -g {out['heis27_group']} -o {out['L_heis27']}",
         f"algebra plesken -g {out['e25_group']} -o {out['L_e25']}",
         f"rep twist -r {out['rep']} --sigma {out['sigma']} -L {out['heis3']} "

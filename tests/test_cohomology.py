@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from plesken import errors, linalg
 from plesken.cohomology import (
     BilinearForm,
     LinearFunctional,
+    _cocycle_terms,
     _constraint_rows,
+    _residual,
     are_cohomologous,
     b2_basis,
     coboundary,
@@ -25,6 +28,7 @@ from plesken.cohomology import (
     pair_index,
     z2_basis,
 )
+from plesken.extensions import extension_from_cocycle
 from plesken.groups import from_permutation_generators
 from plesken.liealg import derived_subalgebra, from_structure_constants, plesken_algebra
 from plesken.scalars import ONE, ZERO, I, Scalar
@@ -323,3 +327,153 @@ def test_form_add_rejects_dimension_mismatch():
         BilinearForm.zero(2).add(BilinearForm.zero(3))
     with pytest.raises(errors.DimensionMismatch):
         BilinearForm.zero(3).sub(BilinearForm.zero(2))
+
+
+# -- the linked-triple walk against the all-triples walk ----------------------------
+
+
+def all_triples_is_cocycle(algebra, alpha):
+    """Oracle: the residual on every basis triple i < j < k, first failure wins."""
+    n = algebra.dim
+    flat = alpha.flatten()
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if _residual(algebra, flat, i, j, k):
+                    return False, (i, j, k)
+    return True, None
+
+
+def all_triples_constraint_rows(algebra):
+    """Oracle: one dense row per basis triple i < j < k with a cocycle term."""
+    n = algebra.dim
+    nflat = flat_dim(n)
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                row = None
+                for idx, c in _cocycle_terms(algebra, i, j, k):
+                    if row is None:
+                        row = linalg.zeros(nflat)
+                    row[idx] = row[idx] + c
+                if row is not None:
+                    rows.append(row)
+    return rows
+
+
+def _sparse_form(rng, n, count):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picked = rng.sample(pairs, min(count, len(pairs)))
+    return BilinearForm.from_entries(n, {p: S(rng.choice([-2, -1, 1, 3])) for p in picked})
+
+
+def _check_against_all_triples(algebra, forms):
+    assert _constraint_rows(algebra) == all_triples_constraint_rows(algebra)
+    results = [is_cocycle(algebra, alpha) for alpha in forms]
+    assert results == [all_triples_is_cocycle(algebra, alpha) for alpha in forms]
+    return results
+
+
+def _oracle_forms(rng, algebra):
+    """Zero, a coboundary and sparse random forms, most of them not cocycles."""
+    n = algebra.dim
+    sigma = LinearFunctional.of([rng.randint(-3, 3) for _ in range(n)])
+    return ([BilinearForm.zero(n), coboundary(algebra, sigma)]
+            + [_sparse_form(rng, n, count) for count in (1, 1, 2, 3)])
+
+
+def test_linked_triples_match_all_triples_on_fixtures(fixture_set):
+    rng = random.Random(6203)
+    failures = 0
+    for name, algebra in fixture_set.algebras:
+        results = _check_against_all_triples(algebra, _oracle_forms(rng, algebra))
+        assert results[:2] == [(True, None), (True, None)], name
+        failures += sum(1 for ok, _ in results if not ok)
+    assert failures > 0
+
+
+def test_linked_triples_match_all_triples_on_alternating5():
+    group = from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    algebra, _ = plesken_algebra(group)
+    results = _check_against_all_triples(algebra, _oracle_forms(random.Random(5), algebra))
+    assert not all(ok for ok, _ in results)
+
+
+def test_linked_triples_match_all_triples_on_sparse_tables():
+    # sparse tables, Lie or not: cocycles come from Z^2, which needs no Jacobi
+    rng = random.Random(2311)
+    kinds = set()
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        table = {}
+        for i, j in rng.sample(pairs, rng.randint(1, min(4, len(pairs)))):
+            vec = [0] * n
+            for k in rng.sample(range(n), rng.randint(1, 2)):
+                vec[k] = rng.choice([-2, -1, 1, 2])
+            table[(i, j)] = vec
+        algebra = from_structure_constants(n, table, force=True)
+        forms = [_sparse_form(rng, n, rng.randint(1, 4)) for _ in range(3)]
+        forms += [BilinearForm.from_flat(n, row) for row in z2_basis(algebra).basis[:2]]
+        for ok, _ in _check_against_all_triples(algebra, forms):
+            kinds.add(ok)
+    assert kinds == {True, False}
+
+
+def test_zero_bracket_dim_1000_is_cheap():
+    # no triple of a zero-bracket algebra is linked; walking all C(1000, 3)
+    # triples, as the cocycle check once did, takes hours
+    n = 1000
+    algebra = from_structure_constants(n, {})
+    alpha = BilinearForm.from_entries(n, {(0, 1): S(2), (3, n - 1): I})
+    assert is_cocycle(algebra, alpha) == (True, None)
+    ext = extension_from_cocycle(algebra, alpha)
+    assert ext.total.dim == n + 1
+    assert sorted(ext.total.brackets) == [(0, 1), (3, n - 1)]
+    assert ext.total.brackets[(3, n - 1)] == tuple([ZERO] * n + [I])
+
+
+# -- the flat layout against dense antisymmetric matrices -------------------------
+
+
+def _random_antisymmetric(rng, n):
+    m = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                m[i][j] = S(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                            rng.randint(-1, 1))
+                m[j][i] = -m[i][j]
+    return m
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_form_matches_dense_matrix(n):
+    rng = random.Random(n)
+    m1, m2 = _random_antisymmetric(rng, n), _random_antisymmetric(rng, n)
+    f1, f2 = BilinearForm.from_matrix(m1), BilinearForm.from_matrix(m2)
+    c = S(Fraction(-2, 3), 1)
+    for i in range(n):
+        for j in range(n):
+            assert f1.entry(i, j) == m1[i][j]
+            assert f1.add(f2).entry(i, j) == m1[i][j] + m2[i][j]
+            assert f1.sub(f2).entry(i, j) == m1[i][j] - m2[i][j]
+            assert f1.scale(c).entry(i, j) == c * m1[i][j]
+    for _ in range(3):
+        u = [S(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(n)]
+        v = [S(rng.randint(-3, 3)) for _ in range(n)]
+        dense = sum((u[i] * m1[i][j] * v[j] for i in range(n) for j in range(n)), ZERO)
+        assert f1.value(u, v) == dense
+    assert f1.is_zero() == (not any(x for row in m1 for x in row))
+    assert BilinearForm.from_matrix([[ZERO] * n for _ in range(n)]) == BilinearForm.zero(n)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_form_json_roundtrip_by_dim(n):
+    m = _random_antisymmetric(random.Random(100 + n), n)
+    form = BilinearForm.from_matrix(m)
+    doc = form_to_json(form)
+    assert doc["upper"] == [[str(m[i][j]) for j in range(i + 1, n)] for i in range(n - 1)]
+    assert form_from_json(json.loads(json.dumps(doc))) == form
+    assert form.flatten() == [m[i][j] for i in range(n) for j in range(i + 1, n)]

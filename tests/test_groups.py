@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from plesken import errors
 from plesken.groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     _magma_generators,
     from_cayley_table,
@@ -108,8 +109,10 @@ def test_permutation_determinism():
 
 
 def test_permutation_order_cap():
-    with pytest.raises(errors.OrderLimitExceeded):
-        from_permutation_generators([(1, 2, 3, 0)], order_cap=3)
+    # S8 has order 40320; the breadth-first closure stops at element 10001
+    with pytest.raises(errors.OrderLimitExceeded) as exc:
+        from_permutation_generators([(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
+    assert exc.value.witness == DEFAULT_ORDER_CAP == 10000
 
 
 def test_matrix_generators_single_entry():

@@ -449,4 +449,3 @@ def test_json_rejects_broken_table():
                         {"i": 0, "j": 2, "c": ["0", "0", "1"]}]}
     with pytest.raises(errors.JacobiViolation):
         algebra_from_json(doc)
-    assert algebra_from_json(doc, force=True).dim == 3

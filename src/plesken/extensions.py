@@ -18,6 +18,7 @@ isomorphism, never by a generic isomorphism search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import linalg
@@ -35,7 +36,7 @@ from .liealg import (
     bracket,
     from_structure_constants,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -48,6 +49,11 @@ class CentralExtension:
     injection_f: tuple[Scalar, ...]
     projection_g: tuple[tuple[Scalar, ...], ...]
     section_s: Optional[tuple[tuple[Scalar, ...], ...]] = None
+
+    @cached_property
+    def injection_terms(self) -> tuple[tuple[int, Scalar], ...]:
+        """Nonzero entries (t, f_t) of the injection vector."""
+        return tuple((t, x) for t, x in enumerate(self.injection_f) if x)
 
 
 def extension_from_cocycle(base: LieAlgebra, alpha: BilinearForm) -> CentralExtension:
@@ -100,7 +106,7 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
         failures.append("injection bracket [f,f] is nonzero")
     # g is a homomorphism on all total basis pairs
     for i, j, defect in _homomorphism_defects(g, total, ext.base):
-        if any(defect):
+        if defect:
             failures.append(f"projection is not a homomorphism at ({i},{j})")
     # exactness: g f = 0 and rank g = n, so ker g = span f
     if any(linalg.mat_vec(g, f)):
@@ -111,58 +117,85 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
     for j, e_j in enumerate(linalg.identity_matrix(n + 1)):
         if any(bracket(total, f, e_j)):
             failures.append(f"kernel line is not central: [f, x_{j}] != 0")
-    if s is not None:
-        gs = linalg.mat_mul(g, s)
-        if not linalg.mat_eq(gs, linalg.identity_matrix(n)):
-            failures.append("stored section does not satisfy g s = I")
+    if s is not None and not _is_right_inverse(g, s, n):
+        failures.append("stored section does not satisfy g s = I")
     return failures
 
 
-def _homomorphism_defects(m: Matrix, source: LieAlgebra, target: LieAlgebra):
-    """(i, j, [M e_i, M e_j] - M [e_i, e_j]) for i < j, M mapping source to target.
+def _is_right_inverse(g: Matrix, s: Matrix, n: int) -> bool:
+    """g s = I_n for an n-column s, summed over the nonzeros of g and s."""
+    if any(len(row) != n for row in s):
+        return False
+    s_terms = [[(c, y) for c, y in enumerate(row) if y] for row in s]
+    for r, g_row in enumerate(g):
+        acc: dict[int, Scalar] = {}
+        for x, terms in zip(g_row, s_terms):
+            if x:
+                for c, y in terms:
+                    acc[c] = acc[c] + x * y if c in acc else x * y
+        if {c: v for c, v in acc.items() if v} != {r: ONE}:
+            return False
+    return True
 
-    M is a homomorphism exactly when every defect is zero.
+
+def _homomorphism_defects(m: Matrix, source: LieAlgebra, target: LieAlgebra):
+    """(i, j, [M e_i, M e_j] - M [e_i, e_j]) for i < j, M mapping source to
+    target, each defect as its nonzero entries {r: value}.
+
+    M is a homomorphism exactly when every defect is empty.
     """
-    cols = [[row[c] for row in m] for c in range(source.dim)]
-    terms = source.bracket_terms
+    cols = [[(r, row[c]) for r, row in enumerate(m) if row[c]]
+            for c in range(source.dim)]
+    source_terms, target_terms = source.bracket_terms, target.bracket_terms
     for i in range(source.dim):
         for j in range(i + 1, source.dim):
-            defect = bracket(target, cols[i], cols[j])
-            for k, c in terms.get((i, j), ()):
-                for r, x in enumerate(cols[k]):
-                    if x:
-                        defect[r] = defect[r] - c * x
-            yield i, j, defect
+            defect: dict[int, Scalar] = {}
+            for a, x in cols[i]:
+                for b, y in cols[j]:
+                    for k, c in target_terms.get((a, b), ()):
+                        v = x * y * c
+                        defect[k] = defect[k] + v if k in defect else v
+            for k, c in source_terms.get((i, j), ()):
+                for r, x in cols[k]:
+                    defect[r] = defect[r] - c * x if r in defect else -(c * x)
+            yield i, j, {r: v for r, v in defect.items() if v}
 
 
 def find_section(ext: CentralExtension) -> list[list[Scalar]]:
     """Deterministic linear right-inverse of the projection.
 
-    Solves g s = I column by column, taking the RREF-canonical solution each
-    time; for extensions built from a cocycle this reproduces s(x) = (x, 0).
+    Solves g s = I for every column at once from one RREF of [g | I]: column j
+    of s is the RREF-canonical solution of g x = e_j (free variables zero),
+    the one a separate solve would give; for extensions built from a cocycle
+    this reproduces s(x) = (x, 0).
     """
     n = ext.base.dim
-    cols = []
-    for j, e_j in enumerate(linalg.identity_matrix(n)):
-        col = linalg.solve(ext.projection_g, e_j, n + 1)
-        if col is None:
-            raise NoSection(f"projection has no right inverse at column {j}",
-                            witness=j)
-        cols.append(col)
-    return [[cols[j][r] for j in range(n)] for r in range(n + 1)]
+    m = n + 1
+    red, pivots = linalg.rref(
+        [list(row) + e_j for row, e_j in zip(ext.projection_g, linalg.identity_matrix(n))],
+        m + n)
+    section = [[ZERO] * n for _ in range(m)]
+    for row, pc in zip(red, pivots):
+        if pc >= m:
+            # a pivot right of g: g x = e_j has no solution for j = pc - m
+            raise NoSection(f"projection has no right inverse at column {pc - m}",
+                            witness=pc - m)
+        section[pc] = row[m:]
+    return section
 
 
-def _kernel_coefficient(ext: CentralExtension, vector: Vector) -> Scalar:
-    """Coefficient c with vector = c * injection_f; error when not a multiple."""
-    f = ext.injection_f
-    lead = next((t for t, x in enumerate(f) if x), None)
-    if lead is None:
+def _kernel_coefficient(ext: CentralExtension, vector: dict[int, Scalar]) -> Scalar:
+    """Coefficient c with vector = c * injection_f, for a vector given by its
+    nonzero entries {t: value}; error when not a multiple."""
+    f_terms = ext.injection_terms
+    if not f_terms:
         raise DefectNotInKernel("injection vector is zero")
-    c = vector[lead] / f[lead]
-    if not linalg.vec_eq(list(vector), linalg.vec_scale(c, f)):
+    lead, f_lead = f_terms[0]
+    c = vector.get(lead, ZERO) / f_lead
+    if vector != ({t: c * x for t, x in f_terms} if c else {}):
         raise DefectNotInKernel(
             "vector is not a scalar multiple of the injection",
-            witness=[str(x) for x in vector])
+            witness=[str(vector.get(t, ZERO)) for t in range(len(ext.injection_f))])
     return c
 
 
@@ -170,8 +203,7 @@ def cocycle_from_extension(ext: CentralExtension,
                            section: Matrix) -> BilinearForm:
     """alpha(x_i, x_j) = [s x_i, s x_j] - s [x_i, x_j], read off the kernel line."""
     n = ext.base.dim
-    gs = linalg.mat_mul(ext.projection_g, section)
-    if not linalg.mat_eq(gs, linalg.identity_matrix(n)):
+    if not _is_right_inverse(ext.projection_g, section, n):
         raise NoSection("given map is not a section: g s != I")
     entries = {(i, j): _kernel_coefficient(ext, defect)
                for i, j, defect in _homomorphism_defects(section, ext.base, ext.total)}
@@ -207,7 +239,7 @@ def equivalence_map(ext1: CentralExtension,
     for ek in linalg.identity_matrix(n + 1):
         y = linalg.mat_vec(ext1.projection_g, ek)
         residue = linalg.vec_sub(ek, linalg.mat_vec(s1, y))
-        c = _kernel_coefficient(ext1, residue)
+        c = _kernel_coefficient(ext1, {t: x for t, x in enumerate(residue) if x})
         col = linalg.mat_vec(s2, y)
         shift = c + sigma.value(y)
         if shift:
@@ -224,7 +256,7 @@ def verify_equivalence_map(ext1: CentralExtension, ext2: CentralExtension,
     if len(phi) != n1 or any(len(row) != n1 for row in phi):
         return [f"phi must be {n1} x {n1}"]
     for i, j, defect in _homomorphism_defects(phi, ext1.total, ext2.total):
-        if any(defect):
+        if defect:
             failures.append(f"phi is not a homomorphism at ({i},{j})")
     if not linalg.vec_eq(linalg.mat_vec(phi, ext1.injection_f),
                          list(ext2.injection_f)):
@@ -266,7 +298,7 @@ def is_split(ext: CentralExtension) -> SplitResult:
     witness = [[section[r][j] - sigma.vector[j] * f[r] for j in range(n)]
                for r in range(n + 1)]
     for i, j, defect in _homomorphism_defects(witness, base, ext.total):
-        if any(defect):
+        if defect:
             raise DefectNotInKernel(
                 "split witness failed the homomorphism check; "
                 "extension data is inconsistent", witness=[i, j])

@@ -5,22 +5,36 @@ together with the defect cocycle alpha, defined by
 
     [Phi(x), Phi(y)] = alpha(x, y) I + Phi([x, y]).
 
-Scalar-defect detection is exact: a defect matrix is rejected as soon as one
-off-diagonal entry is nonzero or two diagonal entries differ.  Twisting by a
-linear functional sigma sends Phi to Phi - sigma I and shifts the cocycle by
-sigma composed with the bracket; projective equivalence against a witness
-(f, delta) is verified entrywise.
+Defects are formed in Gaussian-integer arithmetic: the matrices are cleared
+once to integer real and imaginary numerators over one common denominator D,
+each defect is D^2 E times its true value (E clears the bracket coefficients
+of the pair), and the scalar test runs on those integers.  Only alpha(x_i, x_j)
+goes back to a :class:`~plesken.scalars.Scalar`.  Each representation forms
+each defect once: :attr:`ProjectiveRep.defects` keeps the outcome of every
+basis pair, and validation against a stored cocycle, :func:`cocycle_from_rep`
+and :func:`cohomologous_witness_from_equivalence` all read it.
+
+Scalar-defect detection is exact: a defect is rejected at its first entry, in
+row-major order, that is off the diagonal and nonzero or on the diagonal and
+unequal to the (0, 0) entry.  Twisting by a linear functional sigma sends Phi
+to Phi - sigma I and shifts the cocycle by sigma composed with the bracket;
+projective equivalence against a witness (f, delta) is verified as
+(Phi_2(x_i) - delta(x_i) I) f = f Phi_1(x_i), in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from math import lcm
+from operator import add, mul, sub
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import linalg
 from .cohomology import (
     BilinearForm,
     LinearFunctional,
+    _pairs,
     coboundary,
     form_from_json,
     form_to_json,
@@ -41,6 +55,11 @@ from .linalg import Matrix
 from .scalars import Scalar
 
 
+# A defect's outcome: alpha(i, j) when the defect is alpha(i, j) I, else its
+# first entry off that form as (r, s, the entry's text).
+Outcome = Union[Scalar, tuple[int, int, str]]
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectiveRep:
     """Linear map into d x d matrices with its defect cocycle."""
@@ -50,9 +69,25 @@ class ProjectiveRep:
     matrices: tuple[tuple[tuple[Scalar, ...], ...], ...]
     cocycle: Optional[BilinearForm] = None
 
+    @cached_property
+    def defects(self) -> tuple[Outcome, ...]:
+        """The outcome of [Phi(x_i), Phi(x_j)] - Phi([x_i, x_j]) for every pair
+        i < j, in :func:`~plesken.cohomology.pair_index` order, formed once
+        from :attr:`matrices` (never from the stored cocycle)."""
+        cleared = _clear(self.matrices)
+        return tuple(_defect(cleared, self.algebra, i, j)
+                     for i, j in _pairs(self.algebra.dim))
+
 
 def _freeze(matrices: Sequence[Matrix]) -> tuple:
     return tuple(linalg.freeze_matrix(m) for m in matrices)
+
+
+def _failing_pairs(rep: ProjectiveRep, alpha: BilinearForm):
+    """The pairs (i, j) whose defect is not alpha(i, j) I, in order."""
+    for (i, j), outcome in zip(_pairs(rep.algebra.dim), rep.defects):
+        if not isinstance(outcome, Scalar) or outcome != alpha.entry(i, j):
+            yield i, j
 
 
 def projective_rep(algebra: LieAlgebra, matrices: Sequence[Matrix],
@@ -74,29 +109,108 @@ def projective_rep(algebra: LieAlgebra, matrices: Sequence[Matrix],
     rep = ProjectiveRep(algebra=algebra, degree=d, matrices=_freeze(matrices),
                         cocycle=cocycle)
     if cocycle is not None:
-        failures = validate_alpha_rep(algebra, rep.matrices, cocycle)
-        if failures:
-            i, j, _ = failures[0]
+        failure = next(_failing_pairs(rep, cocycle), None)
+        if failure is not None:
+            i, j = failure
             raise BadParameter(
                 f"matrices do not satisfy the identity for the given cocycle "
                 f"at pair ({i},{j})", witness=[i, j])
     return rep
 
 
-def _commutator(a: Matrix, b: Matrix) -> list[list[Scalar]]:
-    return [linalg.vec_sub(r1, r2)
-            for r1, r2 in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
+# -- Gaussian-integer kernels -------------------------------------------------------
 
 
-def _defect(rep: ProjectiveRep, i: int, j: int) -> list[list[Scalar]]:
-    """[Phi(x_i), Phi(x_j)] - Phi([x_i, x_j])."""
-    out = _commutator(rep.matrices[i], rep.matrices[j])
-    for k, c in rep.algebra.bracket_terms.get((i, j), ()):
-        for row, image_row in zip(out, rep.matrices[k]):
-            for s, x in enumerate(image_row):
-                if x:
-                    row[s] = row[s] - c * x
-    return out
+class _Cleared(NamedTuple):
+    """A matrix times a common denominator, as Gaussian-integer numerators.
+
+    Each part is (rows, columns) of integers; ``im`` is None when every
+    imaginary part is zero, so products with it are skipped."""
+
+    re: tuple
+    im: Optional[tuple]
+
+
+def _clear(matrices: Sequence[Matrix]) -> tuple[int, list[_Cleared]]:
+    """The common denominator D of every entry, and D times each matrix."""
+    den = lcm(*{x.d for m in matrices for row in m for x in row})
+    out = []
+    for m in matrices:
+        re = tuple(tuple(x.a * (den // x.d) for x in row) for row in m)
+        im = None
+        if any(x.b for row in m for x in row):
+            im_rows = tuple(tuple(x.b * (den // x.d) for x in row) for row in m)
+            im = (im_rows, tuple(zip(*im_rows)))
+        out.append(_Cleared((re, tuple(zip(*re))), im))
+    return den, out
+
+
+def _product(x: tuple, y: tuple) -> list[list[int]]:
+    """X Y for integer parts (rows, columns)."""
+    return [[sum(map(mul, row, col)) for col in y[1]] for row in x[0]]
+
+
+def _commutator(x: tuple, y: tuple) -> list[list[int]]:
+    """X Y - Y X for integer parts (rows, columns)."""
+    return [[sum(map(mul, xr, yc)) - sum(map(mul, yr, xc))
+             for yc, xc in zip(y[1], x[1])]
+            for xr, yr in zip(x[0], y[0])]
+
+
+def _combine(op, u: list, v: list) -> list[list[int]]:
+    return [list(map(op, a, b)) for a, b in zip(u, v)]
+
+
+def _gaussian(kernel, a: _Cleared, b: _Cleared) -> tuple[list, list]:
+    """Real and imaginary numerators of a bilinear integer kernel on Gaussian
+    integers: k(a, b) = k(re a, re b) - k(im a, im b)
+    + i (k(re a, im b) + k(im a, re b)), without the terms of a zero side."""
+    re = kernel(a.re, b.re)
+    im = [[0] * len(row) for row in re]
+    if a.im is not None and b.im is not None:
+        re = _combine(sub, re, kernel(a.im, b.im))
+    if b.im is not None:
+        im = _combine(add, im, kernel(a.re, b.im))
+    if a.im is not None:
+        im = _combine(add, im, kernel(a.im, b.re))
+    return re, im
+
+
+def _defect_numerators(cleared: tuple[int, list[_Cleared]], algebra: LieAlgebra,
+                       i: int, j: int) -> tuple[list, list, int]:
+    """[Phi(x_i), Phi(x_j)] - Phi([x_i, x_j]) as real and imaginary integer
+    numerators over one denominator: [N_i, N_j] / D^2 - sum c_k N_k / D,
+    taken over D^2 E, E the common denominator of the bracket coefficients."""
+    den, mats = cleared
+    re, im = _gaussian(_commutator, mats[i], mats[j])
+    terms = algebra.bracket_terms.get((i, j), ())
+    e = lcm(*(c.d for _, c in terms))
+    if e > 1:
+        re = [[x * e for x in row] for row in re]
+        im = [[x * e for x in row] for row in im]
+    for k, c in terms:
+        # subtract D (E c) N_k, with E c = ca + cb i a Gaussian integer
+        ca, cb = c.a * (e // c.d) * den, c.b * (e // c.d) * den
+        m = mats[k]
+        m_im = m.im[0] if m.im is not None else [(0,) * len(row) for row in re]
+        for re_row, im_row, x_row, y_row in zip(re, im, m.re[0], m_im):
+            for s, (x, y) in enumerate(zip(x_row, y_row)):
+                if x or y:
+                    re_row[s] -= ca * x - cb * y
+                    im_row[s] -= ca * y + cb * x
+    return re, im, den * den * e
+
+
+def _defect(cleared: tuple[int, list[_Cleared]], algebra: LieAlgebra,
+            i: int, j: int) -> Outcome:
+    """The outcome of the defect of pair (i, j), tested for a scalar in ints."""
+    re, im, total = _defect_numerators(cleared, algebra, i, j)
+    c, ci = re[0][0], im[0][0]
+    for r, (re_row, im_row) in enumerate(zip(re, im)):
+        for s, (x, y) in enumerate(zip(re_row, im_row)):
+            if (x != c or y != ci) if r == s else (x or y):
+                return r, s, str(Scalar._make(x, y, total))
+    return Scalar._make(c, ci, total)
 
 
 def _shift_diagonal(m: Matrix, s: Scalar) -> list[list[Scalar]]:
@@ -111,20 +225,12 @@ def _shift_diagonal(m: Matrix, s: Scalar) -> list[list[Scalar]]:
 def cocycle_from_rep(rep: ProjectiveRep) -> BilinearForm:
     """Extract the defect cocycle; every defect must be an exact scalar matrix."""
     n = rep.algebra.dim
-    entries: dict[tuple[int, int], Scalar] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            defect = _defect(rep, i, j)
-            c = defect[0][0]
-            off = _shift_diagonal(defect, c)
-            bad = next(((r, s) for r in range(rep.degree)
-                        for s in range(rep.degree) if off[r][s]), None)
-            if bad is not None:
-                raise DefectNotScalar(
-                    f"defect of pair ({i},{j}) is not a scalar matrix",
-                    witness=[i, j, [bad[0], bad[1], str(defect[bad[0]][bad[1]])]])
-            entries[(i, j)] = c
-    alpha = BilinearForm.from_entries(n, entries)
+    for (i, j), outcome in zip(_pairs(n), rep.defects):
+        if not isinstance(outcome, Scalar):
+            raise DefectNotScalar(
+                f"defect of pair ({i},{j}) is not a scalar matrix",
+                witness=[i, j, list(outcome)])
+    alpha = BilinearForm(n, rep.defects)
     ok, witness = is_cocycle(rep.algebra, alpha)
     if not ok:
         # unreachable for scalar defects; guards bugs in the bracket data
@@ -137,27 +243,27 @@ def validate_alpha_rep(algebra: LieAlgebra, matrices, alpha: BilinearForm
                        ) -> list[tuple[int, int, tuple]]:
     """Failures of [Phi(x_i),Phi(x_j)] = alpha(i,j) I + Phi([x_i,x_j]);
     each failure carries (i, j, residual matrix)."""
-    rep = projective_rep(algebra, matrices, cocycle=None)
+    rep = projective_rep(algebra, matrices)
+    cleared = _clear(rep.matrices)
     failures = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            residual = _shift_diagonal(_defect(rep, i, j), alpha.entry(i, j))
-            if any(x for row in residual for x in row):
-                failures.append((i, j, linalg.freeze_matrix(residual)))
+    for i, j in _failing_pairs(rep, alpha):
+        re, im, total = _defect_numerators(cleared, algebra, i, j)
+        defect = [[Scalar._make(x, y, total) for x, y in zip(re_row, im_row)]
+                  for re_row, im_row in zip(re, im)]
+        residual = _shift_diagonal(defect, alpha.entry(i, j))
+        failures.append((i, j, linalg.freeze_matrix(residual)))
     return failures
 
 
 def lift_linear(algebra: LieAlgebra, matrices: Sequence[Matrix]) -> ProjectiveRep:
     """Wrap a Lie homomorphism as a representation with zero cocycle."""
-    zero = BilinearForm.zero(algebra.dim)
-    failures = validate_alpha_rep(algebra, matrices, zero)
-    if failures:
-        i, j, _ = failures[0]
+    try:
+        return projective_rep(algebra, matrices, cocycle=BilinearForm.zero(algebra.dim))
+    except BadParameter as err:
+        i, j = err.witness
         raise NotAHomomorphism(
             f"images of pair ({i},{j}) do not commute with the bracket",
-            witness=[i, j])
-    return ProjectiveRep(algebra=algebra, degree=len(matrices[0]),
-                         matrices=_freeze(matrices), cocycle=zero)
+            witness=[i, j]) from None
 
 
 def twist(rep: ProjectiveRep, sigma: LinearFunctional) -> ProjectiveRep:
@@ -192,7 +298,12 @@ class EquivalenceReport:
 def verify_projective_equivalence(rep1: ProjectiveRep, rep2: ProjectiveRep,
                                   f: Matrix, delta: LinearFunctional
                                   ) -> EquivalenceReport:
-    """Check Phi_2(x_i) = f Phi_1(x_i) f^-1 + delta(x_i) I for every i."""
+    """Check Phi_2(x_i) = f Phi_1(x_i) f^-1 + delta(x_i) I for every i.
+
+    For invertible f this is (Phi_2(x_i) - delta(x_i) I) f = f Phi_1(x_i),
+    which is tested on integer numerators; the residual
+    Phi_2(x_i) - delta(x_i) I - f Phi_1(x_i) f^-1 is built for failures only.
+    """
     if rep1.degree != rep2.degree:
         raise DimensionMismatch(
             f"degrees differ: {rep1.degree} vs {rep2.degree}")
@@ -205,13 +316,19 @@ def verify_projective_equivalence(rep1: ProjectiveRep, rep2: ProjectiveRep,
     f_inv = linalg.invert(f)
     if f_inv is None:
         raise SingularF("witness matrix f is not invertible")
+    _, (f_int,) = _clear([f])
     failures = []
     for i in range(n):
-        conj = linalg.mat_mul(linalg.mat_mul(f, rep1.matrices[i]), f_inv)
-        # Phi_2(x_i) - delta(x_i) I - f Phi_1(x_i) f^-1
-        residual = [linalg.vec_sub(r1, r2) for r1, r2 in
-                    zip(_shift_diagonal(rep2.matrices[i], delta.vector[i]), conj)]
-        if any(x for row in residual for x in row):
+        den1, (phi1,) = _clear([rep1.matrices[i]])
+        shifted = _shift_diagonal(rep2.matrices[i], delta.vector[i])
+        den2, (phi2,) = _clear([shifted])
+        # both sides carry the denominator of f once; each carries its own rep's
+        left = _gaussian(_product, phi2, f_int)
+        right = _gaussian(_product, f_int, phi1)
+        if any(x * den1 != y * den2 for lpart, rpart in zip(left, right)
+               for lrow, rrow in zip(lpart, rpart) for x, y in zip(lrow, rrow)):
+            conj = linalg.mat_mul(linalg.mat_mul(f, rep1.matrices[i]), f_inv)
+            residual = [linalg.vec_sub(r1, r2) for r1, r2 in zip(shifted, conj)]
             failures.append((i, linalg.freeze_matrix(residual)))
     return EquivalenceReport(failures=tuple(failures),
                              delta_is_zero=not any(delta.vector))

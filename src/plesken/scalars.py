@@ -190,15 +190,17 @@ class Scalar:
         terms = _TERM_RE.findall(s)
         if "".join(terms) != s:
             raise ValueError(f"malformed scalar string {text!r}")
-        re_part = Fraction(0)
-        im_part = Fraction(0)
+        # real and imaginary parts as integer fractions re_n/re_d, im_n/im_d
+        re_n, re_d, im_n, im_d = 0, 1, 0, 1
         for term in terms:
             if term.endswith("*I") or term in ("+I", "-I"):
                 coeff = term[:-2] if term.endswith("*I") else term[:-1] + "1"
-                im_part += _parse_rational(coeff, text)
+                num, den = _parse_rational(coeff, text)
+                im_n, im_d = im_n * den + num * im_d, im_d * den
             else:
-                re_part += _parse_rational(term, text)
-        return cls(re_part, im_part)
+                num, den = _parse_rational(term, text)
+                re_n, re_d = re_n * den + num * re_d, re_d * den
+        return cls._make(re_n * im_d, im_n * re_d, re_d * im_d)
 
 
 def _coerce(value: object) -> Scalar | None:
@@ -215,7 +217,8 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _parse_rational(term: str, original: str) -> Fraction:
+def _parse_rational(term: str, original: str) -> tuple[int, int]:
+    """(numerator, positive denominator) of one rational term."""
     m = _RAT_RE.match(term)
     if m is None:
         raise ValueError(f"malformed scalar string {original!r}")
@@ -223,7 +226,7 @@ def _parse_rational(term: str, original: str) -> Fraction:
     den = int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ValueError(f"zero denominator in scalar string {original!r}")
-    return Fraction(num, den)
+    return num, den
 
 
 ZERO = Scalar(0)

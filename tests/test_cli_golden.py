@@ -3,7 +3,9 @@
 Each case runs one verb in-process, in text form and with ``--json``, and
 compares stdout with ``tests/golden/<case>.txt`` and ``<case>.json``.  The
 golden files are the reference output; a change that alters any output byte
-fails here, so a refactor can be checked against them unchanged.
+fails here, so a refactor can be checked against them unchanged.  The error
+cases exit 1; their text golden is the one stderr line and their ``--json``
+golden the stdout document with the witness.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ DOCS = {
     "delta": {"v": ["-2", "0", "-1/3"]},
     "f_id": {"matrix": [["1", "0"], ["0", "1"]]},
     "f_shear": {"matrix": [["1", "0"], ["1+I", "1"]]},
+    "f_singular": {"matrix": [["1", "1/2"], ["2", "1"]]},
+    # [X, Y] - Z = diag(-1/3 + 1/2 I, -1/2 I): scalar at (0,0), not at (1,1)
+    "rep_nonscalar": {"dim": 3, "degree": 2,
+                      "matrices": [[["0", "1/2"], ["0", "0"]],
+                                   [["0", "0"], ["I", "0"]],
+                                   [["1/3", "0"], ["0", "0"]]],
+                      "alpha": None},
+    # alpha(0,1) and alpha(0,2) hold, alpha(1,2) = 1 does not
+    "rep_wrong_alpha": {**REP, "alpha": {"dim": 3, "upper": [["1", "0"], ["1"]]}},
 }
 
 # (case, argv with {name} placeholders for the fixture files)
@@ -63,12 +74,22 @@ CASES = [
      "rep verify-equiv -r1 {rep} -r2 {twisted} --f {f_id} --delta {delta} -L {heis3}"),
     ("rep_verify_equiv_without_algebra",
      "rep verify-equiv -r1 {rep} -r2 {twisted} --f {f_shear} --delta {delta}"),
+    # delta has the wrong sign, so the witness fails where it is nonzero
+    ("rep_verify_equiv_failing",
+     "rep verify-equiv -r1 {rep} -r2 {twisted} --f {f_shear} --delta {sigma} -L {heis3}"),
+]
+
+# (case, argv): verbs that exit 1 with a domain error
+ERROR_CASES = [
+    ("rep_cocycle_defect_not_scalar", "rep cocycle -L {heis3} -r {rep_nonscalar}"),
+    ("rep_cocycle_bad_alpha", "rep cocycle -L {heis3} -r {rep_wrong_alpha}"),
+    ("rep_verify_equiv_singular_f",
+     "rep verify-equiv -r1 {rep} -r2 {twisted} --f {f_singular} --delta {delta} -L {heis3}"),
 ]
 
 
-@pytest.fixture(scope="module")
-def paths(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def build_paths(root) -> dict:
+    """Write every fixture document under ``root``; return name -> path."""
     out = {name: str(root / f"{name}.json") for name in DOCS}
     for name, doc in DOCS.items():
         with open(out[name], "w", encoding="utf-8") as handle:
@@ -93,6 +114,11 @@ def paths(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return build_paths(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("case,argv", CASES, ids=[c for c, _ in CASES])
 def test_stdout_matches_golden(case, argv, as_json, paths, capsys):
@@ -100,6 +126,20 @@ def test_stdout_matches_golden(case, argv, as_json, paths, capsys):
     args = argv.format(**paths).split() + (["--json"] if as_json else [])
     assert main(args) == 0
     got = capsys.readouterr().out
+    name = f"{case}.json" if as_json else f"{case}.txt"
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+        assert got == handle.read()
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case,argv", ERROR_CASES, ids=[c for c, _ in ERROR_CASES])
+def test_error_output_matches_golden(case, argv, as_json, paths, capsys):
+    capsys.readouterr()
+    args = argv.format(**paths).split() + (["--json"] if as_json else [])
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    got = captured.out if as_json else captured.err
+    assert (captured.err if as_json else captured.out) == ""
     name = f"{case}.json" if as_json else f"{case}.txt"
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
         assert got == handle.read()

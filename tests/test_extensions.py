@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from plesken import errors, linalg
+from plesken.cli import main
 from plesken.cohomology import (
     BilinearForm,
     LinearFunctional,
@@ -126,6 +129,22 @@ def test_cocycle_rejects_non_section(abelian2):
         cocycle_from_extension(ext, bad)
 
 
+@pytest.mark.parametrize("f,witness", [
+    # no multiple of f has the Z entry; the multiple that fits Z misses W
+    ((ONE, ZERO, ONE, ZERO), ["0", "0", "1", "1"]),
+    ((ZERO, ZERO, S(1, 1), ZERO), ["0", "0", "1", "1"]),
+])
+def test_cocycle_rejects_defect_off_the_injection(abelian2, f, witness):
+    # [X, Y] = Z + W is not a multiple of f, although g s = I holds
+    total = from_structure_constants(4, {(0, 1): [0, 0, 1, 1]})
+    g = ((ONE, ZERO, ZERO, ZERO), (ZERO, ONE, ZERO, ZERO))
+    bad = CentralExtension(total=total, base=abelian2, injection_f=f, projection_g=g)
+    section = [[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO], [ZERO, ZERO]]
+    with pytest.raises(errors.DefectNotInKernel) as exc:
+        cocycle_from_extension(bad, section)
+    assert exc.value.witness == witness
+
+
 def test_split_direct_sum_witness(abelian2):
     ext = extension_from_cocycle(abelian2, BilinearForm.zero(2))
     result = is_split(ext)
@@ -239,3 +258,47 @@ def test_extension_json_rejects_broken_document(abelian2):
     doc["f"] = ["1", "0", "0"]  # not central, breaks exactness too
     with pytest.raises(errors.DefectNotInKernel):
         extension_from_json(doc)
+
+
+# stdout sha256 of each verb on the dim-200 zero-bracket extensions below, as
+# printed before reading an extension stopped costing O(n^3) Scalar products
+WIDE_VERBS = [
+    ("cocycle", "ext_a", "f0770c835edc7e912acb584a3c990f7c65935fdaa4960564b4cde6bb4ccda8cd"),
+    ("split", "ext_a", "a474de153659460e39382035f1cc6e0a8809e0d80ca65e69d4346ec02f2f0b92"),
+    ("split", "ext_zero", "2b35e13fa20e5c4ab6f1a0a985b5a498660ae592d38231fe2909037d7dca0223"),
+]
+
+
+@pytest.fixture(scope="module")
+def wide_extensions(tmp_path_factory):
+    """Extensions of the zero-bracket algebra of dim 200: one along
+    alpha(0,1) = 1, alpha(3,199) = 1/2 + i, one along the zero form."""
+    root = tmp_path_factory.mktemp("wide")
+    n = 200
+    zero = [["0"] * (n - 1 - i) for i in range(n - 1)]
+    upper = [row[:] for row in zero]
+    upper[0][0] = "1"
+    upper[3][199 - 4] = "1/2+I"
+    docs = {"L": {"dim": n}, "a": {"dim": n, "upper": upper},
+            "zero": {"dim": n, "upper": zero}}
+    paths = {name: str(root / f"{name}.json") for name in docs}
+    for name, doc in docs.items():
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    for form in ("a", "zero"):
+        paths[f"ext_{form}"] = str(root / f"ext_{form}.json")
+        assert main(["extension", "build", "-L", paths["L"], "--alpha", paths[form],
+                     "-o", paths[f"ext_{form}"]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("verb,ext,digest", WIDE_VERBS,
+                         ids=[f"{verb}-{ext}" for verb, ext, _ in WIDE_VERBS])
+def test_wide_extension_verbs_are_fast(verb, ext, digest, wide_extensions, capsys):
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["extension", verb, "-e", wide_extensions[ext]]) == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert elapsed < 3.0

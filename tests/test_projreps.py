@@ -1,19 +1,29 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from plesken import errors, linalg
+from plesken import errors, linalg, projreps, verify
+from plesken.cli import main
 from plesken.cohomology import (
     BilinearForm,
     LinearFunctional,
     are_cohomologous,
     coboundary,
+    form_to_json,
 )
-from plesken.liealg import ad_matrix, from_structure_constants
+from plesken.groups import preset
+from plesken.liealg import (
+    ad_matrix,
+    algebra_to_json,
+    from_structure_constants,
+    plesken_algebra,
+)
 from plesken.projreps import (
+    ProjectiveRep,
     cocycle_from_rep,
     cohomologous_witness_from_equivalence,
     lift_linear,
@@ -25,7 +35,7 @@ from plesken.projreps import (
     verify_projective_equivalence,
 )
 from plesken.scalars import ONE, ZERO, Scalar
-from plesken.verify import d8_conjugate_reps
+from plesken.verify import d8_conjugate_reps, rep_fixtures
 
 S = Scalar
 
@@ -227,3 +237,298 @@ def test_rep_json_validates_identity(heis3):
     }
     with pytest.raises(errors.BadParameter):
         rep_from_json(heis3, doc)
+
+
+# -- the Scalar oracle for the integer-first defects ------------------------------
+
+
+def _oracle_defect(rep, i, j):
+    """[Phi(x_i), Phi(x_j)] - Phi([x_i, x_j]) by dense Scalar products."""
+    a, b = rep.matrices[i], rep.matrices[j]
+    out = [linalg.vec_sub(r1, r2)
+           for r1, r2 in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
+    for k, c in rep.algebra.bracket_terms.get((i, j), ()):
+        for row, image_row in zip(out, rep.matrices[k]):
+            for s, x in enumerate(image_row):
+                if x:
+                    row[s] = row[s] - c * x
+    return out
+
+
+def _oracle_outcome(defect):
+    """alpha when the defect is alpha I, else its first entry off that form."""
+    c = defect[0][0]
+    for r, row in enumerate(defect):
+        for s, x in enumerate(row):
+            if (x - c if r == s else x):
+                return r, s, str(x)
+    return c
+
+
+def _pairs_of(rep):
+    n = rep.algebra.dim
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _check_against_oracle(rep, rng):
+    """Defects, DefectNotScalar, BadParameter and the residuals of
+    validate_alpha_rep all agree with the oracle."""
+    pairs = _pairs_of(rep)
+    defects = {p: _oracle_defect(rep, *p) for p in pairs}
+    outcomes = tuple(_oracle_outcome(defects[p]) for p in pairs)
+    assert rep.defects == outcomes
+    bad = next(((p, o) for p, o in zip(pairs, outcomes) if not isinstance(o, Scalar)),
+               None)
+    if bad is None:
+        assert cocycle_from_rep(rep).flat == outcomes
+    else:
+        with pytest.raises(errors.DefectNotScalar) as exc:
+            cocycle_from_rep(rep)
+        (i, j), (r, s, text) = bad
+        assert exc.value.witness == [i, j, [r, s, text]]
+    # a cocycle that agrees with the scalar defects except at one pair
+    n = rep.algebra.dim
+    flat = [o if isinstance(o, Scalar) else ZERO for o in outcomes]
+    if flat:
+        k = rng.randrange(len(flat))
+        flat[k] = flat[k] + S(1, Fraction(-1, 2))
+    alpha = BilinearForm(n, tuple(flat))
+    failing = [p for p, o, a in zip(pairs, outcomes, flat) if o != a]
+    expected = [(i, j, linalg.freeze_matrix(
+        [[x - alpha.entry(i, j) if r == s else x for s, x in enumerate(row)]
+         for r, row in enumerate(defects[(i, j)])])) for i, j in failing]
+    assert validate_alpha_rep(rep.algebra, rep.matrices, alpha) == expected
+    if failing:
+        with pytest.raises(errors.BadParameter) as exc:
+            projective_rep(rep.algebra, rep.matrices, cocycle=alpha)
+        assert exc.value.witness == list(failing[0])
+    else:
+        assert projective_rep(rep.algebra, rep.matrices, cocycle=alpha).cocycle == alpha
+
+
+def test_defects_match_oracle_on_fixtures():
+    for name, rep in rep_fixtures():
+        _check_against_oracle(rep, random.Random(name))
+
+
+def test_defects_match_oracle_on_heis27_adjoint():
+    algebra, _ = plesken_algebra(preset("heisenberg_p", 3))
+    adjoint = lift_linear(algebra, [ad_matrix(algebra, i) for i in range(algebra.dim)])
+    rng = random.Random(27)
+    _check_against_oracle(adjoint, rng)
+    sigma = LinearFunctional(tuple(_rand_scalar(rng) for _ in range(algebra.dim)))
+    _check_against_oracle(twist(adjoint, sigma), rng)
+
+
+def _rand_scalar(rng):
+    """A Gaussian rational with denominators up to 6, usually with i."""
+    return S(Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+             Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+
+
+def _rescaled(algebra, blocks, scales):
+    """The algebra in the basis y_k = scales[k] x_k, with the representations
+    Phi(y_k) = scales[k] Phi(x_k): structure constants get denominators and i."""
+    table = {}
+    for (a, b), terms in algebra.bracket_terms.items():
+        if a < b:
+            vec = [ZERO] * algebra.dim
+            for k, c in terms:
+                vec[k] = scales[a] * scales[b] * c / scales[k]
+            table[(a, b)] = vec
+    scaled = from_structure_constants(algebra.dim, table)
+    return scaled, [tuple([[scales[k] * x for x in row] for row in m]
+                          for k, m in enumerate(block)) for block in blocks]
+
+
+def _base_reps():
+    """(algebra, blocks): representations of one algebra, each a tuple of
+    matrices, to be summed block-diagonally."""
+    fixtures = dict(rep_fixtures())
+    sl2 = fixtures["sl2-defining"].algebra
+    heis = fixtures["heis3-defect"].algebra
+    sl2_blocks = [fixtures["sl2-defining"].matrices, fixtures["sl2-adjoint"].matrices]
+    return [
+        (sl2, sl2_blocks),
+        # [y0, y1] = (2 + 2i)/3 y1, [y1, y2] = (3 - 3i)/4 y0
+        _rescaled(sl2, sl2_blocks, [S(Fraction(1, 3), Fraction(1, 3)), S(Fraction(1, 2)),
+                                    ONE]),
+        (heis, [fixtures["heis3-defect"].matrices, (((ZERO,),),) * 3]),
+        (fixtures["q8-quaternion"].algebra, [fixtures["q8-quaternion"].matrices]),
+        (fixtures["abelian2-diagonal"].algebra, [fixtures["abelian2-diagonal"].matrices]),
+    ]
+
+
+def _block_sum(blocks):
+    degree = sum(len(b[0]) for b in blocks)
+    out = []
+    for k in range(len(blocks[0])):
+        m = linalg.zero_matrix(degree, degree)
+        offset = 0
+        for b in blocks:
+            for r, row in enumerate(b[k]):
+                for s, x in enumerate(row):
+                    m[offset + r][offset + s] = x
+            offset += len(b[k])
+        out.append(m)
+    return out
+
+
+def _random_rep(rng):
+    """A seeded representation of degree 1-5: a block sum of known
+    (projective) representations, or scalars in degree 1, sometimes with one
+    entry changed, conjugated by an f with denominators and i, then twisted."""
+    algebra, blocks = rng.choice(_base_reps())
+    if rng.random() < 0.2:
+        matrices = [[[_rand_scalar(rng)]] for _ in range(algebra.dim)]
+    else:
+        chosen = [rng.choice(blocks)]
+        while rng.random() < 0.5:
+            extra = rng.choice(blocks)
+            if sum(len(b[0]) for b in chosen) + len(extra[0]) <= 5:
+                chosen.append(extra)
+        matrices = _block_sum(chosen)
+    d = len(matrices[0])
+    if rng.random() < 0.4:
+        k, r, s = rng.randrange(algebra.dim), rng.randrange(d), rng.randrange(d)
+        matrices[k][r][s] = matrices[k][r][s] + _rand_scalar(rng)
+    while True:
+        f = [[_rand_scalar(rng) if rng.random() < 0.6 else ZERO for _ in range(d)]
+             for _ in range(d)]
+        f_inv = linalg.invert(f)
+        if f_inv is not None:
+            break
+    matrices = [linalg.mat_mul(linalg.mat_mul(f, m), f_inv) for m in matrices]
+    for m in matrices:
+        # sevenths, with an imaginary part: every rep has both
+        shift = S(Fraction(rng.randint(-6, 6), 7),
+                  Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), 7))
+        for t in range(d):
+            m[t][t] = m[t][t] - shift
+    return projective_rep(algebra, matrices)
+
+
+def test_defects_match_oracle_on_hand_made_reps(abelian2):
+    # [X, Y] = diag(I, -I): the diagonal differs in its imaginary part only
+    rep = projective_rep(abelian2, [[[ZERO, ONE], [ZERO, ZERO]],
+                                    [[ZERO, ZERO], [S(0, 1), ZERO]]])
+    assert rep.defects == ((1, 1, "-1*I"),)
+    _check_against_oracle(rep, random.Random(0))
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_defects_match_oracle_on_random_reps(seed):
+    rng = random.Random(seed)
+    rep = _random_rep(rng)
+    assert any(x.d > 1 and x.b for m in rep.matrices for row in m for x in row)
+    _check_against_oracle(rep, rng)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_equivalence_matches_oracle_on_random_reps(seed):
+    # Phi_2 = f Phi_1 f^-1 + delta I, sometimes with one entry of Phi_2 changed;
+    # the failures and residuals are those of the Scalar formula
+    rng = random.Random(f"equiv{seed}")
+    rep1 = _random_rep(rng)
+    d, n = rep1.degree, rep1.algebra.dim
+    while True:
+        f = [[_rand_scalar(rng) for _ in range(d)] for _ in range(d)]
+        f_inv = linalg.invert(f)
+        if f_inv is not None:
+            break
+    delta = LinearFunctional(tuple(_rand_scalar(rng) for _ in range(n)))
+    images = [linalg.mat_mul(linalg.mat_mul(f, m), f_inv) for m in rep1.matrices]
+    for m, x in zip(images, delta.vector):
+        for t in range(d):
+            m[t][t] = m[t][t] + x
+    if seed % 2:
+        k, r, s = rng.randrange(n), rng.randrange(d), rng.randrange(d)
+        images[k][r][s] = images[k][r][s] + _rand_scalar(rng)
+    rep2 = projective_rep(rep1.algebra, images)
+    expected = []
+    for i in range(n):
+        conj = linalg.mat_mul(linalg.mat_mul(f, rep1.matrices[i]), f_inv)
+        residual = linalg.freeze_matrix(
+            [[x - y - (delta.vector[i] if r == s else ZERO)
+              for s, (x, y) in enumerate(zip(row2, row1))]
+             for r, (row2, row1) in enumerate(zip(rep2.matrices[i], conj))])
+        if any(x for row in residual for x in row):
+            expected.append((i, residual))
+    assert bool(expected) == bool(seed % 2)
+    assert verify_projective_equivalence(rep1, rep2, f, delta).failures == tuple(expected)
+
+
+def test_random_reps_cover_both_outcomes():
+    # the seeded reps above hold scalar and non-scalar defects, and every degree
+    reps = [_random_rep(random.Random(seed)) for seed in range(48)]
+    assert {rep.degree for rep in reps} == {1, 2, 3, 4, 5}
+    kinds = {isinstance(o, Scalar) for rep in reps for o in rep.defects}
+    assert kinds == {True, False}
+    assert any(all(isinstance(o, Scalar) for o in rep.defects) and rep.degree > 1
+               for rep in reps)
+
+
+# -- each defect once per representation -------------------------------------------
+
+
+def _count_defects(monkeypatch):
+    calls = []
+    original = projreps._defect
+
+    def counted(*args):
+        calls.append(args[2:])
+        return original(*args)
+
+    monkeypatch.setattr(projreps, "_defect", counted)
+    return calls
+
+
+def test_validated_rep_forms_each_defect_once(monkeypatch, sl2):
+    calls = _count_defects(monkeypatch)
+    rng = random.Random(5)
+    sigma = LinearFunctional(tuple(_rand_scalar(rng) for _ in range(3)))
+    twisted = twist(sl2_defining(sl2), sigma)
+    calls.clear()
+    rep = projective_rep(sl2, twisted.matrices, cocycle=twisted.cocycle)
+    assert cocycle_from_rep(rep) == twisted.cocycle
+    assert twist(rep, sigma).cocycle is not None
+    assert sorted(calls) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_rep_cocycle_verb_forms_each_defect_once(monkeypatch, tmp_path, capsys):
+    algebra, _ = plesken_algebra(preset("heisenberg_p", 3))
+    rng = random.Random(13)
+    sigma = LinearFunctional(tuple(_rand_scalar(rng) for _ in range(algebra.dim)))
+    adjoint = lift_linear(algebra, [ad_matrix(algebra, i) for i in range(algebra.dim)])
+    rep = twist(adjoint, sigma)
+    paths = {}
+    for name, doc in (("L", algebra_to_json(algebra)), ("rep", rep_to_json(rep))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    calls = _count_defects(monkeypatch)
+    assert main(["rep", "cocycle", "--json", "-L", paths["L"], "-r", paths["rep"]]) == 0
+    assert json.loads(capsys.readouterr().out) == {"alpha": form_to_json(rep.cocycle)}
+    assert len(calls) == len(set(calls)) == algebra.dim * (algebra.dim - 1) // 2
+
+
+def test_stored_cocycle_is_never_read_as_the_defects(heis_rep):
+    # a representation whose stored cocycle is wrong extracts the true one
+    wrong = BilinearForm.from_entries(3, {(0, 1): S(2)})
+    rep = ProjectiveRep(algebra=heis_rep.algebra, degree=2,
+                        matrices=heis_rep.matrices, cocycle=wrong)
+    assert cocycle_from_rep(rep) == heis_rep.cocycle != wrong
+
+
+def test_verify_catches_a_twist_that_stores_a_wrong_cocycle(monkeypatch):
+    def bad_twist(rep, sigma):
+        good = twist(rep, sigma)
+        wrong = good.cocycle.add(BilinearForm.from_entries(
+            rep.algebra.dim, {(0, 1): ONE}))
+        return ProjectiveRep(algebra=good.algebra, degree=good.degree,
+                             matrices=good.matrices, cocycle=wrong)
+
+    monkeypatch.setattr(verify, "twist", bad_twist)
+    result = verify.criterion_twist_roundtrip(None, random.Random(0))
+    assert not result["passed"]
+    assert "stored and extracted cocycles differ" in result["details"]["reason"]

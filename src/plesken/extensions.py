@@ -13,6 +13,11 @@ directions of the cocycle/extension correspondence are:
 Equivalence of two extensions over the same base is decided through
 cohomology of the extracted cocycles and realized by an explicit commuting
 isomorphism, never by a generic isomorphism search.
+
+The maps f, g, s and phi are multiplied on one sparse kernel: a matrix is
+read as the nonzero entries (r, x) of each column, and every product, defect
+and check is a sum of x * column into its nonzero entries {r: value}, so the
+cost follows the nonzeros rather than (n+1)^2 per vector.
 """
 
 from __future__ import annotations
@@ -29,13 +34,7 @@ from .errors import (
     NoSection,
     NotACocycle,
 )
-from .liealg import (
-    LieAlgebra,
-    algebra_from_json,
-    algebra_to_json,
-    bracket,
-    from_structure_constants,
-)
+from .liealg import LieAlgebra, algebra_from_json, algebra_to_json
 from .linalg import Matrix
 from .scalars import ONE, ZERO, Scalar
 
@@ -71,9 +70,10 @@ def extension_from_cocycle(base: LieAlgebra, alpha: BilinearForm) -> CentralExte
     for key, a in zip(_pairs(n), alpha.flat):
         if a:
             table.setdefault(key, [ZERO] * (n + 1))[n] = a
-    total = from_structure_constants(
-        n + 1, dict(sorted(table.items())),
-        labels=tuple(base.basis_labels) + ("z",), force=True)
+    # alpha is a cocycle on a Lie algebra, so the total satisfies Jacobi
+    total = LieAlgebra(dim=n + 1,
+                       brackets={key: tuple(vec) for key, vec in sorted(table.items())},
+                       basis_labels=tuple(base.basis_labels) + ("z",))
     injection = tuple([ZERO] * n + [ONE])
     projection = tuple(tuple(ONE if r == c else ZERO for c in range(n + 1))
                        for r in range(n))
@@ -99,43 +99,57 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
         failures.append(f"stored section is not {n + 1} x {n}")
     if failures:
         return failures
-    if linalg.vec_is_zero(f):
+    f_terms = ext.injection_terms
+    if not f_terms:
         failures.append("injection vector is zero")
-    # f is a homomorphism from the abelian line: [f, f] = 0
-    if any(bracket(total, f, f)):
-        failures.append("injection bracket [f,f] is nonzero")
     # g is a homomorphism on all total basis pairs
     for i, j, defect in _homomorphism_defects(g, total, ext.base):
         if defect:
             failures.append(f"projection is not a homomorphism at ({i},{j})")
     # exactness: g f = 0 and rank g = n, so ker g = span f
-    if any(linalg.mat_vec(g, f)):
+    g_cols = _columns(g, n + 1)
+    if _combination((x, g_cols[t]) for t, x in f_terms):
         failures.append("g(f) is nonzero; image of f is not in ker g")
     if linalg.rank(g, n + 1) != n:
         failures.append("projection is not surjective")
-    # centrality of the kernel line inside the total algebra
-    for j, e_j in enumerate(linalg.identity_matrix(n + 1)):
-        if any(bracket(total, f, e_j)):
+    # centrality of the kernel line; [f, f] = 0 needs no check of its own
+    terms = total.bracket_terms
+    for j in range(n + 1):
+        if _combination((x, terms.get((t, j), ())) for t, x in f_terms):
             failures.append(f"kernel line is not central: [f, x_{j}] != 0")
     if s is not None and not _is_right_inverse(g, s, n):
         failures.append("stored section does not satisfy g s = I")
     return failures
 
 
-def _is_right_inverse(g: Matrix, s: Matrix, n: int) -> bool:
-    """g s = I_n for an n-column s, summed over the nonzeros of g and s."""
-    if any(len(row) != n for row in s):
-        return False
-    s_terms = [[(c, y) for c, y in enumerate(row) if y] for row in s]
-    for r, g_row in enumerate(g):
-        acc: dict[int, Scalar] = {}
-        for x, terms in zip(g_row, s_terms):
+def _columns(m: Matrix, ncols: int) -> list[list[tuple[int, Scalar]]]:
+    """The nonzero entries (r, x) of each column of a row-major matrix."""
+    cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(ncols)]
+    for r, row in enumerate(m):
+        for c, x in enumerate(row):
             if x:
-                for c, y in terms:
-                    acc[c] = acc[c] + x * y if c in acc else x * y
-        if {c: v for c, v in acc.items() if v} != {r: ONE}:
-            return False
-    return True
+                cols[c].append((r, x))
+    return cols
+
+
+def _combination(terms) -> dict[int, Scalar]:
+    """Sum of x * column over the pairs (x, column), each column given by its
+    nonzero entries (r, y), as the nonzero entries {r: value} of the sum."""
+    acc: dict[int, Scalar] = {}
+    for x, column in terms:
+        for r, y in column:
+            v = x * y
+            acc[r] = acc[r] + v if r in acc else v
+    return {r: v for r, v in acc.items() if v}
+
+
+def _is_right_inverse(g: Matrix, s: Matrix, n: int) -> bool:
+    """g s = I_n for an n-column s, column by column."""
+    if any(len(row) != n for row in s) or any(len(row) != len(s) for row in g):
+        return False
+    g_cols = _columns(g, len(s))
+    return all(_combination((x, g_cols[t]) for t, x in col) == {c: ONE}
+               for c, col in enumerate(_columns(s, n)))
 
 
 def _homomorphism_defects(m: Matrix, source: LieAlgebra, target: LieAlgebra):
@@ -144,21 +158,15 @@ def _homomorphism_defects(m: Matrix, source: LieAlgebra, target: LieAlgebra):
 
     M is a homomorphism exactly when every defect is empty.
     """
-    cols = [[(r, row[c]) for r, row in enumerate(m) if row[c]]
-            for c in range(source.dim)]
+    cols = _columns(m, source.dim)
     source_terms, target_terms = source.bracket_terms, target.bracket_terms
     for i in range(source.dim):
         for j in range(i + 1, source.dim):
-            defect: dict[int, Scalar] = {}
-            for a, x in cols[i]:
-                for b, y in cols[j]:
-                    for k, c in target_terms.get((a, b), ()):
-                        v = x * y * c
-                        defect[k] = defect[k] + v if k in defect else v
-            for k, c in source_terms.get((i, j), ()):
-                for r, x in cols[k]:
-                    defect[r] = defect[r] - c * x if r in defect else -(c * x)
-            yield i, j, {r: v for r, v in defect.items() if v}
+            images = [(x * y, target_terms[(a, b)])
+                      for a, x in cols[i] for b, y in cols[j]
+                      if (a, b) in target_terms]
+            images += [(-c, cols[k]) for k, c in source_terms.get((i, j), ())]
+            yield i, j, _combination(images)
 
 
 def find_section(ext: CentralExtension) -> list[list[Scalar]]:
@@ -234,18 +242,18 @@ def equivalence_map(ext1: CentralExtension,
     if sigma is None:
         return None
     n = base.dim
-    f2 = ext2.injection_f
+    # column k of phi is s2 y + (kappa1(e_k - s1 y) + sigma(y)) f2, y = g1 e_k
+    s1_cols, s2_cols = _columns(s1, n), _columns(s2, n)
+    f2 = ext2.injection_terms
     phi_cols = []
-    for ek in linalg.identity_matrix(n + 1):
-        y = linalg.mat_vec(ext1.projection_g, ek)
-        residue = linalg.vec_sub(ek, linalg.mat_vec(s1, y))
-        c = _kernel_coefficient(ext1, {t: x for t, x in enumerate(residue) if x})
-        col = linalg.mat_vec(s2, y)
-        shift = c + sigma.value(y)
-        if shift:
-            col = linalg.vec_add(col, linalg.vec_scale(shift, f2))
-        phi_cols.append(col)
-    return [[phi_cols[k][r] for k in range(n + 1)] for r in range(n + 1)]
+    for k, y in enumerate(_columns(ext1.projection_g, n + 1)):
+        residue = _combination([(ONE, ((k, ONE),))]
+                               + [(-x, s1_cols[c]) for c, x in y])
+        shift = sum((sigma.vector[c] * x for c, x in y),
+                    _kernel_coefficient(ext1, residue))
+        phi_cols.append(_combination([(x, s2_cols[c]) for c, x in y]
+                                     + [(shift, f2)]))
+    return [[col.get(r, ZERO) for col in phi_cols] for r in range(n + 1)]
 
 
 def verify_equivalence_map(ext1: CentralExtension, ext2: CentralExtension,
@@ -258,11 +266,13 @@ def verify_equivalence_map(ext1: CentralExtension, ext2: CentralExtension,
     for i, j, defect in _homomorphism_defects(phi, ext1.total, ext2.total):
         if defect:
             failures.append(f"phi is not a homomorphism at ({i},{j})")
-    if not linalg.vec_eq(linalg.mat_vec(phi, ext1.injection_f),
-                         list(ext2.injection_f)):
+    phi_cols = _columns(phi, n1)
+    if (_combination((x, phi_cols[t]) for t, x in ext1.injection_terms)
+            != dict(ext2.injection_terms)):
         failures.append("phi does not carry the first injection to the second")
-    if not linalg.mat_eq(linalg.mat_mul(ext2.projection_g, phi),
-                         [list(r) for r in ext1.projection_g]):
+    g2_cols = _columns(ext2.projection_g, n1)
+    if any(_combination((x, g2_cols[t]) for t, x in col) != dict(g1_col)
+           for col, g1_col in zip(phi_cols, _columns(ext1.projection_g, n1))):
         failures.append("g2 phi differs from g1")
     if linalg.rank(phi, n1) != n1:
         failures.append("phi is not invertible")

@@ -71,7 +71,9 @@ def from_cayley_table(table: Sequence[Sequence[int]],
 
     Entries must be ``int`` (a float, bool or string is a ``TypeError``,
     never truncated or coerced) in [0, n); some element must be a two-sided
-    identity, and every element needs a two-sided inverse.
+    identity, and every element needs a two-sided inverse.  These checks read
+    a row at a time and scan single entries only for a witness: the first
+    out-of-range (i, j, v), the first identity, the first two-sided inverse.
 
     Associativity is certified by Light's test (Clifford & Preston, *The
     Algebraic Theory of Semigroups*, vol. 1, 1961) in O(n^2 |S|).  The
@@ -99,28 +101,18 @@ def from_cayley_table(table: Sequence[Sequence[int]],
             j, x = next((j, x) for j, x in enumerate(row) if type(x) is not int)
             raise TypeError(f"table[{i}][{j}] = {x!r} is not an integer")
         rows.append(tuple(row))
-    for i in range(n):
-        for j in range(n):
-            v = rows[i][j]
-            if not 0 <= v < n:
-                raise NotClosed(f"table[{i}][{j}] = {v} is outside [0, {n})",
-                                witness=[i, j, v])
-    identity = None
-    for e in range(n):
-        if all(rows[e][j] == j and rows[j][e] == j for j in range(n)):
-            identity = e
-            break
+    for i, row in enumerate(rows):
+        if min(row) < 0 or max(row) >= n:
+            j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
+            raise NotClosed(f"table[{i}][{j}] = {v} is outside [0, {n})",
+                            witness=[i, j, v])
+    # the identity row is 0..n-1; only such rows need their column read
+    natural = tuple(range(n))
+    identity = next((e for e, row in enumerate(rows) if row == natural
+                     and all(rows[j][e] == j for j in natural)), None)
     if identity is None:
         raise NoIdentity("no two-sided identity element")
-    inverse = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] == identity and rows[j][i] == identity:
-                inverse[i] = j
-                break
-        if inverse[i] < 0:
-            raise MissingInverse(f"element {i} has no two-sided inverse",
-                                 witness=[i])
+    inverse = [_two_sided_inverse(rows, i, identity) for i in range(n)]
     if not all(_associates_through(rows, s)
                for s in _magma_generators(rows, identity)):
         i, j, k = _first_nonassociative(rows)
@@ -130,6 +122,21 @@ def from_cayley_table(table: Sequence[Sequence[int]],
         raise BadParameter(f"{len(lab)} labels for {n} elements")
     return FiniteGroup(order=n, table=tuple(rows), identity=identity,
                        inverse=tuple(inverse), labels=lab)
+
+
+def _two_sided_inverse(rows: list[tuple[int, ...]], i: int, identity: int) -> int:
+    """The first j with i j = j i = identity; only the j where row i holds the
+    identity are read."""
+    row = rows[i]
+    j = -1
+    while True:
+        try:
+            j = row.index(identity, j + 1)
+        except ValueError:
+            raise MissingInverse(f"element {i} has no two-sided inverse",
+                                 witness=[i]) from None
+        if rows[j][i] == identity:
+            return j
 
 
 def _magma_generators(rows: list[tuple[int, ...]], identity: int) -> list[int]:

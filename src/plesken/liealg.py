@@ -109,12 +109,11 @@ def _normalize_table(dim: int, table) -> dict[tuple[int, int], tuple[Scalar, ...
 
 
 def from_structure_constants(dim: int, table,
-                             labels: Optional[Sequence[str]] = None,
-                             force: bool = False) -> LieAlgebra:
+                             labels: Optional[Sequence[str]] = None) -> LieAlgebra:
     """Build an algebra from a bracket table, refusing non-Jacobi data.
 
     ``table`` maps (i, j) with i < j to length-``dim`` coefficient vectors;
-    missing pairs mean zero bracket.  ``force=True`` skips the Jacobi check.
+    missing pairs mean zero bracket.
     """
     if dim < 0:
         raise BadParameter(f"dimension must be non-negative, got {dim}")
@@ -123,13 +122,12 @@ def from_structure_constants(dim: int, table,
     if len(lab) != dim:
         raise BadParameter(f"{len(lab)} labels for dimension {dim}")
     algebra = LieAlgebra(dim=dim, brackets=brackets, basis_labels=lab)
-    if not force:
-        failures = verify_lie_axioms(algebra)
-        if failures:
-            i, j, k, residual = failures[0]
-            raise JacobiViolation(
-                f"Jacobi identity fails on basis triple ({i},{j},{k})",
-                witness=[i, j, k, [str(x) for x in residual]])
+    failures = verify_lie_axioms(algebra)
+    if failures:
+        i, j, k, residual = failures[0]
+        raise JacobiViolation(
+            f"Jacobi identity fails on basis triple ({i},{j},{k})",
+            witness=[i, j, k, [str(x) for x in residual]])
     return algebra
 
 

@@ -9,6 +9,11 @@ nullspace bases, solutions, inverses and :class:`Subspace` are read off it.
 The one other path, :func:`rank_reversed`, is a deliberately different, dense
 ordering (right-to-left columns, bottom-up pivots) kept as an independent
 cross-check; callers that need a verified rank run both and compare.
+
+There is no matrix product here: the structure maps of an extension are
+multiplied on the sparse-column kernel of :mod:`plesken.extensions`, and
+representation matrices on the Gaussian-integer kernel of
+:mod:`plesken.projreps`.
 """
 
 from __future__ import annotations
@@ -38,54 +43,8 @@ def identity_matrix(n: int) -> list[list[Scalar]]:
     return m
 
 
-def vec_add(u: Vector, v: Vector) -> list[Scalar]:
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u: Vector, v: Vector) -> list[Scalar]:
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c: Scalar, u: Vector) -> list[Scalar]:
-    return [c * a for a in u]
-
-
 def vec_is_zero(u: Vector) -> bool:
     return not any(u)
-
-
-def vec_eq(u: Vector, v: Vector) -> bool:
-    return len(u) == len(v) and all(a == b for a, b in zip(u, v))
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(vec_eq(x, y) for x, y in zip(a, b))
-
-
-def mat_vec(m: Matrix, v: Vector) -> list[Scalar]:
-    out = []
-    for row in m:
-        acc = ZERO
-        for c, x in zip(row, v):
-            if c and x:
-                acc = acc + c * x
-        out.append(acc)
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> list[list[Scalar]]:
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = ZERO
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            orow.append(acc)
-        out.append(orow)
-    return out
 
 
 def freeze_matrix(m: Matrix) -> tuple[tuple[Scalar, ...], ...]:

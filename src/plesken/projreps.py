@@ -213,6 +213,21 @@ def _defect(cleared: tuple[int, list[_Cleared]], algebra: LieAlgebra,
     return Scalar._make(c, ci, total)
 
 
+def _conjugation_residual(shifted: Matrix, f: Matrix, m: Matrix,
+                          f_inv: Matrix) -> tuple:
+    """shifted - f m f^-1, formed in Gaussian integers over one denominator D:
+    D^2 shifted and (D f)(D m)(D f^-1) are both D^3 times their true values."""
+    den, (s, a, b, c) = _clear([shifted, f, m, f_inv])
+    re, im = _gaussian(_product, a, b)
+    fm = _Cleared((re, None), (im, None) if any(map(any, im)) else None)
+    re, im = _gaussian(_product, fm, c)
+    d2 = den * den
+    s_im = s.im[0] if s.im is not None else [(0,) * len(row) for row in re]
+    return tuple(tuple(Scalar._make(d2 * x - u, d2 * y - v, d2 * den)
+                       for x, y, u, v in zip(*rows))
+                 for rows in zip(s.re[0], s_im, re, im))
+
+
 def _shift_diagonal(m: Matrix, s: Scalar) -> list[list[Scalar]]:
     """m - s I, as a fresh list of rows."""
     out = [list(row) for row in m]
@@ -327,9 +342,8 @@ def verify_projective_equivalence(rep1: ProjectiveRep, rep2: ProjectiveRep,
         right = _gaussian(_product, f_int, phi1)
         if any(x * den1 != y * den2 for lpart, rpart in zip(left, right)
                for lrow, rrow in zip(lpart, rpart) for x, y in zip(lrow, rrow)):
-            conj = linalg.mat_mul(linalg.mat_mul(f, rep1.matrices[i]), f_inv)
-            residual = [linalg.vec_sub(r1, r2) for r1, r2 in zip(shifted, conj)]
-            failures.append((i, linalg.freeze_matrix(residual)))
+            residual = _conjugation_residual(shifted, f, rep1.matrices[i], f_inv)
+            failures.append((i, residual))
     return EquivalenceReport(failures=tuple(failures),
                              delta_is_zero=not any(delta.vector))
 

@@ -247,8 +247,7 @@ def criterion_whitehead_q8(fixtures: FixtureSet, rng: random.Random) -> dict:
     if result.dimension != 0:
         return _fail(f"dim H^2(L(Q8)) = {result.dimension}, expected 0")
     zero = BilinearForm.zero(algebra.dim)
-    sweep = [BilinearForm.from_flat(algebra.dim, row) for row in result.z2.basis]
-    sweep += [random_cocycle(rng, algebra, result.z2) for _ in range(10)]
+    sweep = _cocycle_sweep(rng, algebra, result.z2, extra=10)
     for idx, alpha in enumerate(sweep):
         if are_cohomologous(algebra, alpha, zero) is None:
             return _fail(f"cocycle {idx} over L(Q8) is not a coboundary")

@@ -1,0 +1,150 @@
+"""Dense Scalar oracles for the tests.
+
+The library multiplies matrices on two kernels only: sparse columns for the
+structure maps of an extension and Gaussian integers for representation
+matrices.  The plain row-by-column products below are the independent slow
+path the tests compare both against, together with dense restatements of the
+extension checks that read every entry of every map.
+"""
+
+from __future__ import annotations
+
+from plesken import linalg
+from plesken.cohomology import are_cohomologous
+from plesken.errors import BaseMismatch
+from plesken.extensions import _kernel_coefficient, cocycle_from_extension, find_section
+from plesken.liealg import bracket
+from plesken.scalars import ZERO
+
+
+def vec_add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def vec_sub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+def vec_scale(c, u):
+    return [c * a for a in u]
+
+
+def vec_eq(u, v):
+    return len(u) == len(v) and all(a == b for a, b in zip(u, v))
+
+
+def mat_eq(a, b):
+    return len(a) == len(b) and all(vec_eq(x, y) for x, y in zip(a, b))
+
+
+def mat_vec(m, v):
+    out = []
+    for row in m:
+        acc = ZERO
+        for c, x in zip(row, v):
+            if c and x:
+                acc = acc + c * x
+        out.append(acc)
+    return out
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    out = []
+    for row in a:
+        orow = []
+        for col in bt:
+            acc = ZERO
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = acc + x * y
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def column(m, k):
+    return [row[k] for row in m]
+
+
+def homomorphism_failures(m, source, target, name):
+    """"<name> is not a homomorphism at (i,j)" wherever
+    [M e_i, M e_j] != M [e_i, e_j], from whole columns of M."""
+    return [f"{name} is not a homomorphism at ({i},{j})"
+            for i in range(source.dim) for j in range(i + 1, source.dim)
+            if any(vec_sub(bracket(target, column(m, i), column(m, j)),
+                           mat_vec(m, source.structure(i, j))))]
+
+
+def verify_central_extension(ext):
+    """The checks of :func:`plesken.extensions.verify_central_extension`,
+    stated on dense vectors and products, in the same order and words."""
+    n = ext.base.dim
+    total = ext.total
+    if total.dim != n + 1:
+        return [f"total dim {total.dim} is not base dim {n} + 1"]
+    f, g, s = ext.injection_f, ext.projection_g, ext.section_s
+    failures = []
+    if len(f) != n + 1:
+        failures.append(f"injection has length {len(f)}, not {n + 1}")
+    if len(g) != n or any(len(row) != n + 1 for row in g):
+        failures.append(f"projection is not {n} x {n + 1}")
+    if s is not None and (len(s) != n + 1 or any(len(row) != n for row in s)):
+        failures.append(f"stored section is not {n + 1} x {n}")
+    if failures:
+        return failures
+    if not any(f):
+        failures.append("injection vector is zero")
+    if any(bracket(total, f, f)):
+        failures.append("injection bracket [f,f] is nonzero")
+    failures += homomorphism_failures(g, total, ext.base, "projection")
+    if any(mat_vec(g, f)):
+        failures.append("g(f) is nonzero; image of f is not in ker g")
+    if linalg.rank(g, n + 1) != n:
+        failures.append("projection is not surjective")
+    for j, e_j in enumerate(linalg.identity_matrix(n + 1)):
+        if any(bracket(total, f, e_j)):
+            failures.append(f"kernel line is not central: [f, x_{j}] != 0")
+    if s is not None and not mat_eq(mat_mul(g, s), linalg.identity_matrix(n)):
+        failures.append("stored section does not satisfy g s = I")
+    return failures
+
+
+def equivalence_map(ext1, ext2):
+    """phi(e_k) = s2 y + (kappa1(e_k - s1 y) + sigma(y)) f2 with y = g1 e_k,
+    every product dense."""
+    base = ext1.base
+    if base.dim != ext2.base.dim or base.brackets != ext2.base.brackets:
+        raise BaseMismatch("extensions are not over the same base algebra")
+    s1 = find_section(ext1)
+    s2 = find_section(ext2)
+    alpha = cocycle_from_extension(ext1, s1)
+    beta = cocycle_from_extension(ext2, s2)
+    sigma = are_cohomologous(base, alpha, beta)
+    if sigma is None:
+        return None
+    n = base.dim
+    phi_cols = []
+    for ek in linalg.identity_matrix(n + 1):
+        y = mat_vec(ext1.projection_g, ek)
+        residue = vec_sub(ek, mat_vec(s1, y))
+        c = _kernel_coefficient(ext1, {t: x for t, x in enumerate(residue) if x})
+        shift = c + sigma.value(y)
+        phi_cols.append(vec_add(mat_vec(s2, y), vec_scale(shift, ext2.injection_f)))
+    return [[phi_cols[k][r] for k in range(n + 1)] for r in range(n + 1)]
+
+
+def verify_equivalence_map(ext1, ext2, phi):
+    """The checks of :func:`plesken.extensions.verify_equivalence_map` on
+    dense products."""
+    n1 = ext1.total.dim
+    if len(phi) != n1 or any(len(row) != n1 for row in phi):
+        return [f"phi must be {n1} x {n1}"]
+    failures = homomorphism_failures(phi, ext1.total, ext2.total, "phi")
+    if not vec_eq(mat_vec(phi, ext1.injection_f), list(ext2.injection_f)):
+        failures.append("phi does not carry the first injection to the second")
+    if not mat_eq(mat_mul(ext2.projection_g, phi), [list(r) for r in ext1.projection_g]):
+        failures.append("g2 phi differs from g1")
+    if linalg.rank(phi, n1) != n1:
+        failures.append("phi is not invertible")
+    return failures

@@ -30,7 +30,14 @@ from plesken.cohomology import (
 )
 from plesken.extensions import extension_from_cocycle
 from plesken.groups import from_permutation_generators
-from plesken.liealg import derived_subalgebra, from_structure_constants, plesken_algebra
+from plesken.liealg import (
+    LieAlgebra,
+    _default_labels,
+    _normalize_table,
+    derived_subalgebra,
+    from_structure_constants,
+    plesken_algebra,
+)
 from plesken.scalars import ONE, ZERO, I, Scalar
 
 S = Scalar
@@ -413,7 +420,7 @@ def test_linked_triples_match_all_triples_on_sparse_tables():
             for k in rng.sample(range(n), rng.randint(1, 2)):
                 vec[k] = rng.choice([-2, -1, 1, 2])
             table[(i, j)] = vec
-        algebra = from_structure_constants(n, table, force=True)
+        algebra = LieAlgebra(n, _normalize_table(n, table), _default_labels(n))
         forms = [_sparse_form(rng, n, rng.randint(1, 4)) for _ in range(3)]
         forms += [BilinearForm.from_flat(n, row) for row in z2_basis(algebra).basis[:2]]
         for ok, _ in _check_against_all_triples(algebra, forms):

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+import dense
+from dense import column, mat_eq, mat_mul, mat_vec
 from plesken import errors, linalg
 from plesken.cli import main
 from plesken.cohomology import (
@@ -29,8 +31,9 @@ from plesken.extensions import (
     verify_central_extension,
     verify_equivalence_map,
 )
-from plesken.liealg import from_structure_constants, verify_lie_axioms
+from plesken.liealg import bracket, from_structure_constants, verify_lie_axioms
 from plesken.scalars import ONE, ZERO, Scalar
+from plesken.verify import random_cocycle, random_functional
 
 S = Scalar
 
@@ -92,8 +95,8 @@ def test_find_section_heis_fixture(heis_ext):
     section = find_section(heis_ext)
     # forget-Z projection: s(X) = X, s(Y) = Y
     assert section == [[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]]
-    gs = linalg.mat_mul(heis_ext.projection_g, section)
-    assert linalg.mat_eq(gs, linalg.identity_matrix(2))
+    gs = mat_mul(heis_ext.projection_g, section)
+    assert mat_eq(gs, linalg.identity_matrix(2))
 
 
 def test_cocycle_roundtrip_exact(abelian2):
@@ -179,14 +182,14 @@ def test_split_witness_is_homomorphic_section(abelian2):
     assert not is_split(ext).split
     ext2 = extension_from_cocycle(abelian2, BilinearForm.zero(2))
     witness = is_split(ext2).section
-    gs = linalg.mat_mul(ext2.projection_g, [list(r) for r in witness])
-    assert linalg.mat_eq(gs, linalg.identity_matrix(2))
+    gs = mat_mul(ext2.projection_g, [list(r) for r in witness])
+    assert mat_eq(gs, linalg.identity_matrix(2))
 
 
 def test_equivalence_self(abelian2):
     ext = extension_from_cocycle(abelian2, xy_form())
     phi = equivalence_map(ext, ext)
-    assert linalg.mat_eq(phi, linalg.identity_matrix(3))
+    assert mat_eq(phi, linalg.identity_matrix(3))
     assert verify_equivalence_map(ext, ext, phi) == []
 
 
@@ -260,12 +263,163 @@ def test_extension_json_rejects_broken_document(abelian2):
         extension_from_json(doc)
 
 
+# -- the dense oracle on extensions in a non-canonical basis ------------------------
+
+# f = 2/3 + i times the carried injection: a scalar other than 1, -1, i, -i
+F_SCALE = S(Fraction(2, 3), 1)
+ORACLE_BASES = ["abelian2", "heis3", "sl2", "L(C7)", "L(Q8)", "L(E9)"]
+
+
+def _rand_entry(rng):
+    """A nonzero Q(i) scalar with small numerators and denominators."""
+    while True:
+        x = S(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+              Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        if x:
+            return x
+
+
+def _rebased(ext, rng):
+    """ext in new total coordinates T x, T = P U with P a seeded permutation
+    and U unitriangular; f is also scaled by F_SCALE and the stored section
+    moved to s + f tau.  The result extends the same base along the same
+    cocycle class, with f, g and s all off the canonical e_n, [I | 0], (x, 0).
+    """
+    m = ext.total.dim
+    perm = list(range(m))
+    rng.shuffle(perm)
+    shear = linalg.identity_matrix(m)
+    for _ in range(2):
+        i, j = sorted(rng.sample(range(m), 2))
+        shear[i][j] = _rand_entry(rng)
+    t = mat_mul([[ONE if perm[c] == r else ZERO for c in range(m)] for r in range(m)],
+                shear)
+    t_inv = linalg.invert(t)
+    images = [column(t_inv, k) for k in range(m)]
+    table = {(i, j): mat_vec(t, bracket(ext.total, images[i], images[j]))
+             for i in range(m) for j in range(i + 1, m)}
+    f = tuple(F_SCALE * x for x in mat_vec(t, ext.injection_f))
+    tau = [_rand_entry(rng) for _ in range(m - 1)]
+    section = [[x + f[r] * y for x, y in zip(row, tau)]
+               for r, row in enumerate(mat_mul(t, ext.section_s))]
+    return CentralExtension(
+        total=from_structure_constants(m, table), base=ext.base, injection_f=f,
+        projection_g=linalg.freeze_matrix(mat_mul(ext.projection_g, t_inv)),
+        section_s=linalg.freeze_matrix(section))
+
+
+def _oracle_pairs(fixture_set, name):
+    """Two pairs of rebased extensions over the named fixture algebra: along
+    cohomologous cocycles, then along two random cocycles."""
+    rng = random.Random(f"oracle-{name}")
+    algebra = dict(fixture_set.algebras)[name]
+    z2 = fixture_set.h2_of(name).z2
+    alpha = random_cocycle(rng, algebra, z2)
+    beta = alpha.add(coboundary(algebra, random_functional(rng, algebra.dim)))
+    other = random_cocycle(rng, algebra, z2)
+    return [(_rebased(extension_from_cocycle(algebra, alpha), rng),
+             _rebased(extension_from_cocycle(algebra, form), rng))
+            for form in (beta, other)]
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the code, message and witness of its domain error."""
+    try:
+        return fn(*args)
+    except errors.DomainError as err:
+        return err.code, str(err), err.witness
+
+
+def _perturbed(matrix, r, c, eps):
+    rows = [list(row) for row in matrix]
+    rows[r][c] = rows[r][c] + eps
+    return linalg.freeze_matrix(rows)
+
+
+def _perturbations(ext, rng):
+    """ext with one entry of f, g or the stored section changed, every entry."""
+    m = ext.total.dim
+    for t in range(m):
+        f = list(ext.injection_f)
+        f[t] = f[t] + _rand_entry(rng)
+        yield f"f[{t}]", CentralExtension(ext.total, ext.base, tuple(f),
+                                          ext.projection_g, ext.section_s)
+    for r in range(m - 1):
+        for c in range(m):
+            g = _perturbed(ext.projection_g, r, c, _rand_entry(rng))
+            yield f"g[{r}][{c}]", CentralExtension(ext.total, ext.base, ext.injection_f,
+                                                   g, ext.section_s)
+    for r in range(m):
+        for c in range(m - 1):
+            s = _perturbed(ext.section_s, r, c, _rand_entry(rng))
+            yield f"s[{r}][{c}]", CentralExtension(ext.total, ext.base, ext.injection_f,
+                                                   ext.projection_g, s)
+
+
+@pytest.mark.parametrize("name", ORACLE_BASES)
+def test_equivalence_map_matches_dense_oracle(name, fixture_set):
+    for k, (ext1, ext2) in enumerate(_oracle_pairs(fixture_set, name)):
+        for ext in (ext1, ext2):
+            m = ext.total.dim
+            assert ext.injection_f != tuple([ZERO] * (m - 1) + [ONE])
+            assert ext.projection_g != linalg.freeze_matrix(
+                linalg.identity_matrix(m)[:-1])
+            assert ext.section_s != linalg.freeze_matrix(find_section(ext))
+            assert verify_central_extension(ext) == []
+            assert dense.verify_central_extension(ext) == []
+        phi = equivalence_map(ext1, ext2)
+        assert phi == dense.equivalence_map(ext1, ext2)
+        assert phi is not None or k == 1
+        if phi is not None:
+            assert verify_equivalence_map(ext1, ext2, phi) == []
+
+
+@pytest.mark.parametrize("name", ORACLE_BASES)
+def test_failures_match_dense_oracle_under_perturbation(name, fixture_set):
+    # one entry of phi, f, g or s changed at a time: the same phi or domain
+    # error, and the same failure strings in the same order, as the oracle
+    rng = random.Random(f"perturb-{name}")
+    seen = set()
+    for ext1, ext2 in _oracle_pairs(fixture_set, name):
+        phi = dense.equivalence_map(ext1, ext2) or linalg.identity_matrix(ext1.total.dim)
+        m = len(phi)
+        for r in range(m):
+            for c in range(m):
+                bad = _perturbed(phi, r, c, _rand_entry(rng))
+                failures = verify_equivalence_map(ext1, ext2, bad)
+                assert failures == dense.verify_equivalence_map(ext1, ext2, bad), (r, c)
+                seen.update(failures)
+        for which in (0, 1):
+            for where, ext in _perturbations((ext1, ext2)[which], rng):
+                pair = (ext, ext2) if which == 0 else (ext1, ext)
+                failures = verify_central_extension(ext)
+                assert failures == dense.verify_central_extension(ext), where
+                seen.update(failures)
+                outcome = _outcome(equivalence_map, *pair)
+                assert outcome == _outcome(dense.equivalence_map, *pair), where
+                if isinstance(outcome, tuple):
+                    seen.add(outcome[0])
+                failures = verify_equivalence_map(*pair, phi)
+                assert failures == dense.verify_equivalence_map(*pair, phi), where
+                seen.update(failures)
+    assert any("homomorphism" in x for x in seen)
+    assert "g(f) is nonzero; image of f is not in ker g" in seen
+    assert "stored section does not satisfy g s = I" in seen
+    assert "g2 phi differs from g1" in seen
+    assert "DefectNotInKernel" in seen
+
+
 # stdout sha256 of each verb on the dim-200 zero-bracket extensions below, as
-# printed before reading an extension stopped costing O(n^3) Scalar products
+# printed before reading an extension, and then mapping one extension onto
+# another, stopped costing O(n^3) Scalar products
 WIDE_VERBS = [
-    ("cocycle", "ext_a", "f0770c835edc7e912acb584a3c990f7c65935fdaa4960564b4cde6bb4ccda8cd"),
-    ("split", "ext_a", "a474de153659460e39382035f1cc6e0a8809e0d80ca65e69d4346ec02f2f0b92"),
-    ("split", "ext_zero", "2b35e13fa20e5c4ab6f1a0a985b5a498660ae592d38231fe2909037d7dca0223"),
+    ("cocycle", ("ext_a",), "f0770c835edc7e912acb584a3c990f7c65935fdaa4960564b4cde6bb4ccda8cd"),
+    ("split", ("ext_a",), "a474de153659460e39382035f1cc6e0a8809e0d80ca65e69d4346ec02f2f0b92"),
+    ("split", ("ext_zero",), "2b35e13fa20e5c4ab6f1a0a985b5a498660ae592d38231fe2909037d7dca0223"),
+    ("equiv", ("ext_a", "ext_a"),
+     "81014c4f441edaf9d3787f4441e22dd92499406c48088b4ddcb30c58bda5523b"),
+    ("equiv", ("ext_a", "ext_zero"),
+     "0c093f037a859b79e636c6bb739b72840ee4bcf152b0908c01c04415fa0b5773"),
 ]
 
 
@@ -292,12 +446,17 @@ def wide_extensions(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("verb,ext,digest", WIDE_VERBS,
-                         ids=[f"{verb}-{ext}" for verb, ext, _ in WIDE_VERBS])
-def test_wide_extension_verbs_are_fast(verb, ext, digest, wide_extensions, capsys):
+@pytest.mark.parametrize("verb,exts,digest", WIDE_VERBS,
+                         ids=["-".join((verb,) + exts) for verb, exts, _ in WIDE_VERBS])
+def test_wide_extension_verbs_are_fast(verb, exts, digest, wide_extensions, capsys):
+    paths = [wide_extensions[ext] for ext in exts]
+    if len(paths) == 1:
+        argv = ["-e", paths[0]]
+    else:
+        argv = ["-e1", paths[0], "-e2", paths[1]]
     capsys.readouterr()
     start = time.perf_counter()
-    assert main(["extension", verb, "-e", wide_extensions[ext]]) == 0
+    assert main(["extension", verb] + argv) == 0
     elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

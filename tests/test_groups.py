@@ -11,6 +11,7 @@ from plesken.groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     _magma_generators,
+    _two_sided_inverse,
     from_cayley_table,
     from_matrix_generators_mod_p,
     from_permutation_generators,
@@ -209,6 +210,90 @@ def test_json_rejects_non_integer_entries():
     for key, value in (("order", 2.0), ("identity", True)):
         with pytest.raises(TypeError, match=key):
             group_from_json({"table": [[0, 1], [1, 0]], key: value})
+
+
+# -- range, identity and inverses: row scans against the cell-by-cell loops ------
+
+
+def cell_validation(table):
+    """Oracle: the cell-by-cell range, identity and inverse loops; the code
+    and witness of the first failure, or (identity, inverses)."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            v = table[i][j]
+            if not 0 <= v < n:
+                return "NotClosed", [i, j, v]
+    identity = next((e for e in range(n) if all(table[e][j] == j and table[j][e] == j
+                                                for j in range(n))), None)
+    if identity is None:
+        return "NoIdentity", None
+    inverse = []
+    for i in range(n):
+        j = next((j for j in range(n)
+                  if table[i][j] == identity and table[j][i] == identity), None)
+        if j is None:
+            return "MissingInverse", [i]
+        inverse.append(j)
+    return identity, tuple(inverse)
+
+
+def broken_tables(rng):
+    """Relabelled group tables with cells out of range, the identity's row or
+    column changed, or identity entries whose mirror cell is not the identity."""
+    for name, param in [("cyclic", 6), ("dihedral", 4), ("symmetric", 3),
+                        ("quaternion8", 0), ("heisenberg_p", 3)]:
+        for kind in ("range", "identity", "one-sided", "extra") * 3:
+            table = relabel(preset(name, param).table, rng)
+            n = len(table)
+            e = table.index(list(range(n)))
+            others = [x for x in range(n) if x != e]
+            if kind == "range":
+                for r in rng.sample(range(n), rng.randint(1, 2)):
+                    for c in rng.sample(range(n), rng.randint(1, 3)):
+                        table[r][c] = rng.choice([-1, -7, n, n + 4])
+            elif kind == "identity":
+                c = rng.choice(others)
+                cell = (e, c) if rng.random() < 0.5 else (c, e)
+                table[cell[0]][cell[1]] = rng.choice([x for x in range(n) if x != c])
+            else:
+                # i j = e with j i != e: a one-sided inverse; "extra" keeps the
+                # two-sided one further along row i
+                i = rng.choice(others)
+                j = table[i].index(e)
+                if kind == "one-sided":
+                    table[j][i] = rng.choice(others)
+                else:
+                    k = rng.choice([x for x in range(n) if table[x][i] != e])
+                    table[i][k] = e
+            yield kind, table
+
+
+def test_row_scans_match_cell_loops():
+    kinds = set()
+    for kind, table in broken_tables(random.Random(2197)):
+        expected = cell_validation(table)
+        try:
+            group = from_cayley_table(table)
+            outcome = group.identity, group.inverse
+        except (errors.NotClosed, errors.NoIdentity, errors.MissingInverse) as err:
+            outcome = err.code, err.witness
+        except errors.NotAssociative:
+            # identity and inverses passed; read them as the validator does
+            identity = expected[0]
+            rows = [tuple(row) for row in table]
+            outcome = identity, tuple(_two_sided_inverse(rows, i, identity)
+                                      for i in range(len(rows)))
+        assert outcome == expected, kind
+        if isinstance(expected[0], str):
+            kinds.add((kind, expected[0]))
+        else:
+            # "skip": some row's first identity entry is only a one-sided inverse
+            identity, inverse = expected
+            skip = any(table[i].index(identity) != j for i, j in enumerate(inverse))
+            kinds.add((kind, "skip" if skip else "ok"))
+    assert {("range", "NotClosed"), ("identity", "NoIdentity"),
+            ("one-sided", "MissingInverse"), ("extra", "skip")} <= kinds
 
 
 # -- associativity: Light's test against the brute-force triple loop -----------

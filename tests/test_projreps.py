@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense import mat_mul, vec_sub
 from plesken import errors, linalg, projreps, verify
 from plesken.cli import main
 from plesken.cohomology import (
@@ -245,8 +246,8 @@ def test_rep_json_validates_identity(heis3):
 def _oracle_defect(rep, i, j):
     """[Phi(x_i), Phi(x_j)] - Phi([x_i, x_j]) by dense Scalar products."""
     a, b = rep.matrices[i], rep.matrices[j]
-    out = [linalg.vec_sub(r1, r2)
-           for r1, r2 in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
+    out = [vec_sub(r1, r2)
+           for r1, r2 in zip(mat_mul(a, b), mat_mul(b, a))]
     for k, c in rep.algebra.bracket_terms.get((i, j), ()):
         for row, image_row in zip(out, rep.matrices[k]):
             for s, x in enumerate(image_row):
@@ -398,7 +399,7 @@ def _random_rep(rng):
         f_inv = linalg.invert(f)
         if f_inv is not None:
             break
-    matrices = [linalg.mat_mul(linalg.mat_mul(f, m), f_inv) for m in matrices]
+    matrices = [mat_mul(mat_mul(f, m), f_inv) for m in matrices]
     for m in matrices:
         # sevenths, with an imaginary part: every rep has both
         shift = S(Fraction(rng.randint(-6, 6), 7),
@@ -437,7 +438,7 @@ def test_equivalence_matches_oracle_on_random_reps(seed):
         if f_inv is not None:
             break
     delta = LinearFunctional(tuple(_rand_scalar(rng) for _ in range(n)))
-    images = [linalg.mat_mul(linalg.mat_mul(f, m), f_inv) for m in rep1.matrices]
+    images = [mat_mul(mat_mul(f, m), f_inv) for m in rep1.matrices]
     for m, x in zip(images, delta.vector):
         for t in range(d):
             m[t][t] = m[t][t] + x
@@ -447,7 +448,7 @@ def test_equivalence_matches_oracle_on_random_reps(seed):
     rep2 = projective_rep(rep1.algebra, images)
     expected = []
     for i in range(n):
-        conj = linalg.mat_mul(linalg.mat_mul(f, rep1.matrices[i]), f_inv)
+        conj = mat_mul(mat_mul(f, rep1.matrices[i]), f_inv)
         residual = linalg.freeze_matrix(
             [[x - y - (delta.vector[i] if r == s else ZERO)
               for s, (x, y) in enumerate(zip(row2, row1))]

@@ -7,7 +7,10 @@ the space of alternating forms, flattened over the strict upper triangle in
 row-major order (0,1), (0,2), ..., (n-2,n-1), so that subspace computations
 are canonical.  A :class:`BilinearForm` stores that flat vector too, so forms
 and subspaces share one layout.  The cocycle condition walks the basis
-triples of :func:`~plesken.liealg._linked_triples`, as Jacobi does.
+triples of :func:`~plesken.liealg._linked_triples`, as Jacobi does, and reads
+its terms from the algebra's Gaussian-integer table; :func:`is_cocycle` clears
+the entries of alpha it can read to integers over their common denominator,
+so each residual is an integer pair and no ``Scalar`` is multiplied.
 
 Sign convention, used consistently by the extension and representation
 modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
@@ -18,6 +21,7 @@ modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
@@ -188,20 +192,20 @@ def coboundary(algebra: LieAlgebra, sigma: LinearFunctional) -> BilinearForm:
 
 
 def _cocycle_terms(algebra: LieAlgebra, i: int, j: int, k: int):
-    """(flat index, coefficient) terms of the cocycle condition on (i, j, k).
+    """(flat index, E Re c, E Im c) terms of the cocycle condition on (i, j, k),
+    E the common denominator of :attr:`~plesken.liealg.LieAlgebra.integer_terms`.
 
     alpha([x_i,x_j],x_k) + alpha([x_j,x_k],x_i) + alpha([x_k,x_i],x_j) is the
-    sum of coefficient * flat[index] over the yielded terms; an index may
-    repeat.
+    sum of c * flat[index] over the yielded terms; an index may repeat.
     """
     n = algebra.dim
-    terms = algebra.bracket_terms
+    terms = algebra.integer_terms.terms
     for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, cm in terms.get((a, b), ()):
+        for m, cr, ci in terms.get((a, b), ()):
             if m < t:
-                yield pair_index(n, m, t), cm
+                yield pair_index(n, m, t), cr, ci
             elif m > t:
-                yield pair_index(n, t, m), -cm
+                yield pair_index(n, t, m), -cr, -ci
 
 
 def _flat_over(algebra: LieAlgebra, alpha: BilinearForm) -> tuple[Scalar, ...]:
@@ -211,11 +215,30 @@ def _flat_over(algebra: LieAlgebra, alpha: BilinearForm) -> tuple[Scalar, ...]:
     return alpha.flat
 
 
+def _cleared_reads(algebra: LieAlgebra, flat: Vector) -> dict[int, tuple[int, int]]:
+    """D Re x and D Im x for each nonzero entry x of ``flat`` that the cocycle
+    condition can read, by flat index, D their common denominator.  Those are
+    the entries (m, t) with x_m in the image of some basis bracket, so a
+    zero-bracket algebra reads none."""
+    n = algebra.dim
+    image = {m for ts in algebra.integer_terms.terms.values() for m, _, _ in ts}
+    read = {}
+    for m in image:
+        for t in range(n):
+            if t != m:
+                idx = pair_index(n, min(m, t), max(m, t))
+                if flat[idx]:
+                    read[idx] = flat[idx]
+    den = lcm(*{x.d for x in read.values()})
+    return {idx: (x.a * (den // x.d), x.b * (den // x.d)) for idx, x in read.items()}
+
+
 def _residual(algebra: LieAlgebra, flat: Vector, i: int, j: int, k: int) -> Scalar:
+    den = algebra.integer_terms.den
     acc = ZERO
-    for idx, c in _cocycle_terms(algebra, i, j, k):
+    for idx, cr, ci in _cocycle_terms(algebra, i, j, k):
         if flat[idx]:
-            acc = acc + c * flat[idx]
+            acc = acc + Scalar._make(cr, ci, den) * flat[idx]
     return acc
 
 
@@ -231,10 +254,19 @@ def cocycle_residual(algebra: LieAlgebra, alpha: BilinearForm,
 
 def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
                ) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """True iff all residuals vanish; otherwise the first violating triple."""
-    flat = _flat_over(algebra, alpha)
+    """True iff all residuals vanish; otherwise the first violating triple.
+
+    Each residual is summed in Gaussian integers, E D times its true value."""
+    values = _cleared_reads(algebra, _flat_over(algebra, alpha))
     for i, j, k in _linked_triples(algebra):
-        if _residual(algebra, flat, i, j, k):
+        re = im = 0
+        for idx, cr, ci in _cocycle_terms(algebra, i, j, k):
+            x = values.get(idx)
+            if x is not None:
+                ar, ai = x
+                re += cr * ar - ci * ai
+                im += cr * ai + ci * ar
+        if re or im:
             return False, (i, j, k)
     return True, None
 
@@ -242,14 +274,17 @@ def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
 def _constraint_rows(algebra: LieAlgebra) -> list[list[Scalar]]:
     """One linear constraint over the flattened form per basis triple."""
     nflat = flat_dim(algebra.dim)
+    den = algebra.integer_terms.den
     rows = []
     for i, j, k in _linked_triples(algebra):
-        row = None
-        for idx, c in _cocycle_terms(algebra, i, j, k):
-            if row is None:
-                row = linalg.zeros(nflat)
-            row[idx] = row[idx] + c
-        if row is not None:
+        sums: dict[int, tuple[int, int]] = {}
+        for idx, cr, ci in _cocycle_terms(algebra, i, j, k):
+            re, im = sums.get(idx, (0, 0))
+            sums[idx] = (re + cr, im + ci)
+        if sums:
+            row = linalg.zeros(nflat)
+            for idx, (re, im) in sums.items():
+                row[idx] = Scalar._make(re, im, den)
             rows.append(row)
     return rows
 

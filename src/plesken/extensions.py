@@ -198,6 +198,8 @@ def _kernel_coefficient(ext: CentralExtension, vector: dict[int, Scalar]) -> Sca
     f_terms = ext.injection_terms
     if not f_terms:
         raise DefectNotInKernel("injection vector is zero")
+    if not vector:
+        return ZERO
     lead, f_lead = f_terms[0]
     c = vector.get(lead, ZERO) / f_lead
     if vector != ({t: c * x for t, x in f_terms} if c else {}):

@@ -413,14 +413,20 @@ def _heisenberg(p: int) -> FiniteGroup:
     _check_prime(p)
     if p ** 3 > DEFAULT_ORDER_CAP:
         raise BadParameter(f"heisenberg group of order {p ** 3} exceeds the order cap")
+    # (a, b, c) has index a p^2 + b p + c, and (a, b, c)(a', b', c') is
+    # (a + a', b + b' + a c', c + c'): a row is p blocks, block a' picking
+    # the same (b', c') positions from the indices with first entry a + a'
+    q = p * p
+    blocks = [list(range(a * q, (a + 1) * q)) for a in range(p)]
     elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    index = {e: i for i, e in enumerate(elems)}
-
-    def mul(x, y):
-        return ((x[0] + y[0]) % p, (x[1] + y[1] + x[0] * y[2]) % p,
-                (x[2] + y[2]) % p)
-
-    table = [[index[mul(x, y)] for y in elems] for x in elems]
+    table = []
+    for a, b, c in elems:
+        pick = itemgetter(*[(b + b2 + a * c2) % p * p + (c + c2) % p
+                            for b2 in range(p) for c2 in range(p)])
+        row = []
+        for a2 in range(p):
+            row.extend(pick(blocks[(a + a2) % p]))
+        table.append(row)
     labels = [f"({a},{b},{c})" for (a, b, c) in elems]
     return from_cayley_table(table, labels)
 

@@ -7,7 +7,9 @@ on construction (or on demand via :func:`verify_lie_axioms`).  Those vectors
 are the one stored form; the bracket, Jacobi, the center, ad and the Killing
 form read their nonzero terms, :attr:`LieAlgebra.bracket_terms`, made once.
 Jacobi and the cocycle condition are cyclic sums over basis triples; both walk
-the one sequence of triples that can give a nonzero sum, :func:`_linked_triples`.
+the one sequence of triples that can give a nonzero sum, :func:`_linked_triples`,
+and both sum in Gaussian integers over :attr:`LieAlgebra.integer_terms`, the
+same terms cleared once to integer numerators over one common denominator.
 
 The Plesken algebra of a finite group G is the span of the elements
 g_hat = g - g^-1 inside the group algebra, closed under the commutator.  Its
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from math import lcm
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import BadParameter, DimensionMismatch, JacobiViolation
@@ -49,6 +52,17 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         return self.coefficients == other.coefficients
+
+
+class IntegerTerms(NamedTuple):
+    """The bracket terms cleared to Gaussian integers: ``terms[(a, b)]`` holds
+    (k, E Re c, E Im c) for each term (k, c) of ``bracket_terms[(a, b)]``, E
+    the common denominator ``den`` of all structure constants; ``real`` is
+    true when no structure constant has an imaginary part."""
+
+    den: int
+    real: bool
+    terms: dict[tuple[int, int], tuple[tuple[int, int, int], ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +97,15 @@ class LieAlgebra:
             terms[(i, j)] = forward
             terms[(j, i)] = tuple((k, -c) for k, c in forward)
         return terms
+
+    @cached_property
+    def integer_terms(self) -> IntegerTerms:
+        """:attr:`bracket_terms` over one common denominator, derived once."""
+        scalars = [c for vec in self.brackets.values() for c in vec if c]
+        den = lcm(*{c.d for c in scalars})
+        terms = {pair: tuple((k, c.a * (den // c.d), c.b * (den // c.d)) for k, c in ts)
+                 for pair, ts in self.bracket_terms.items()}
+        return IntegerTerms(den, not any(c.b for c in scalars), terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
@@ -177,19 +200,28 @@ def _linked_triples(algebra: LieAlgebra):
 def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Scalar, ...]]]:
     """All basis triples violating Jacobi, in lexicographic order, each with
     its residual [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j];
-    empty means the data is a Lie algebra."""
-    terms = algebra.bracket_terms
+    empty means the data is a Lie algebra.
+
+    The sums run in Gaussian integers over :attr:`LieAlgebra.integer_terms`,
+    each coordinate E^2 times its true value; a real algebra skips every
+    imaginary product.  Only a failing triple's residual becomes scalars."""
+    den, real, terms = algebra.integer_terms
     failures = []
     for i, j, k in _linked_triples(algebra):
-        total: dict[int, Scalar] = {}
+        re: dict[int, int] = {}
+        im: dict[int, int] = {}
         for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, c in terms.get((a, b), ()):
-                for s, d in terms.get((m, t), ()):
-                    total[s] = total[s] + c * d if s in total else c * d
-        if any(total.values()):
+            for m, cr, ci in terms.get((a, b), ()):
+                for s, dr, di in terms.get((m, t), ()):
+                    if real:
+                        re[s] = re.get(s, 0) + cr * dr
+                    else:
+                        re[s] = re.get(s, 0) + cr * dr - ci * di
+                        im[s] = im.get(s, 0) + cr * di + ci * dr
+        if any(re.values()) or any(im.values()):
             residual = linalg.zeros(algebra.dim)
-            for s, x in total.items():
-                residual[s] = x
+            for s in re.keys() | im.keys():
+                residual[s] = Scalar._make(re.get(s, 0), im.get(s, 0), den * den)
             failures.append((i, j, k, tuple(residual)))
     return failures
 

@@ -166,13 +166,12 @@ class Scalar:
     # -- text form ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return _frac_str(self.re)
-        if self.a == 0:
-            return _frac_str(self.im) + "*I"
-        im = self.im
-        sign = "+" if im > 0 else "-"
-        return _frac_str(self.re) + sign + _frac_str(abs(im)) + "*I"
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            return _ratio_str(a, d)
+        if a == 0:
+            return _ratio_str(b, d) + "*I"
+        return _ratio_str(a, d) + ("+" if b > 0 else "-") + _ratio_str(abs(b), d) + "*I"
 
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"
@@ -211,10 +210,13 @@ def _coerce(value: object) -> Scalar | None:
     return None
 
 
-def _frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms, without the denominator when it is 1."""
+    g = gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _parse_rational(term: str, original: str) -> tuple[int, int]:

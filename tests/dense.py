@@ -4,17 +4,23 @@ The library multiplies matrices on two kernels only: sparse columns for the
 structure maps of an extension and Gaussian integers for representation
 matrices.  The plain row-by-column products below are the independent slow
 path the tests compare both against, together with dense restatements of the
-extension checks that read every entry of every map.
+extension checks that read every entry of every map.  The Jacobi and
+cocycle checks run in Gaussian integers; :func:`scalar_cocycle_terms` and
+:func:`scalar_residual` are their term-by-term ``Scalar`` walk, and
+:func:`gaussian_table` makes the sparse tables with Gaussian-rational
+coefficients both are compared on.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from plesken import linalg
-from plesken.cohomology import are_cohomologous
+from plesken.cohomology import BilinearForm, are_cohomologous, pair_index
 from plesken.errors import BaseMismatch
 from plesken.extensions import _kernel_coefficient, cocycle_from_extension, find_section
 from plesken.liealg import bracket
-from plesken.scalars import ZERO
+from plesken.scalars import ZERO, I, Scalar
 
 
 def vec_add(u, v):
@@ -148,3 +154,62 @@ def verify_equivalence_map(ext1, ext2, phi):
     if linalg.rank(phi, n1) != n1:
         failures.append("phi is not invertible")
     return failures
+
+
+# -- Gaussian-rational tables and the Scalar cocycle walk ---------------------------
+
+REAL_COEFFICIENTS = [Scalar(c) for c in (1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2),
+                                         Fraction(2, 3), Fraction(-1, 3))]
+GAUSSIAN_COEFFICIENTS = REAL_COEFFICIENTS + [
+    I, -I, Scalar(Fraction(1, 2), Fraction(1, 3)), Scalar(-1, Fraction(2, 3)),
+    Scalar(0, Fraction(-3, 2)), Scalar(Fraction(2, 3), 1)]
+
+
+def gaussian_table(rng, n, real):
+    """A sparse bracket table, Lie or not, with coefficients of denominator 2
+    and 3, and with i unless ``real``."""
+    coefficients = REAL_COEFFICIENTS if real else GAUSSIAN_COEFFICIENTS
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    table = {}
+    for i, j in rng.sample(pairs, rng.randint(1, min(5, len(pairs)))):
+        vec = [ZERO] * n
+        for k in rng.sample(range(n), rng.randint(1, 2)):
+            vec[k] = rng.choice(coefficients)
+        table[(i, j)] = vec
+    return table
+
+
+def gaussian_form(rng, n, count):
+    """A form with ``count`` random Gaussian-rational entries."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picked = rng.sample(pairs, min(count, len(pairs)))
+    return BilinearForm.from_entries(n, {p: rng.choice(GAUSSIAN_COEFFICIENTS) for p in picked})
+
+
+def rescaled_table(algebra, scales):
+    """The structure constants of ``algebra`` in the basis scales[i] x_i:
+    [y_i, y_j] = sum_k scales[i] scales[j] / scales[k] c(i,j)_k y_k."""
+    return {(i, j): [scales[i] * scales[j] / scales[k] * c for k, c in enumerate(vec)]
+            for (i, j), vec in algebra.brackets.items()}
+
+
+def scalar_cocycle_terms(algebra, i, j, k):
+    """(flat index, coefficient) terms of the cocycle condition on (i, j, k),
+    read from the ``Scalar`` bracket terms."""
+    n = algebra.dim
+    terms = algebra.bracket_terms
+    for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, cm in terms.get((a, b), ()):
+            if m < t:
+                yield pair_index(n, m, t), cm
+            elif m > t:
+                yield pair_index(n, t, m), -cm
+
+
+def scalar_residual(algebra, flat, i, j, k):
+    """The cocycle residual on (i, j, k), summed term by term in ``Scalar``s."""
+    acc = ZERO
+    for idx, c in scalar_cocycle_terms(algebra, i, j, k):
+        if flat[idx]:
+            acc = acc + c * flat[idx]
+    return acc

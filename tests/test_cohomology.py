@@ -7,13 +7,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from dense import (
+    gaussian_form,
+    gaussian_table,
+    rescaled_table,
+    scalar_cocycle_terms,
+    scalar_residual,
+)
 from plesken import errors, linalg
 from plesken.cohomology import (
     BilinearForm,
     LinearFunctional,
-    _cocycle_terms,
     _constraint_rows,
-    _residual,
     are_cohomologous,
     b2_basis,
     coboundary,
@@ -346,7 +351,7 @@ def all_triples_is_cocycle(algebra, alpha):
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if _residual(algebra, flat, i, j, k):
+                if scalar_residual(algebra, flat, i, j, k):
                     return False, (i, j, k)
     return True, None
 
@@ -360,7 +365,7 @@ def all_triples_constraint_rows(algebra):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 row = None
-                for idx, c in _cocycle_terms(algebra, i, j, k):
+                for idx, c in scalar_cocycle_terms(algebra, i, j, k):
                     if row is None:
                         row = linalg.zeros(nflat)
                     row[idx] = row[idx] + c
@@ -426,6 +431,84 @@ def test_linked_triples_match_all_triples_on_sparse_tables():
         for ok, _ in _check_against_all_triples(algebra, forms):
             kinds.add(ok)
     assert kinds == {True, False}
+
+
+# -- the integer cocycle check against the Scalar walk ------------------------------
+
+
+def _gaussian_cocycle(rng, algebra):
+    """A random combination of the Z^2 basis with Gaussian-rational weights."""
+    flat = [ZERO] * flat_dim(algebra.dim)
+    for row in z2_basis(algebra).basis:
+        c = rng.choice([S(Fraction(1, 2)), S(-3), S(Fraction(2, 3), -1), I / 3])
+        flat = [a + c * b for a, b in zip(flat, row)]
+    return BilinearForm.from_flat(algebra.dim, flat)
+
+
+def test_is_cocycle_matches_scalar_walk_on_gaussian_tables():
+    rng = random.Random(5309)
+    kinds = set()
+    for trial in range(60):
+        n = rng.randint(3, 7)
+        table = gaussian_table(rng, n, real=trial % 3 == 0)
+        algebra = LieAlgebra(n, _normalize_table(n, table), _default_labels(n))
+        forms = [gaussian_form(rng, n, count) for count in (1, 2, 4)]
+        forms.append(_gaussian_cocycle(rng, algebra))
+        forms.append(forms[-1].add(gaussian_form(rng, n, 1)))
+        for ok, _ in _check_against_all_triples(algebra, forms):
+            kinds.add((algebra.integer_terms.real, algebra.integer_terms.den > 1, ok))
+        flat = forms[-1].flatten()
+        for i, j, k in [(0, 1, 2), (0, 2, n - 1), (1, n - 2, n - 1)]:
+            assert cocycle_residual(algebra, forms[-1], i, j, k) == \
+                scalar_residual(algebra, flat, i, j, k)
+    assert {(real, True, ok) for real in (True, False) for ok in (True, False)} <= kinds
+
+
+def test_is_cocycle_on_complex_sl2_and_alternating5(sl2):
+    rng = random.Random(77)
+    scales = [S(Fraction(1, 2), 1), S(0, 3), S(Fraction(2, 3), -1)]
+    complex_sl2 = from_structure_constants(3, rescaled_table(sl2, scales))
+    group = from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    a5, _ = plesken_algebra(group)
+    for algebra in (complex_sl2, a5):
+        n = algebra.dim
+        sigma = LinearFunctional(tuple(
+            S(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+              Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(n)))
+        alpha = coboundary(algebra, sigma)
+        assert len({x.d for x in alpha.flat if x}) > 1
+        broken = alpha.add(BilinearForm.from_entries(n, {(0, n - 1): S(Fraction(1, 3), 2)}))
+        results = _check_against_all_triples(algebra, [alpha, broken])
+        assert results[0] == (True, None)
+        # every alternating form on the 3-dimensional sl2 is a cocycle
+        assert results[1][0] == (algebra is complex_sl2)
+
+
+def _count_scalar_products(monkeypatch):
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        original = Scalar.__dict__[name]
+
+        def counted(self, other, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    return calls
+
+
+def test_jacobi_and_cocycle_checks_make_no_scalar_products(monkeypatch):
+    group = from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    algebra, _ = plesken_algebra(group)
+    rng = random.Random(31)
+    sigma = LinearFunctional.of([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for _ in range(algebra.dim)])
+    alpha = coboundary(algebra, sigma)
+    calls = _count_scalar_products(monkeypatch)
+    rebuilt = from_structure_constants(algebra.dim, algebra.brackets)
+    assert is_cocycle(rebuilt, alpha) == (True, None)
+    assert calls == []
+    assert ONE + ONE * ONE == S(2) and calls == ["__mul__", "__add__"]
 
 
 def test_zero_bracket_dim_1000_is_cheap():

@@ -21,6 +21,7 @@ from plesken.cohomology import (
 )
 from plesken.extensions import (
     CentralExtension,
+    _kernel_coefficient,
     cocycle_from_extension,
     equivalence_map,
     extension_from_cocycle,
@@ -146,6 +147,33 @@ def test_cocycle_rejects_defect_off_the_injection(abelian2, f, witness):
     with pytest.raises(errors.DefectNotInKernel) as exc:
         cocycle_from_extension(bad, section)
     assert exc.value.witness == witness
+
+
+def test_kernel_coefficient_of_an_empty_defect_is_zero_without_division(
+        monkeypatch, abelian2):
+    total = from_structure_constants(4, {(0, 1): [0, 0, 1, 1]})
+    g = ((ONE, ZERO, ZERO, ZERO), (ZERO, ONE, ZERO, ZERO))
+    ext = CentralExtension(total=total, base=abelian2,
+                           injection_f=(ZERO, ZERO, S(Fraction(2, 3), 1), ZERO),
+                           projection_g=g)
+    divisions = []
+    original = Scalar.__truediv__
+
+    def counted(self, other):
+        divisions.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Scalar, "__truediv__", counted)
+    assert _kernel_coefficient(ext, {}) == ZERO
+    assert divisions == []
+    assert _kernel_coefficient(ext, {2: S(2)}) == S(2) / S(Fraction(2, 3), 1)
+    with pytest.raises(errors.DefectNotInKernel) as exc:
+        _kernel_coefficient(ext, {3: ONE})
+    assert exc.value.witness == ["0", "0", "0", "1"]
+    zero_f = CentralExtension(total=total, base=abelian2,
+                              injection_f=(ZERO,) * 4, projection_g=g)
+    with pytest.raises(errors.DefectNotInKernel, match="injection vector is zero"):
+        _kernel_coefficient(zero_f, {})
 
 
 def test_split_direct_sum_witness(abelian2):

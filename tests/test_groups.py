@@ -441,3 +441,22 @@ def test_symmetric6_validates():
     group = preset("symmetric", 6)
     assert group.order == 720
     assert self_inverse_count(group) == 76
+
+
+def heisenberg_by_lookup(p):
+    """The table of the upper unitriangular group mod p, one tuple product and
+    dict lookup per cell."""
+    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(x, y):
+        return ((x[0] + y[0]) % p, (x[1] + y[1] + x[0] * y[2]) % p, (x[2] + y[2]) % p)
+
+    return [[index[mul(x, y)] for y in elems] for x in elems]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_heisenberg_table_matches_lookup_builder(p):
+    group = preset("heisenberg_p", p)
+    assert [list(row) for row in group.table] == heisenberg_by_lookup(p)
+    assert group.labels[p * p + p] == "(1,1,0)"

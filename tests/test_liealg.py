@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from dense import gaussian_table, rescaled_table
 from plesken import errors
 from plesken.groups import from_permutation_generators, preset, self_inverse_count
 from plesken.liealg import (
@@ -235,6 +237,43 @@ def test_verify_lie_axioms_matches_all_triples_on_sparse_tables():
             table[(i, j)] = vec
         algebra = unchecked(n, table)
         assert verify_lie_axioms(algebra) == all_triples_jacobi(algebra)
+
+
+def test_integer_terms_clear_bracket_terms(oracle_algebras):
+    rng = random.Random(8)
+    tables = [unchecked(n, gaussian_table(rng, n, real=n % 2 == 0)) for n in range(3, 9)]
+    for algebra in tables + [a for _, a in oracle_algebras]:
+        den, real, terms = algebra.integer_terms
+        scalars = [c for ts in algebra.bracket_terms.values() for _, c in ts]
+        assert den == lcm(*[c.d for c in scalars])
+        assert real == all(c.is_rational() for c in scalars)
+        assert {pair: tuple((k, Scalar._make(re, im, den)) for k, re, im in ts)
+                for pair, ts in terms.items()} == algebra.bracket_terms
+
+
+def test_verify_lie_axioms_matches_all_triples_on_gaussian_tables():
+    rng = random.Random(4127)
+    kinds = set()
+    for trial in range(60):
+        n = rng.randint(3, 7)
+        algebra = unchecked(n, gaussian_table(rng, n, real=trial % 3 == 0))
+        failures = verify_lie_axioms(algebra)
+        assert failures == all_triples_jacobi(algebra)
+        kinds.add((algebra.integer_terms.real, algebra.integer_terms.den > 1, bool(failures)))
+    assert {(True, True, True), (False, True, True)} <= kinds
+
+
+def test_verify_lie_axioms_on_complex_rescaled_sl2(sl2):
+    scales = [S(Fraction(1, 2), 1), S(0, 3), S(Fraction(2, 3), -1)]
+    table = rescaled_table(sl2, scales)
+    algebra = from_structure_constants(3, table)
+    assert not algebra.integer_terms.real and algebra.integer_terms.den > 1
+    assert verify_lie_axioms(algebra) == all_triples_jacobi(algebra) == []
+    # an x_0 term added to [x_0, x_1] adds c [x_0, x_2] != 0 to the Jacobiator
+    table[(0, 1)] = [table[(0, 1)][0] + S(Fraction(1, 3), 1)] + table[(0, 1)][1:]
+    broken = unchecked(3, table)
+    failures = verify_lie_axioms(broken)
+    assert failures and failures == all_triples_jacobi(broken)
 
 
 def test_large_sparse_algebras_build():

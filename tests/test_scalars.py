@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,3 +87,30 @@ def test_hash_consistency(s):
     assert hash(s) == hash(Scalar(s.re, s.im))
     if s.is_rational():
         assert hash(s) == hash(s.re)
+
+
+def fraction_str(s):
+    """The text form built from ``Fraction`` real and imaginary parts."""
+    def part(q):
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    re, im = Fraction(s.a, s.d), Fraction(s.b, s.d)
+    if im == 0:
+        return part(re)
+    if re == 0:
+        return part(im) + "*I"
+    return part(re) + ("+" if im > 0 else "-") + part(abs(im)) + "*I"
+
+
+def test_str_matches_fraction_formatter():
+    rng = random.Random(2024)
+    fixed = [ZERO, ONE, -ONE, I, -I, Scalar(0, Fraction(-3, 4)), Scalar(Fraction(-5, 6)),
+             Scalar(Fraction(1, 2), Fraction(1, 3)), Scalar(Fraction(-7, 9), -1),
+             Scalar(2, Fraction(-5, 2))]
+    def part():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 36))
+
+    seeded = [Scalar(part(), part() if rng.random() < 0.7 else 0) for _ in range(2000)]
+    for s in fixed + seeded:
+        assert str(s) == fraction_str(s)
+    assert [str(s) for s in fixed] == ["0", "1", "-1", "1*I", "-1*I", "-3/4*I", "-5/6",
+                                       "1/2+1/3*I", "-7/9-1*I", "2-5/2*I"]

@@ -294,7 +294,7 @@ def z2_basis(algebra: LieAlgebra) -> Subspace:
     nflat = flat_dim(algebra.dim)
     rows = _constraint_rows(algebra)
     if not rows:
-        return Subspace.from_spanning(nflat, linalg.identity_matrix(nflat))
+        return Subspace.full(nflat)
     return Subspace(nflat, linalg.freeze_matrix(linalg.nullspace(rows, nflat)))
 
 
@@ -312,9 +312,8 @@ def h2(algebra: LieAlgebra) -> H2Result:
 
     The inclusion B^2 within Z^2 is asserted, not assumed.  Representatives
     are the Z^2 basis vectors reduced, in order, against the B^2 RREF basis
-    and the representatives found so far, normalized to lead 1.  Each residue
-    is zero on every earlier pivot, so it joins the basis as it stands:
-    re-reducing the basis to RREF would give the same residues.
+    and the representatives found so far, normalized to lead 1
+    (:meth:`~plesken.linalg.Subspace.complement_rows`, in Gaussian integers).
     """
     z2 = z2_basis(algebra)
     b2 = b2_basis(algebra)
@@ -322,20 +321,7 @@ def h2(algebra: LieAlgebra) -> H2Result:
         raise InternalInclusionViolation(
             "a coboundary fell outside the cocycle space; "
             "the algebra data is inconsistent")
-    work = [list(r) for r in b2.basis]
-    work_pivots = list(b2.pivots())
-    reps = []
-    for row in z2.basis:
-        residue = linalg.reduce_against(row, work, work_pivots)
-        lead = next((t for t, x in enumerate(residue) if x), None)
-        if lead is None:
-            continue
-        piv = residue[lead]
-        if piv != ONE:
-            residue = [x / piv for x in residue]
-        reps.append(BilinearForm.from_flat(algebra.dim, residue))
-        work.append(residue)
-        work_pivots.append(lead)
+    reps = [BilinearForm.from_flat(algebra.dim, row) for row in b2.complement_rows(z2)]
     dimension = z2.dim - b2.dim
     if len(reps) != dimension:
         raise InternalInclusionViolation(

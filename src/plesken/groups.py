@@ -378,7 +378,26 @@ def _symmetric(m: int) -> FiniteGroup:
     perms = sorted(itertools.permutations(range(m)))
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
-    table = [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
+    # (p s) q = p (s q), so row(p s) is row(p) picked at row(s): only the
+    # identity and the adjacent transpositions are composed cell by cell, and
+    # a breadth-first walk from the identity picks every other row
+    table: list = [None] * n
+    table[0] = list(range(n))
+    pickers = []
+    for k in range(m - 1):
+        swap = list(range(m))
+        swap[k], swap[k + 1] = k + 1, k
+        s = index[tuple(swap)]
+        table[s] = [index[tuple(map(swap.__getitem__, q))] for q in perms]
+        pickers.append((s, itemgetter(*table[s])))
+    reached = [0] + [s for s, _ in pickers]
+    for p in reached:
+        row = table[p]
+        for s, pick in pickers:
+            ps = row[s]
+            if table[ps] is None:
+                table[ps] = list(pick(row))
+                reached.append(ps)
     labels = [_cycle_notation(p) for p in perms]
     return from_cayley_table(table, labels)
 

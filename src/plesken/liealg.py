@@ -328,7 +328,7 @@ def center(algebra: LieAlgebra) -> Subspace:
             by_k.setdefault(k, linalg.zeros(n))[i] = c
         rows.extend(by_k[k] for k in sorted(by_k))
     if not rows:
-        return Subspace.from_spanning(n, linalg.identity_matrix(n))
+        return Subspace.full(n)
     null = linalg.nullspace(rows, n)
     return Subspace(n, linalg.freeze_matrix(null))
 

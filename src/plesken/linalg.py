@@ -1,14 +1,20 @@
 """Exact linear algebra over Q(i).
 
 Vectors are sequences of :class:`~plesken.scalars.Scalar`; matrices are
-row-major sequences of such rows.  The one exact elimination path is
-:func:`rref`, which works on sparse ``{column: entry}`` rows and takes them
-fewest nonzeros first.  Its output is still canonical because the reduced
-row echelon form of a matrix is unique, whatever order produced it; ranks,
-nullspace bases, solutions, inverses and :class:`Subspace` are read off it.
-The one other path, :func:`rank_reversed`, is a deliberately different, dense
-ordering (right-to-left columns, bottom-up pivots) kept as an independent
-cross-check; callers that need a verified rank run both and compare.
+row-major sequences of such rows.  The one exact elimination path,
+:func:`_eliminate` behind :func:`rref`, runs in Gaussian integers.  Each
+input row is cleared once to Gaussian-integer numerators over its own
+denominator and kept sparse; rows are taken fewest nonzeros first against a
+running RREF whose rows each carry a positive integer pivot, with their
+integer content divided out, and no imaginary product is formed between two
+real rows.  Only the final rows become scalars.  The RREF of a matrix is
+unique, whatever order produced it; ranks, nullspace bases, solutions,
+inverses and :class:`Subspace` are read off it, and :func:`nullspace`,
+:meth:`Subspace.contains` and :meth:`Subspace.complement_rows` reduce on the
+same integer rows.  The one other path, :func:`rank_reversed`, is a
+deliberately different, dense ``Scalar`` ordering (right-to-left columns,
+bottom-up pivots) kept as an independent cross-check; callers that need a
+verified rank run both and compare.
 
 There is no matrix product here: the structure maps of an extension are
 multiplied on the sparse-column kernel of :mod:`plesken.extensions`, and
@@ -19,6 +25,8 @@ representation matrices on the Gaussian-integer kernel of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -43,10 +51,6 @@ def identity_matrix(n: int) -> list[list[Scalar]]:
     return m
 
 
-def vec_is_zero(u: Vector) -> bool:
-    return not any(u)
-
-
 def freeze_matrix(m: Matrix) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(row) for row in m)
 
@@ -54,55 +58,177 @@ def freeze_matrix(m: Matrix) -> tuple[tuple[Scalar, ...], ...]:
 def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    Rows are eliminated as ``{column: nonzero entry}`` maps, so the work
-    follows the nonzeros.  They are taken fewest nonzeros first (ties go to
-    the lowest input index), and each is reduced against the rows kept so
-    far, which are always the RREF of the rows taken.  A nonzero residue is
-    scaled to lead 1 at its first column and cleared from the kept rows that
-    hold that column; a dependent row costs one pass against sparse reduced
-    rows.  The RREF of a matrix is unique, so the order changes only the
-    work, never the result.
+    The rows are eliminated in Gaussian integers by :func:`_eliminate`; only
+    the final rows become scalars.
     """
-    work = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    order = sorted((i for i, row in enumerate(work) if row),
-                   key=lambda i: (len(work[i]), i))
-    kept: dict[int, dict[int, Scalar]] = {}
-    for i in order:
-        row = work[i]
-        for p in [c for c in row if c in kept]:
-            _subtract_multiple(row, row[p], kept[p])
-        if not row:
-            continue
-        lead = min(row)
-        piv = row[lead]
-        if piv != ONE:
-            inv = ONE / piv
-            for j in row:
-                row[j] = row[j] * inv
-        for other in kept.values():
-            if lead in other:
-                _subtract_multiple(other, other[lead], row)
-        kept[lead] = row
-    pivots = sorted(kept)
-    return [[kept[p].get(j, ZERO) for j in range(ncols)] for p in pivots], pivots
+    return _dense(_eliminate(_integer_rows(rows)), ncols)
 
 
-def _subtract_multiple(row: dict[int, Scalar], f: Scalar, other: dict[int, Scalar]) -> None:
-    # row -= f * other on sparse rows, dropping entries that cancel
-    for j, x in other.items():
-        v = row.get(j)
-        if v is None:
-            row[j] = -(f * x)
+# -- the Gaussian-integer core ---------------------------------------------------
+#
+# A row is a pair (re, im) of {column: nonzero int} maps, the real and
+# imaginary parts of Gaussian-integer numerators over a denominator that the
+# row does not keep: elimination needs a row only up to a nonzero multiple.
+# A real row has an empty ``im``, and no imaginary product is formed against
+# it.  A row of a running RREF has a positive integer L at its pivot and zero
+# at every other pivot; it stands for itself divided by L.
+
+Row = tuple[dict[int, int], dict[int, int]]
+
+
+def _cleared(row: Vector) -> Row:
+    """Numerators of a scalar row over the common denominator of its entries,
+    without the zero parts.  Most zeros are the ZERO singleton and are
+    skipped by identity; any other zero has zero parts and is dropped."""
+    re, im, den = {}, {}, 1
+    for j, x in enumerate(row):
+        if x is not ZERO:
+            d = x.d
+            if den % d:
+                k = lcm(den, d) // den
+                re = {i: k * v for i, v in re.items()}
+                im = {i: k * v for i, v in im.items()}
+                den *= k
+            k = den // d
+            if x.a:
+                re[j] = k * x.a
+            if x.b:
+                im[j] = k * x.b
+    return re, im
+
+
+def _integer_rows(rows: Iterable[Vector]) -> list[Row]:
+    return [row for row in map(_cleared, rows) if row[0] or row[1]]
+
+
+def _subtract(target: dict[int, int], c: int, source: dict[int, int]) -> None:
+    # target -= c * source, dropping entries that cancel
+    get = target.get
+    for j, x in source.items():
+        v = get(j, 0) - c * x
+        if v:
+            target[j] = v
         else:
-            v = v - f * x
+            del target[j]
+
+
+def _reduce(re: dict[int, int], im: dict[int, int],
+            against: Iterable[tuple[int, Row]]) -> tuple[dict[int, int], dict[int, int], int]:
+    """Clear the pivot of each (pivot, row) in order from the row (re, im).
+
+    Each step is w <- a w - b r with a = L / g, b = w[p] / g and g the gcd of
+    L = r[p] and w[p], so the result is ``scale`` times the exact residue
+    w - sum w[p] / L r.  Rows must be zero at the pivots before them.  The
+    maps passed in may be updated in place; use the ones returned.
+    """
+    scale = 1
+    for p, (rre, rim) in against:
+        fr = re.get(p, 0)
+        fi = im.get(p, 0) if im else 0
+        if not (fr or fi):
+            continue
+        lead = rre[p]
+        g = gcd(lead, fr, fi)
+        a = lead // g
+        if a != 1:
+            scale *= a
+            re = {j: a * x for j, x in re.items()}
+            if im:
+                im = {j: a * x for j, x in im.items()}
+        if fr:
+            fr //= g
+            _subtract(re, fr, rre)
+            if rim:
+                _subtract(im, fr, rim)
+        if fi:
+            fi //= g
+            _subtract(im, fi, rre)
+            if rim:
+                _subtract(re, -fi, rim)
+    return re, im, scale
+
+
+def _lead_real(re: dict[int, int], im: dict[int, int]) -> tuple[int, Row]:
+    """(lead column, row) for a nonzero row rescaled to a positive integer
+    lead, times the conjugate of a complex lead, with its content divided out."""
+    lead = min(re.keys() | im.keys()) if im else min(re)
+    a = re.get(lead, 0)
+    b = im.get(lead, 0) if im else 0
+    if b:
+        cre, cim = {}, {}
+        for j in re.keys() | im.keys():
+            x = re.get(j, 0)
+            y = im.get(j, 0)
+            u = a * x + b * y
+            v = a * y - b * x
+            if u:
+                cre[j] = u
             if v:
-                row[j] = v
-            else:
-                del row[j]
+                cim[j] = v
+        re, im = cre, cim
+    elif a == 1:
+        return lead, (re, im)  # a lead of 1 leaves content 1
+    return lead, _primitive(re, im, -1 if a < 0 and not b else 1)
+
+
+def _primitive(re: dict[int, int], im: dict[int, int], sign: int = 1) -> Row:
+    """The row divided by sign times the gcd of its entries."""
+    g = sign * gcd(*re.values(), *im.values())
+    if g == 1:
+        return re, im
+    return {j: x // g for j, x in re.items()}, {j: x // g for j, x in im.items()}
+
+
+def _eliminate(rows: list[Row]) -> dict[int, Row]:
+    """The RREF of the rows as {pivot: row}.
+
+    Rows are taken fewest nonzeros first (ties go to the lowest input index),
+    and each is reduced against the rows kept so far, which are always the
+    RREF of the rows taken.  A nonzero residue gets a positive integer lead
+    and is cleared from the kept rows that hold its lead column.  The RREF of
+    a matrix is unique, so the order changes only the work, never the result.
+    The input rows are updated in place.
+    """
+    sizes = [len(re.keys() | im.keys()) if im else len(re) for re, im in rows]
+    order = sorted(range(len(rows)), key=sizes.__getitem__)
+    kept: dict[int, Row] = {}
+    for i in order:
+        re, im = rows[i]
+        against = [(p, kept[p]) for p in (re.keys() | im.keys() if im else re) if p in kept]
+        if against:
+            re, im, _ = _reduce(re, im, against)
+            if not (re or im):
+                continue
+        lead, row = _lead_real(re, im)
+        for p, (ore, oim) in kept.items():
+            if lead in ore or lead in oim:
+                kept[p] = _primitive(*_reduce(ore, oim, ((lead, row),))[:2])
+        kept[lead] = row
+    return kept
+
+
+def _scalars(row: Row, den: int, ncols: int) -> list[Scalar]:
+    """The dense scalar row of ``row`` over the denominator ``den``."""
+    re, im = row
+    out = [ZERO] * ncols
+    if not im:
+        for j, x in re.items():
+            out[j] = ONE if x == den else Scalar._make(x, 0, den)
+        return out
+    for j in re.keys() | im.keys():
+        x = re.get(j, 0)
+        y = im.get(j, 0)
+        out[j] = ONE if x == den and not y else Scalar._make(x, y, den)
+    return out
+
+
+def _dense(kept: dict[int, Row], ncols: int) -> tuple[list[list[Scalar]], list[int]]:
+    pivots = sorted(kept)
+    return [_scalars(kept[p], kept[p][0][p], ncols) for p in pivots], pivots
 
 
 def rank(rows: Iterable[Vector], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    return len(_eliminate(_integer_rows(rows)))
 
 
 def rank_reversed(rows: Iterable[Vector], ncols: int) -> int:
@@ -141,23 +267,30 @@ def rank_reversed(rows: Iterable[Vector], ncols: int) -> int:
 
 
 def nullspace(rows: Iterable[Vector], ncols: int) -> list[list[Scalar]]:
-    """Canonical nullspace basis (RREF of the standard free-column vectors)."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
+    """Canonical nullspace basis: the RREF of the vectors L e_f - sum r_p[f] e_p
+    (L/L_p scaling each r_p to the common lead L), one per free column f."""
+    kept = _eliminate(_integer_rows(rows))
+    users: dict[int, list[int]] = {}
+    for p, (re, im) in kept.items():
+        for j in re.keys() | im.keys() if im else re:
+            if j != p:
+                users.setdefault(j, []).append(p)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in kept:
             continue
-        v = zeros(ncols)
-        v[free] = ONE
-        for row, pc in zip(red, pivots):
-            if row[free]:
-                v[pc] = -row[free]
-        basis.append(v)
-    if not basis:
-        return []
-    canon, _ = rref(basis, ncols)
-    return canon
+        ps = users.get(free, ())
+        lead = lcm(*(kept[p][0][p] for p in ps))
+        re, im = {free: lead}, {}
+        for p in ps:
+            pre, pim = kept[p]
+            k = lead // pre[p]
+            if free in pre:
+                re[p] = -k * pre[free]
+            if free in pim:
+                im[p] = -k * pim[free]
+        basis.append((re, im))
+    return _dense(_eliminate(basis), ncols)[0]
 
 
 def solve(a_rows: Iterable[Vector], b: Vector, ncols: int) -> Optional[list[Scalar]]:
@@ -183,15 +316,10 @@ def invert(m: Matrix) -> Optional[list[list[Scalar]]]:
 
 def reduce_against(v: Vector, rref_rows: Sequence[Vector], pivots: Sequence[int]) -> list[Scalar]:
     """Subtract the projection of v onto the row space of an RREF basis."""
-    out = list(v)
-    for row, pc in zip(rref_rows, pivots):
-        f = out[pc]
-        if not f:
-            continue
-        for j, x in enumerate(row):
-            if x:
-                out[j] = out[j] - f * x
-    return out
+    basis = [(p, _cleared(row)) for row, p in zip(rref_rows, pivots)]
+    re, im, scale = _reduce(*_cleared(v), basis)
+    den = lcm(*{x.d for x in v})
+    return _scalars((re, im), den * scale, len(v))
 
 
 @dataclass(frozen=True)
@@ -206,16 +334,40 @@ class Subspace:
         rows, _ = rref(vectors, ambient_dim)
         return cls(ambient_dim, freeze_matrix(rows))
 
+    @classmethod
+    def full(cls, ambient_dim: int) -> "Subspace":
+        """The whole space; its RREF basis is the identity."""
+        return cls(ambient_dim, freeze_matrix(identity_matrix(ambient_dim)))
+
+    @cached_property
+    def _rows(self) -> list[tuple[int, Row]]:
+        """The basis as (pivot, Gaussian-integer row); a lead 1 clears to the
+        row's denominator, and the pivot is the least column of ``re``."""
+        rows = [_cleared(row) for row in self.basis]
+        return [(min(re), (re, im)) for re, im in rows]
+
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def pivots(self) -> list[int]:
-        return [next(j for j, x in enumerate(row) if x) for row in self.basis]
 
     def contains(self, vector: Vector) -> bool:
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector of length {len(vector)} in ambient dim {self.ambient_dim}")
-        residue = reduce_against(vector, self.basis, self.pivots())
-        return vec_is_zero(residue)
+        re, im, _ = _reduce(*_cleared(vector), self._rows)
+        return not (re or im)
+
+    def complement_rows(self, space: "Subspace") -> list[list[Scalar]]:
+        """Rows extending this basis to one of the sum with ``space``: the
+        basis vectors of ``space``, in order, reduced against this basis and
+        the rows found so far, kept when nonzero and scaled to lead 1.  Each
+        is zero on every earlier pivot, so it joins the basis as it stands."""
+        work = list(self._rows)
+        out = []
+        for _, (re, im) in space._rows:
+            re, im, _ = _reduce(dict(re), dict(im), work)
+            if re or im:
+                lead, row = _lead_real(re, im)
+                out.append(_scalars(row, row[0][lead], self.ambient_dim))
+                work.append((lead, row))
+        return out

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,7 @@ from dense import (
     scalar_cocycle_terms,
     scalar_residual,
 )
-from plesken import errors, linalg
+from plesken import cli, errors, linalg
 from plesken.cohomology import (
     BilinearForm,
     LinearFunctional,
@@ -39,6 +42,8 @@ from plesken.liealg import (
     LieAlgebra,
     _default_labels,
     _normalize_table,
+    algebra_to_json,
+    center,
     derived_subalgebra,
     from_structure_constants,
     plesken_algebra,
@@ -522,6 +527,59 @@ def test_zero_bracket_dim_1000_is_cheap():
     assert ext.total.dim == n + 1
     assert sorted(ext.total.brackets) == [(0, 1), (3, n - 1)]
     assert ext.total.brackets[(3, n - 1)] == tuple([ZERO] * n + [I])
+
+
+def _a5_algebra():
+    group = from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    return plesken_algebra(group)[0]
+
+
+def test_h2_elimination_makes_no_scalar_arithmetic(monkeypatch):
+    # every product, sum and difference that rref, nullspace, Subspace.contains
+    # and complement_rows form on L(A5) is a Gaussian-integer one
+    algebra = _a5_algebra()
+    callers = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__neg__"):
+        original = Scalar.__dict__[name]
+
+        def counted(self, *other, _original=original):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return _original(self, *other)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    result = h2(algebra)
+    assert (result.z2.dim, result.b2.dim, result.dimension) == (22, 22, 0)
+    assert "plesken.linalg" not in callers
+    # the counter sees the Scalar sums of the coboundaries that span B^2
+    assert callers.count("plesken.cohomology") > 0
+
+
+def test_h2_json_on_a5_is_pinned_and_fast(tmp_path, capsys):
+    path = tmp_path / "a5.json"
+    path.write_text(json.dumps(algebra_to_json(_a5_algebra())))
+    start = time.perf_counter()
+    code = cli.main(["cohomology", "h2", "--json", "-L", str(path)])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == '{"b2":22,"h2":0,"representatives":[],"z2":22}\n'
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d38a5efe285b447ff5e0cb0060308b7aa9f3beb8d9db0a3d22740c8539082dcb")
+    assert elapsed < 3.0
+
+
+def test_spans_of_the_whole_space_skip_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the identity is already its own RREF")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    n = 24
+    algebra = from_structure_constants(n, {})
+    nflat = flat_dim(n)
+    full = linalg.Subspace(nflat, linalg.freeze_matrix(linalg.identity_matrix(nflat)))
+    assert z2_basis(algebra) == full
+    assert center(algebra) == linalg.Subspace(n, linalg.freeze_matrix(linalg.identity_matrix(n)))
 
 
 # -- the flat layout against dense antisymmetric matrices -------------------------

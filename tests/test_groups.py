@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -10,6 +11,7 @@ from plesken import errors
 from plesken.groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
+    _cycle_notation,
     _magma_generators,
     _two_sided_inverse,
     from_cayley_table,
@@ -460,3 +462,21 @@ def test_heisenberg_table_matches_lookup_builder(p):
     group = preset("heisenberg_p", p)
     assert [list(row) for row in group.table] == heisenberg_by_lookup(p)
     assert group.labels[p * p + p] == "(1,1,0)"
+
+
+def symmetric_by_lookup(m):
+    """The table of S_m on sorted permutations, one composed tuple and dict
+    lookup per cell, with its cycle-notation labels."""
+    perms = sorted(itertools.permutations(range(m)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
+    return table, [_cycle_notation(p) for p in perms]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_symmetric_table_matches_lookup_builder(m):
+    group = preset("symmetric", m)
+    table, labels = symmetric_by_lookup(m)
+    assert [list(row) for row in group.table] == table
+    assert list(group.labels) == labels
+    assert group.identity == 0

@@ -30,7 +30,6 @@ from plesken.liealg import (
     plesken_algebra,
     verify_lie_axioms,
 )
-from plesken.linalg import vec_is_zero
 from plesken.scalars import ONE, ZERO, I, Scalar
 
 S = Scalar
@@ -152,12 +151,12 @@ def test_bracket_alternation_and_bilinearity(q8_algebra):
     for _ in range(20):
         u = [S(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(3)]
         v = [S(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(3)]
-        assert vec_is_zero(bracket(q8_algebra, u, u))
+        assert not any(bracket(q8_algebra, u, u))
         lhs = bracket(q8_algebra, u, v)
         rhs = [-x for x in bracket(q8_algebra, v, u)]
         assert lhs == rhs
     zero = [ZERO] * 3
-    assert vec_is_zero(bracket(q8_algebra, u, zero))
+    assert not any(bracket(q8_algebra, u, zero))
 
 
 def test_bracket_q8_basis(q8_algebra):
@@ -315,7 +314,7 @@ def test_center_heis3_is_z(heis3):
     # center vectors bracket to zero with every basis vector
     for j in range(3):
         ej = [ONE if t == j else ZERO for t in range(3)]
-        assert vec_is_zero(bracket(heis3, list(sub.basis[0]), ej))
+        assert not any(bracket(heis3, list(sub.basis[0]), ej))
 
 
 def test_derived_subalgebra(heis3, q8_algebra, abelian2):
@@ -342,7 +341,7 @@ def test_center_and_derived_are_genuine_subspaces(fixture_set):
         for row in center(algebra).basis:
             for j in range(n):
                 ej = [ONE if t == j else ZERO for t in range(n)]
-                assert vec_is_zero(bracket(algebra, list(row), ej)), name
+                assert not any(bracket(algebra, list(row), ej)), name
 
 
 def test_killing_form_values(heis3, q8_algebra, abelian2):

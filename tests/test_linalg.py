@@ -3,13 +3,14 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from dense import mat_eq, mat_mul, mat_vec
 from plesken import linalg
 from plesken.cohomology import _constraint_rows, flat_dim
-from plesken.scalars import ONE, ZERO, Scalar
+from plesken.scalars import I, ONE, ZERO, Scalar
 
 
 def _mat(rows):
@@ -137,7 +138,7 @@ def test_nullspace_annihilates_rows():
         basis = linalg.nullspace(m, cols)
         assert len(basis) == cols - linalg.rank(m, cols)
         for v in basis:
-            assert linalg.vec_is_zero(mat_vec(m, v))
+            assert not any(mat_vec(m, v))
 
 
 def test_solve_canonical_and_inconsistent():
@@ -188,3 +189,177 @@ def test_reduce_against_rref_basis():
     assert residue == [ZERO, ZERO, ZERO]
     w = [Scalar(0), Scalar(0), Scalar(1)]
     assert linalg.reduce_against(w, red, piv) == w
+
+
+# -- the Gaussian-integer core against dense Scalar oracles ------------------------
+
+
+def dense_nullspace(rows, ncols):
+    """The RREF of the standard free-column vectors, all on dense_rref."""
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[free]
+        basis.append(v)
+    return dense_rref(basis, ncols)[0]
+
+
+def dense_solve(rows, b, ncols):
+    red, pivots = dense_rref([list(r) + [x] for r, x in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols]
+    return x
+
+
+def dense_invert(m):
+    n = len(m)
+    red, pivots = dense_rref(
+        [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)],
+        2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def dense_reduce_against(v, rows, pivots):
+    out = list(v)
+    for row, pc in zip(rows, pivots):
+        f = out[pc]
+        out = [x - f * y for x, y in zip(out, row)]
+    return out
+
+
+def dense_complement_rows(base, space):
+    """Rows of space reduced in order against base and the rows found so far."""
+    work, pivots, out = [list(r) for r in base], dense_rref(base, len(space[0]))[1], []
+    for row in space:
+        residue = dense_reduce_against(row, work, pivots)
+        lead = next((t for t, x in enumerate(residue) if x), None)
+        if lead is not None:
+            residue = [x / residue[lead] for x in residue]
+            out.append(residue)
+            work.append(residue)
+            pivots.append(lead)
+    return out
+
+
+NONSINGLETON_ZEROS = (Scalar(0), -ZERO, Scalar._make(0, 0, 7), Scalar(1) - Scalar(1))
+TWO_MINUS_I = Scalar(2, -1)
+COMPLEX_PIVOTS = (I, ONE + I, TWO_MINUS_I, -I, Scalar(Fraction(3, 5), Fraction(-7, 2)))
+
+
+def _gaussian(rng, big):
+    hi, den = (10 ** 9, 10 ** 6) if big else (4, 3)
+    re = Fraction(rng.randint(-hi, hi), rng.randint(1, den))
+    im = Fraction(rng.randint(-hi, hi), rng.randint(1, den)) if rng.random() < 0.5 else 0
+    return Scalar(re, im)
+
+
+def _hard_matrix(rng, rows, cols, big):
+    """Rows led by a complex pivot, rows of zeros that are not the ZERO
+    singleton, and Gaussian combinations of two earlier rows, which cancel
+    to zero against them."""
+    m = []
+    for _ in range(rows):
+        roll = rng.random()
+        if len(m) >= 2 and roll < 0.3:
+            a, b = rng.sample(m, 2)
+            c, d = _gaussian(rng, big), rng.choice(COMPLEX_PIVOTS)
+            m.append([c * x + d * y for x, y in zip(a, b)])
+        elif roll < 0.4:
+            m.append([rng.choice(NONSINGLETON_ZEROS) for _ in range(cols)])
+        else:
+            lead = rng.randrange(cols)
+            row = [ZERO] * lead + [rng.choice(COMPLEX_PIVOTS)]
+            row += [_gaussian(rng, big) if rng.random() < 0.6 else rng.choice(NONSINGLETON_ZEROS)
+                    for _ in range(cols - lead - 1)]
+            m.append(row)
+    return m
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_integer_core_matches_dense_oracles(big):
+    rng = random.Random(f"integer-core-{big}")
+    invertible = 0
+    for _ in range(25):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = _hard_matrix(rng, rows, cols, big)
+        red, pivots = linalg.rref(m, cols)
+        assert (red, pivots) == dense_rref(m, cols)
+        assert all(red[k][p] == ONE for k, p in enumerate(pivots))
+        assert linalg.rank(m, cols) == len(pivots) == linalg.rank_reversed(m, cols)
+        assert linalg.nullspace(m, cols) == dense_nullspace(m, cols)
+        x = [_gaussian(rng, big) for _ in range(cols)]
+        image = [sum((a * b for a, b in zip(row, x)), ZERO) for row in m]
+        other = [_gaussian(rng, big) for _ in range(rows)]
+        for b in (image, other):
+            assert linalg.solve(m, b, cols) == dense_solve(m, b, cols)
+        assert linalg.solve(m, image, cols) is not None
+        if rows >= cols:
+            inverse = linalg.invert(m[:cols])
+            assert inverse == dense_invert(m[:cols])
+            invertible += inverse is not None
+        space = linalg.Subspace.from_spanning(cols, m)
+        inside = [_gaussian(rng, big) * y for y in red[0]] if red else x
+        for v in (x, inside):
+            assert linalg.reduce_against(v, red, pivots) == dense_reduce_against(v, red, pivots)
+            assert space.contains(v) == (len(dense_rref(list(m) + [v], cols)[1]) == len(pivots))
+        extra = linalg.Subspace.from_spanning(cols, _hard_matrix(rng, rows, cols, big))
+        if space.dim and extra.dim:
+            assert space.complement_rows(extra) == dense_complement_rows(
+                [list(r) for r in space.basis], [list(r) for r in extra.basis])
+    assert invertible
+
+
+def test_integer_core_on_zeros_that_are_not_the_singleton():
+    for z in NONSINGLETON_ZEROS:
+        assert z == ZERO and z is not ZERO
+        m = [[z, z, z], [z, TWO_MINUS_I, z], [z, z, z]]
+        assert linalg.rref(m, 3) == ([[ZERO, ONE, ZERO]], [1])
+        assert linalg.rank(m, 3) == 1
+        assert linalg.nullspace([[z, z]], 2) == [[ONE, ZERO], [ZERO, ONE]]
+        assert linalg.solve([[z, I]], [z], 2) == [ZERO, ZERO]
+        assert linalg.Subspace.from_spanning(2, [[z, z]]).dim == 0
+        assert linalg.Subspace.from_spanning(2, [[ONE, z]]).contains([I, z])
+
+
+def test_integer_core_on_empty_shapes():
+    assert linalg.nullspace([], 0) == []
+    assert linalg.nullspace([], 2) == [[ONE, ZERO], [ZERO, ONE]]
+    assert linalg.solve([], [], 0) == []
+    assert linalg.invert([]) == []
+    assert linalg.reduce_against([], [], []) == []
+    empty = linalg.Subspace.from_spanning(3, [])
+    assert empty.dim == 0 and not empty.contains([I, ZERO, ZERO])
+    assert empty.contains([ZERO, -ZERO, Scalar(0)])
+    assert empty.complement_rows(empty) == []
+    assert linalg.Subspace.full(0).dim == 0
+    assert linalg.Subspace.full(3) == linalg.Subspace.from_spanning(3, linalg.identity_matrix(3))
+
+
+def test_running_rref_rows_are_primitive_with_positive_real_pivots():
+    # each kept row is its RREF row times the least common denominator of its
+    # entries: the pivot is that denominator and the parts have gcd 1, so the
+    # integers never grow past the output's
+    rng = random.Random(97)
+    grew = 0
+    for _ in range(30):
+        cols = rng.randint(2, 6)
+        m = _hard_matrix(rng, rng.randint(2, 6), cols, big=True)
+        kept = linalg._eliminate(linalg._integer_rows(m))
+        red, pivots = dense_rref(m, cols)
+        assert sorted(kept) == pivots
+        for p, row in zip(pivots, red):
+            re, im = kept[p]
+            den = lcm(*(x.d for x in row))
+            assert re[p] == den > 0 and p not in im
+            assert gcd(*re.values(), *im.values()) == 1
+            assert linalg._scalars((re, im), den, cols) == row
+            grew += den > 10 ** 6
+    assert grew

@@ -110,15 +110,10 @@ def _emit(args, json_doc, text_lines: list[str]) -> None:
 
 
 def _form_lines(form: BilinearForm) -> list[str]:
-    lines = []
-    for i in range(form.dim):
-        for j in range(i + 1, form.dim):
-            v = form.entry(i, j)
-            if v:
-                lines.append(f"alpha({i},{j}) = {v}")
-    if not lines:
-        lines.append("zero form")
-    return lines
+    n = form.dim
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    lines = [f"alpha({i},{j}) = {v}" for (i, j), v in zip(pairs, form.flat) if v]
+    return lines or ["zero form"]
 
 
 def _load_rep(path: str, algebra=None):
@@ -171,17 +166,19 @@ def _cmd_algebra_plesken(args) -> int:
 def _cmd_cohomology_h2(args) -> int:
     algebra = _load(args.algebra, algebra_from_json)
     result = h2(algebra)
-    doc = {
-        "z2": result.z2.dim,
-        "b2": result.b2.dim,
-        "h2": result.dimension,
-        "representatives": [form_to_json(rep) for rep in result.representatives],
-    }
+    if args.json:
+        _emit(args, {
+            "z2": result.z2.dim,
+            "b2": result.b2.dim,
+            "h2": result.dimension,
+            "representatives": [form_to_json(rep) for rep in result.representatives],
+        }, [])
+        return 0
     lines = [f"Z2={result.z2.dim} B2={result.b2.dim} H2={result.dimension}"]
     for idx, rep in enumerate(result.representatives):
         lines.append(f"representative {idx}:")
         lines.extend("  " + s for s in _form_lines(rep))
-    _emit(args, doc, lines)
+    _emit(args, None, lines)
     return 0
 
 

@@ -10,7 +10,10 @@ and subspaces share one layout.  The cocycle condition walks the basis
 triples of :func:`~plesken.liealg._linked_triples`, as Jacobi does, and reads
 its terms from the algebra's Gaussian-integer table; :func:`is_cocycle` clears
 the entries of alpha it can read to integers over their common denominator,
-so each residual is an integer pair and no ``Scalar`` is multiplied.
+so each residual is an integer pair and no ``Scalar`` is multiplied.  Z^2 is
+the kernel of the same terms: one sparse Gaussian-integer row per linked
+triple goes straight to :func:`~plesken.linalg.integer_nullspace`, with no
+dense row and no ``Scalar`` before the canonical basis.
 
 Sign convention, used consistently by the extension and representation
 modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
@@ -271,31 +274,35 @@ def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
     return True, None
 
 
-def _constraint_rows(algebra: LieAlgebra) -> list[list[Scalar]]:
-    """One linear constraint over the flattened form per basis triple."""
-    nflat = flat_dim(algebra.dim)
-    den = algebra.integer_terms.den
+def _constraint_rows(algebra: LieAlgebra) -> list[linalg.Row]:
+    """One linear constraint over the flattened form per linked basis triple,
+    as the sparse Gaussian-integer row ({flat index: E Re c}, {flat index:
+    E Im c}) of :func:`_cocycle_terms`, summed per index with zero sums
+    dropped; a triple whose terms all cancel gives no row."""
     rows = []
     for i, j, k in _linked_triples(algebra):
-        sums: dict[int, tuple[int, int]] = {}
+        re: dict[int, int] = {}
+        im: dict[int, int] = {}
         for idx, cr, ci in _cocycle_terms(algebra, i, j, k):
-            re, im = sums.get(idx, (0, 0))
-            sums[idx] = (re + cr, im + ci)
-        if sums:
-            row = linalg.zeros(nflat)
-            for idx, (re, im) in sums.items():
-                row[idx] = Scalar._make(re, im, den)
-            rows.append(row)
+            re[idx] = re.get(idx, 0) + cr
+            if ci:
+                im[idx] = im.get(idx, 0) + ci
+        re = {idx: x for idx, x in re.items() if x}
+        if im:
+            im = {idx: x for idx, x in im.items() if x}
+        if re or im:
+            rows.append((re, im))
     return rows
 
 
 def z2_basis(algebra: LieAlgebra) -> Subspace:
-    """Cocycle space as a subspace of flattened alternating forms."""
+    """Cocycle space as a subspace of flattened alternating forms: the kernel
+    of the constraint rows, taken in Gaussian integers with no ``Scalar``."""
     nflat = flat_dim(algebra.dim)
     rows = _constraint_rows(algebra)
     if not rows:
         return Subspace.full(nflat)
-    return Subspace(nflat, linalg.freeze_matrix(linalg.nullspace(rows, nflat)))
+    return Subspace(nflat, linalg.freeze_matrix(linalg.integer_nullspace(rows, nflat)))
 
 
 def b2_basis(algebra: LieAlgebra) -> Subspace:
@@ -364,10 +371,10 @@ def are_cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
 
 def form_to_json(form: BilinearForm) -> dict:
     """``upper[i]`` holds the entries (i, i+1), ..., (i, n-1) of the form."""
-    entries = iter(form.flat)
-    return {"dim": form.dim,
-            "upper": [[str(next(entries)) for _ in range(form.dim - 1 - i)]
-                      for i in range(form.dim - 1)]}
+    n = form.dim
+    text = ["0" if x is ZERO else str(x) for x in form.flat]
+    starts = [pair_index(n, i, i + 1) for i in range(n - 1)] + [len(text)]
+    return {"dim": n, "upper": [text[a:b] for a, b in zip(starts, starts[1:])]}
 
 
 def form_from_json(doc: dict) -> BilinearForm:

@@ -2,19 +2,26 @@
 
 Vectors are sequences of :class:`~plesken.scalars.Scalar`; matrices are
 row-major sequences of such rows.  The one exact elimination path,
-:func:`_eliminate` behind :func:`rref`, runs in Gaussian integers.  Each
-input row is cleared once to Gaussian-integer numerators over its own
-denominator and kept sparse; rows are taken fewest nonzeros first against a
-running RREF whose rows each carry a positive integer pivot, with their
-integer content divided out, and no imaginary product is formed between two
-real rows.  Only the final rows become scalars.  The RREF of a matrix is
-unique, whatever order produced it; ranks, nullspace bases, solutions,
-inverses and :class:`Subspace` are read off it, and :func:`nullspace`,
-:meth:`Subspace.contains` and :meth:`Subspace.complement_rows` reduce on the
-same integer rows.  The one other path, :func:`rank_reversed`, is a
-deliberately different, dense ``Scalar`` ordering (right-to-left columns,
-bottom-up pivots) kept as an independent cross-check; callers that need a
-verified rank run both and compare.
+:func:`_eliminate`, runs in Gaussian integers on sparse rows (:data:`Row`).
+A scalar row is cleared once to Gaussian-integer numerators over its own
+denominator; :func:`integer_nullspace` takes such rows directly, as
+:func:`~plesken.cohomology.z2_basis` builds them.  Rows are taken fewest
+nonzeros first against the rows kept so far, which each carry a positive
+integer pivot, with their integer content divided out, and no imaginary
+product is formed between two real rows.  A column -> kept-rows index names
+the kept rows that may hold a new pivot, so only those are cleared.  The
+pivot rule is the one difference between the two uses: :func:`rref`,
+:func:`solve`, :func:`invert` and :meth:`Subspace.from_spanning` take the
+leftmost column, so the kept rows are the RREF, which is unique whatever
+order produced it; :func:`rank` and the kernels take the column with the
+fewest kept rows in the index, which clears less, and
+:func:`integer_nullspace` then puts the kernel in its canonical RREF.  Only
+the final rows become scalars.  :meth:`Subspace.contains` and
+:meth:`Subspace.complement_rows` reduce on the same integer rows.  The one
+other path, :func:`rank_reversed`, is a deliberately different, dense
+``Scalar`` ordering (right-to-left columns, bottom-up pivots) kept as an
+independent cross-check; callers that need a verified rank run both and
+compare.
 
 There is no matrix product here: the structure maps of an extension are
 multiplied on the sparse-column kernel of :mod:`plesken.extensions`, and
@@ -70,8 +77,8 @@ def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[list[Scalar]], list[i
 # imaginary parts of Gaussian-integer numerators over a denominator that the
 # row does not keep: elimination needs a row only up to a nonzero multiple.
 # A real row has an empty ``im``, and no imaginary product is formed against
-# it.  A row of a running RREF has a positive integer L at its pivot and zero
-# at every other pivot; it stands for itself divided by L.
+# it.  A kept row of an elimination has a positive integer L at its pivot and
+# zero at every other pivot; it stands for itself divided by L.
 
 Row = tuple[dict[int, int], dict[int, int]]
 
@@ -148,10 +155,9 @@ def _reduce(re: dict[int, int], im: dict[int, int],
     return re, im, scale
 
 
-def _lead_real(re: dict[int, int], im: dict[int, int]) -> tuple[int, Row]:
-    """(lead column, row) for a nonzero row rescaled to a positive integer
-    lead, times the conjugate of a complex lead, with its content divided out."""
-    lead = min(re.keys() | im.keys()) if im else min(re)
+def _lead_real(re: dict[int, int], im: dict[int, int], lead: int) -> Row:
+    """The nonzero row rescaled to a positive integer at column ``lead``,
+    times the conjugate of a complex lead, with its content divided out."""
     a = re.get(lead, 0)
     b = im.get(lead, 0) if im else 0
     if b:
@@ -167,8 +173,8 @@ def _lead_real(re: dict[int, int], im: dict[int, int]) -> tuple[int, Row]:
                 cim[j] = v
         re, im = cre, cim
     elif a == 1:
-        return lead, (re, im)  # a lead of 1 leaves content 1
-    return lead, _primitive(re, im, -1 if a < 0 and not b else 1)
+        return re, im  # a lead of 1 leaves content 1
+    return _primitive(re, im, -1 if a < 0 and not b else 1)
 
 
 def _primitive(re: dict[int, int], im: dict[int, int], sign: int = 1) -> Row:
@@ -179,30 +185,54 @@ def _primitive(re: dict[int, int], im: dict[int, int], sign: int = 1) -> Row:
     return {j: x // g for j, x in re.items()}, {j: x // g for j, x in im.items()}
 
 
-def _eliminate(rows: list[Row]) -> dict[int, Row]:
-    """The RREF of the rows as {pivot: row}.
+def _columns(re: dict[int, int], im: dict[int, int]):
+    """The columns where the row (re, im) is nonzero."""
+    return re.keys() | im.keys() if im else re.keys()
 
-    Rows are taken fewest nonzeros first (ties go to the lowest input index),
-    and each is reduced against the rows kept so far, which are always the
-    RREF of the rows taken.  A nonzero residue gets a positive integer lead
-    and is cleared from the kept rows that hold its lead column.  The RREF of
-    a matrix is unique, so the order changes only the work, never the result.
-    The input rows are updated in place.
+
+def _eliminate(rows: list[Row], free: bool = False) -> dict[int, Row]:
+    """A reduced form of the rows as {pivot: row}: each row is zero at every
+    other pivot, and the rows span the row space.
+
+    Rows are taken fewest nonzeros first (ties go to the lowest input index).
+    Each is reduced against the rows kept so far; a nonzero residue gets a
+    positive integer at its pivot and is cleared from the kept rows that hold
+    that column.  A column -> kept pivots index names them without a scan.
+    It only grows until its column becomes a pivot, so it may still list rows
+    that have lost the column since; those are skipped.  The pivot is the
+    residue's leftmost column, so the kept rows are always the RREF of the
+    rows taken, which is unique whatever the order.  With ``free`` it is
+    instead the residue's column with the fewest rows in the index (ties to
+    the lowest column), which clears less but gives a reduced form that
+    depends on the order; it serves only the rank and the kernel, which do
+    not.  The input rows are updated in place.
     """
-    sizes = [len(re.keys() | im.keys()) if im else len(re) for re, im in rows]
+    sizes = [len(_columns(re, im)) for re, im in rows]
     order = sorted(range(len(rows)), key=sizes.__getitem__)
     kept: dict[int, Row] = {}
+    holders: dict[int, set[int]] = {}
     for i in order:
         re, im = rows[i]
-        against = [(p, kept[p]) for p in (re.keys() | im.keys() if im else re) if p in kept]
+        against = [(p, kept[p]) for p in _columns(re, im) if p in kept]
         if against:
             re, im, _ = _reduce(re, im, against)
             if not (re or im):
                 continue
-        lead, row = _lead_real(re, im)
-        for p, (ore, oim) in kept.items():
+        cols = _columns(re, im)
+        if free:
+            lead = min(cols, key=lambda c: (len(holders.get(c, ())), c))
+        else:
+            lead = min(cols)
+        row = _lead_real(re, im, lead)  # on the same columns
+        touched = {lead}
+        for p in holders.pop(lead, ()):
+            ore, oim = kept[p]
             if lead in ore or lead in oim:
                 kept[p] = _primitive(*_reduce(ore, oim, ((lead, row),))[:2])
+                touched.add(p)
+        # a cleared row can gain any column of ``row`` and no other
+        for c in cols:
+            holders.setdefault(c, set()).update(touched)
         kept[lead] = row
     return kept
 
@@ -228,7 +258,7 @@ def _dense(kept: dict[int, Row], ncols: int) -> tuple[list[list[Scalar]], list[i
 
 
 def rank(rows: Iterable[Vector], ncols: int) -> int:
-    return len(_eliminate(_integer_rows(rows)))
+    return len(_eliminate(_integer_rows(rows), free=True))
 
 
 def rank_reversed(rows: Iterable[Vector], ncols: int) -> int:
@@ -267,12 +297,19 @@ def rank_reversed(rows: Iterable[Vector], ncols: int) -> int:
 
 
 def nullspace(rows: Iterable[Vector], ncols: int) -> list[list[Scalar]]:
-    """Canonical nullspace basis: the RREF of the vectors L e_f - sum r_p[f] e_p
-    (L/L_p scaling each r_p to the common lead L), one per free column f."""
-    kept = _eliminate(_integer_rows(rows))
+    """Canonical nullspace basis of scalar rows; see :func:`integer_nullspace`."""
+    return integer_nullspace(_integer_rows(rows), ncols)
+
+
+def integer_nullspace(rows: list[Row], ncols: int) -> list[list[Scalar]]:
+    """Canonical nullspace basis of nonzero Gaussian-integer rows, which are
+    updated in place: the RREF of the vectors L e_f - sum r_p[f] e_p (L/L_p
+    scaling each r_p to the common lead L), one per free column f of a
+    free-pivot reduced form of the rows."""
+    kept = _eliminate(rows, free=True)
     users: dict[int, list[int]] = {}
-    for p, (re, im) in kept.items():
-        for j in re.keys() | im.keys() if im else re:
+    for p, row in kept.items():
+        for j in _columns(*row):
             if j != p:
                 users.setdefault(j, []).append(p)
     basis = []
@@ -312,14 +349,6 @@ def invert(m: Matrix) -> Optional[list[list[Scalar]]]:
     if pivots[:n] != list(range(n)) or len(pivots) != n:
         return None
     return [row[n:] for row in red]
-
-
-def reduce_against(v: Vector, rref_rows: Sequence[Vector], pivots: Sequence[int]) -> list[Scalar]:
-    """Subtract the projection of v onto the row space of an RREF basis."""
-    basis = [(p, _cleared(row)) for row, p in zip(rref_rows, pivots)]
-    re, im, scale = _reduce(*_cleared(v), basis)
-    den = lcm(*{x.d for x in v})
-    return _scalars((re, im), den * scale, len(v))
 
 
 @dataclass(frozen=True)
@@ -367,7 +396,8 @@ class Subspace:
         for _, (re, im) in space._rows:
             re, im, _ = _reduce(dict(re), dict(im), work)
             if re or im:
-                lead, row = _lead_real(re, im)
+                lead = min(_columns(re, im))
+                row = _lead_real(re, im, lead)
                 out.append(_scalars(row, row[0][lead], self.ambient_dim))
                 work.append((lead, row))
         return out

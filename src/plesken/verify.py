@@ -267,7 +267,9 @@ def criterion_abelian_scaling(fixtures: FixtureSet, rng: random.Random) -> dict:
         if result.dimension != expected:
             return _fail(f"abelian dim {n}: H^2 = {result.dimension} != {expected}")
         nflat = flat_dim(n)
-        constraints = _constraint_rows(algebra)
+        # each sparse row made dense; its common scale does not change the rank
+        constraints = [[S(re.get(t, 0), im.get(t, 0)) for t in range(nflat)]
+                       for re, im in _constraint_rows(algebra)]
         z2_indep = nflat - linalg.rank_reversed(constraints, nflat)
         b2_rows = [list(row) for row in b2_basis(algebra).basis]
         b2_indep = linalg.rank_reversed(b2_rows, nflat)

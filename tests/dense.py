@@ -8,7 +8,10 @@ extension checks that read every entry of every map.  The Jacobi and
 cocycle checks run in Gaussian integers; :func:`scalar_cocycle_terms` and
 :func:`scalar_residual` are their term-by-term ``Scalar`` walk, and
 :func:`gaussian_table` makes the sparse tables with Gaussian-rational
-coefficients both are compared on.
+coefficients both are compared on.  :func:`dense_rows` spells out the sparse
+Gaussian-integer rows of the library as ``Scalar`` rows, for the dense
+Gauss-Jordan oracles :func:`dense_rref` and :func:`dense_nullspace` and for
+:func:`~plesken.linalg.rank_reversed`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from plesken.cohomology import BilinearForm, are_cohomologous, pair_index
 from plesken.errors import BaseMismatch
 from plesken.extensions import _kernel_coefficient, cocycle_from_extension, find_section
 from plesken.liealg import bracket
-from plesken.scalars import ZERO, I, Scalar
+from plesken.scalars import ONE, ZERO, I, Scalar
 
 
 def vec_add(u, v):
@@ -213,3 +216,59 @@ def scalar_residual(algebra, flat, i, j, k):
         if flat[idx]:
             acc = acc + c * flat[idx]
     return acc
+
+
+def dense_rows(rows, ncols, den=1):
+    """Sparse Gaussian-integer rows (re, im) over the denominator ``den`` as
+    dense ``Scalar`` rows."""
+    return [[Scalar(Fraction(re.get(t, 0), den), Fraction(im.get(t, 0), den))
+             if t in re or t in im else ZERO for t in range(ncols)] for re, im in rows]
+
+
+# -- dense Gauss-Jordan ---------------------------------------------------------------
+
+
+def dense_rref(rows, ncols):
+    """Reference oracle: dense Gauss-Jordan, first nonzero row as pivot."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        if piv != ONE:
+            m[r] = [x / piv for x in m[r]]
+        pivot_row = m[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = m[i][c]
+            if not f:
+                continue
+            row = m[i]
+            for j in range(c, ncols):
+                if pivot_row[j]:
+                    row[j] = row[j] - f * pivot_row[j]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def dense_nullspace(rows, ncols):
+    """The RREF of the standard free-column vectors, all on dense_rref."""
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[free]
+        basis.append(v)
+    return dense_rref(basis, ncols)[0]

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dense import (
+    dense_nullspace,
+    dense_rows,
     gaussian_form,
     gaussian_table,
     rescaled_table,
@@ -37,7 +39,7 @@ from plesken.cohomology import (
     z2_basis,
 )
 from plesken.extensions import extension_from_cocycle
-from plesken.groups import from_permutation_generators
+from plesken.groups import from_permutation_generators, preset
 from plesken.liealg import (
     LieAlgebra,
     _default_labels,
@@ -147,7 +149,7 @@ def test_z2_dims_on_fixtures(sl2, heis3, q8_algebra):
     assert z2_basis(q8_algebra).dim == 3
     for algebra in (sl2, heis3, q8_algebra):
         nflat = flat_dim(algebra.dim)
-        rows = _constraint_rows(algebra)
+        rows = dense_rows(_constraint_rows(algebra), nflat)
         indep = nflat - linalg.rank_reversed(rows, nflat)
         assert z2_basis(algebra).dim == indep
 
@@ -194,7 +196,7 @@ def test_h2_heisenberg27_frozen_dims(fixture_set):
     result = fixture_set.h2_of("L(Heis27)")
     assert (result.z2.dim, result.b2.dim, result.dimension) == (18, 8, 10)
     nflat = flat_dim(algebra.dim)
-    rows = _constraint_rows(algebra)
+    rows = dense_rows(_constraint_rows(algebra), nflat)
     assert nflat - linalg.rank_reversed(rows, nflat) == 18
     b2_rows = [list(r) for r in result.b2.basis]
     assert linalg.rank_reversed(b2_rows, nflat) == 8
@@ -206,7 +208,7 @@ def test_h2_dims_agree_with_reversed_rank_on_fixtures(fixture_set):
     for name, algebra in fixture_set.algebras:
         result = fixture_set.h2_of(name)
         nflat = flat_dim(algebra.dim)
-        rows = _constraint_rows(algebra)
+        rows = dense_rows(_constraint_rows(algebra), nflat)
         assert nflat - linalg.rank_reversed(rows, nflat) == result.z2.dim, name
         generators = [coboundary(algebra, LinearFunctional(tuple(row))).flatten()
                       for row in linalg.identity_matrix(algebra.dim)]
@@ -362,7 +364,8 @@ def all_triples_is_cocycle(algebra, alpha):
 
 
 def all_triples_constraint_rows(algebra):
-    """Oracle: one dense row per basis triple i < j < k with a cocycle term."""
+    """Oracle: one dense row per basis triple i < j < k whose cocycle terms
+    do not all cancel."""
     n = algebra.dim
     nflat = flat_dim(n)
     rows = []
@@ -374,7 +377,7 @@ def all_triples_constraint_rows(algebra):
                     if row is None:
                         row = linalg.zeros(nflat)
                     row[idx] = row[idx] + c
-                if row is not None:
+                if row is not None and any(row):
                     rows.append(row)
     return rows
 
@@ -386,7 +389,9 @@ def _sparse_form(rng, n, count):
 
 
 def _check_against_all_triples(algebra, forms):
-    assert _constraint_rows(algebra) == all_triples_constraint_rows(algebra)
+    rows = dense_rows(_constraint_rows(algebra), flat_dim(algebra.dim),
+                      algebra.integer_terms.den)
+    assert rows == all_triples_constraint_rows(algebra)
     results = [is_cocycle(algebra, alpha) for alpha in forms]
     assert results == [all_triples_is_cocycle(algebra, alpha) for alpha in forms]
     return results
@@ -436,6 +441,28 @@ def test_linked_triples_match_all_triples_on_sparse_tables():
         for ok, _ in _check_against_all_triples(algebra, forms):
             kinds.add(ok)
     assert kinds == {True, False}
+
+
+def test_z2_basis_matches_dense_nullspace_on_fixtures(fixture_set):
+    # the free-pivot kernel against dense Gauss-Jordan on the Scalar walk's rows
+    for name, algebra in fixture_set.algebras:
+        nflat = flat_dim(algebra.dim)
+        expected = dense_nullspace(all_triples_constraint_rows(algebra), nflat)
+        assert [list(row) for row in z2_basis(algebra).basis] == expected, name
+
+
+def test_z2_basis_matches_dense_nullspace_on_gaussian_tables():
+    rng = random.Random(4409)
+    kinds = set()
+    for trial in range(40):
+        n = rng.randint(3, 7)
+        table = gaussian_table(rng, n, real=trial % 4 == 0)
+        algebra = LieAlgebra(n, _normalize_table(n, table), _default_labels(n))
+        nflat = flat_dim(n)
+        expected = dense_nullspace(all_triples_constraint_rows(algebra), nflat)
+        assert [list(row) for row in z2_basis(algebra).basis] == expected
+        kinds.add((algebra.integer_terms.real, len(expected) < nflat))
+    assert kinds == {(real, True) for real in (True, False)}
 
 
 # -- the integer cocycle check against the Scalar walk ------------------------------
@@ -555,6 +582,35 @@ def test_h2_elimination_makes_no_scalar_arithmetic(monkeypatch):
     assert callers.count("plesken.cohomology") > 0
 
 
+def test_z2_basis_makes_no_scalar_before_its_basis(monkeypatch):
+    # from the bracket table to the kernel the rows are Gaussian integers: no
+    # Scalar arithmetic from any module, and Scalars are made only for the
+    # entries of the canonical basis that z2_basis returns
+    algebra = _a5_algebra()
+    assert algebra.integer_terms.den == 1
+    arithmetic, made = [], []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        original = Scalar.__dict__[name]
+
+        def counted(self, *other, _original=original, _name=name):
+            arithmetic.append(_name)
+            return _original(self, *other)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    make = Scalar.__dict__["_make"].__func__
+
+    def counted_make(cls, *args):
+        made.append(args)
+        return make(cls, *args)
+
+    monkeypatch.setattr(Scalar, "_make", classmethod(counted_make))
+    z2 = z2_basis(algebra)
+    assert z2.dim == 22
+    assert arithmetic == []
+    assert len(made) <= sum(1 for row in z2.basis for x in row if x)
+
+
 def test_h2_json_on_a5_is_pinned_and_fast(tmp_path, capsys):
     path = tmp_path / "a5.json"
     path.write_text(json.dumps(algebra_to_json(_a5_algebra())))
@@ -567,6 +623,37 @@ def test_h2_json_on_a5_is_pinned_and_fast(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d38a5efe285b447ff5e0cb0060308b7aa9f3beb8d9db0a3d22740c8539082dcb")
     assert elapsed < 3.0
+
+
+def test_h2_json_on_s5_is_pinned(tmp_path, capsys):
+    # L(S5): dim 47, 16215 linked triples over 1081 form entries
+    algebra, _ = plesken_algebra(preset("symmetric", 5))
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps(algebra_to_json(algebra)))
+    code = cli.main(["cohomology", "h2", "--json", "-L", str(path)])
+    assert code == 0
+    assert capsys.readouterr().out == '{"b2":47,"h2":0,"representatives":[],"z2":47}\n'
+
+
+def test_h2_json_formats_only_what_it_prints(tmp_path, capsys, monkeypatch):
+    # a zero-bracket algebra of dim 8 has 28 representatives of 28 entries,
+    # each with one nonzero entry: the JSON reads no entry one by one, and
+    # only nonzero entries go through Scalar.__str__
+    path = tmp_path / "ab8.json"
+    path.write_text(json.dumps({"dim": 8, "brackets": []}))
+    calls = []
+    for owner, name in ((Scalar, "__str__"), (BilinearForm, "entry")):
+        original = owner.__dict__[name]
+
+        def counted(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert cli.main(["cohomology", "h2", "--json", "-L", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["h2"] == len(doc["representatives"]) == 28
+    assert calls == ["__str__"] * 28
 
 
 def test_spans_of_the_whole_space_skip_elimination(monkeypatch):

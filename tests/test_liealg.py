@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from dense import gaussian_table, rescaled_table
+from dense import dense_nullspace, gaussian_table, rescaled_table
 from plesken import errors
 from plesken.groups import from_permutation_generators, preset, self_inverse_count
 from plesken.liealg import (
@@ -342,6 +342,16 @@ def test_center_and_derived_are_genuine_subspaces(fixture_set):
             for j in range(n):
                 ej = [ONE if t == j else ZERO for t in range(n)]
                 assert not any(bracket(algebra, list(row), ej)), name
+
+
+def test_center_matches_dense_nullspace_on_fixtures(fixture_set):
+    # center's kernel takes the free pivot; its canonical basis is still the
+    # dense Gauss-Jordan one of the equations [v, x_j] = 0
+    for name, algebra in fixture_set.algebras:
+        n = algebra.dim
+        rows = [[algebra.structure(i, j)[k] for i in range(n)]
+                for j in range(n) for k in range(n)]
+        assert [list(row) for row in center(algebra).basis] == dense_nullspace(rows, n), name
 
 
 def test_killing_form_values(heis3, q8_algebra, abelian2):

@@ -6,13 +6,15 @@ Verbs mirror the library: ``group make``, ``algebra plesken``,
 text by default or canonical JSON with ``--json``; scalars always serialize
 as exact strings, so identical inputs give byte-identical output.
 
-Exit codes: 0 success, 1 domain error (one machine-parsable line), 2 usage.
+Exit codes: 0 success, 1 domain error (one machine-parsable line), 2 usage,
+141 when a write to stdout fails because its reader has closed it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -415,9 +417,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code when a write to stdout fails because its reader has closed
+# it: what a shell reports for a process killed by SIGPIPE, 128 + 13.
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # e.g. `plesken ... | head -1`: point stdout at devnull, so the flush
+        # at exit has nowhere to fail, and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except DomainError as err:

@@ -5,11 +5,26 @@ together with the defect cocycle alpha, defined by
 
     [Phi(x), Phi(y)] = alpha(x, y) I + Phi([x, y]).
 
-Defects are formed in Gaussian-integer arithmetic: the matrices are cleared
-once to integer real and imaginary numerators over one common denominator D,
-each defect is D^2 E times its true value (E clears the bracket coefficients
-of the pair), and the scalar test runs on those integers.  Only alpha(x_i, x_j)
-goes back to a :class:`~plesken.scalars.Scalar`.  Each representation forms
+Defects are formed in Gaussian-integer arithmetic on packed integers.  The
+matrices are cleared once to real and imaginary integer numerators N_k over
+one common denominator D, and each row of each part is packed into one
+integer with w-bit slots (Kronecker substitution): row k of X is
+sum_c X_kc 2^(w c), so row r of X Y is sum_k X_rk row_k(Y).  (A packed column
+times a packed row would also multiply the d^2 - d empty slots of the
+column.)  The defect of a pair, E [N_i, N_j] - D sum (E c_k) N_k with E the
+bracket denominator, is D^2 E times its true value, one packed integer per
+part with entry (r, c) in slot r d + c.  Each representation takes one width
+w from a bound on every entry of such a numerator,
+
+    |entry| <= 4 d E M^2 + D C M < 2^(w - 1),
+
+M the largest |Re| or |Im| of a cleared entry and C the largest
+sum_k |E Re c_k| + |E Im c_k| over the pairs.  In [-2^(w-1), 2^(w-1)) balanced
+base-2^w digits are unique, so a packed integer determines its entries: a
+defect part is scalar iff it equals its slot-0 digit times the packed
+identity, one comparison, exact and not probabilistic.  Only a failing
+defect is unpacked, and only alpha(x_i, x_j) goes back to a
+:class:`~plesken.scalars.Scalar`.  Each representation forms
 each defect once: :attr:`ProjectiveRep.defects` keeps the outcome of every
 basis pair, and validation against a stored cocycle, :func:`cocycle_from_rep`
 and :func:`cohomologous_witness_from_equivalence` all read it.
@@ -19,7 +34,8 @@ row-major order, that is off the diagonal and nonzero or on the diagonal and
 unequal to the (0, 0) entry.  Twisting by a linear functional sigma sends Phi
 to Phi - sigma I and shifts the cocycle by sigma composed with the bracket;
 projective equivalence against a witness (f, delta) is verified as
-(Phi_2(x_i) - delta(x_i) I) f = f Phi_1(x_i), in integers.
+(Phi_2(x_i) - delta(x_i) I) f D_1 = f Phi_1(x_i) D_2 on the same packed
+integers, f packed once, one comparison per part and basis vector.
 """
 
 from __future__ import annotations
@@ -27,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from operator import add, mul, sub
+from operator import lshift, mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import linalg
@@ -74,9 +90,12 @@ class ProjectiveRep:
         """The outcome of [Phi(x_i), Phi(x_j)] - Phi([x_i, x_j]) for every pair
         i < j, in :func:`~plesken.cohomology.pair_index` order, formed once
         from :attr:`matrices` (never from the stored cocycle)."""
-        cleared = _clear(self.matrices)
-        return tuple(_defect(cleared, self.algebra, i, j)
+        return tuple(_defect(self._packed, self.algebra, i, j)
                      for i, j in _pairs(self.algebra.dim))
+
+    @cached_property
+    def _packed(self) -> "_Packed":
+        return _pack_rep(self.matrices, self.algebra)
 
 
 def _freeze(matrices: Sequence[Matrix]) -> tuple:
@@ -118,99 +137,175 @@ def projective_rep(algebra: LieAlgebra, matrices: Sequence[Matrix],
     return rep
 
 
-# -- Gaussian-integer kernels -------------------------------------------------------
+# -- the packed Gaussian-integer kernel -------------------------------------------
 
 
-class _Cleared(NamedTuple):
-    """A matrix times a common denominator, as Gaussian-integer numerators.
-
-    Each part is (rows, columns) of integers; ``im`` is None when every
-    imaginary part is zero, so products with it are skipped."""
-
-    re: tuple
-    im: Optional[tuple]
+# A matrix times a common denominator: the real and imaginary numerators of its
+# entries, each part a tuple of rows.
+_Cleared = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 def _clear(matrices: Sequence[Matrix]) -> tuple[int, list[_Cleared]]:
     """The common denominator D of every entry, and D times each matrix."""
     den = lcm(*{x.d for m in matrices for row in m for x in row})
-    out = []
-    for m in matrices:
-        re = tuple(tuple(x.a * (den // x.d) for x in row) for row in m)
-        im = None
-        if any(x.b for row in m for x in row):
-            im_rows = tuple(tuple(x.b * (den // x.d) for x in row) for row in m)
-            im = (im_rows, tuple(zip(*im_rows)))
-        out.append(_Cleared((re, tuple(zip(*re))), im))
-    return den, out
+    return den, [(tuple([tuple([x.a * (den // x.d) for x in row]) for row in m]),
+                  tuple([tuple([x.b * (den // x.d) for x in row]) for row in m]))
+                 for m in matrices]
 
 
-def _product(x: tuple, y: tuple) -> list[list[int]]:
-    """X Y for integer parts (rows, columns)."""
-    return [[sum(map(mul, row, col)) for col in y[1]] for row in x[0]]
+def _magnitude(cleared: Sequence[_Cleared]) -> int:
+    """The largest |Re| or |Im| of a cleared entry."""
+    return max(max(map(abs, row)) for pair in cleared for part in pair for row in part)
 
 
-def _commutator(x: tuple, y: tuple) -> list[list[int]]:
-    """X Y - Y X for integer parts (rows, columns)."""
-    return [[sum(map(mul, xr, yc)) - sum(map(mul, yr, xc))
-             for yc, xc in zip(y[1], x[1])]
-            for xr, yr in zip(x[0], y[0])]
+def _width(bound: int) -> int:
+    """The least w with every integer of absolute value at most bound inside
+    [-2^(w-1), 2^(w-1)), where balanced base-2^w digits are unique."""
+    return bound.bit_length() + 1
 
 
-def _combine(op, u: list, v: list) -> list[list[int]]:
-    return [list(map(op, a, b)) for a, b in zip(u, v)]
+def _slots(xs: Sequence[int], step: int) -> int:
+    """xs packed step bits apart: sum_s xs[s] 2^(step s)."""
+    return sum(map(lshift, xs, range(0, step * len(xs), step)))
 
 
-def _gaussian(kernel, a: _Cleared, b: _Cleared) -> tuple[list, list]:
-    """Real and imaginary numerators of a bilinear integer kernel on Gaussian
-    integers: k(a, b) = k(re a, re b) - k(im a, im b)
-    + i (k(re a, im b) + k(im a, re b)), without the terms of a zero side."""
-    re = kernel(a.re, b.re)
-    im = [[0] * len(row) for row in re]
-    if a.im is not None and b.im is not None:
-        re = _combine(sub, re, kernel(a.im, b.im))
-    if b.im is not None:
-        im = _combine(add, im, kernel(a.re, b.im))
+class _Part(NamedTuple):
+    """One integer part X of a d x d matrix, as its rows of entries and packed
+    with slot width w: ``rows[k]`` is row k, sum_c X_kc 2^(w c), and
+    ``whole`` holds every entry, (r, c) in slot r d + c."""
+
+    entries: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
+    whole: int
+
+
+class _Gaussian(NamedTuple):
+    """A packed Gaussian-integer matrix; ``im`` is None when it is zero, so
+    products with it are skipped."""
+
+    re: _Part
+    im: Optional[_Part]
+
+
+def _part(entries: tuple[tuple[int, ...], ...], w: int) -> _Part:
+    rows = tuple(_slots(row, w) for row in entries)
+    return _Part(entries, rows, _slots(rows, w * len(rows)))
+
+
+def _pack(matrix: _Cleared, w: int) -> _Gaussian:
+    re, im = matrix
+    return _Gaussian(_part(re, w), _part(im, w) if any(map(any, im)) else None)
+
+
+def _mul(x: _Part, y: _Part, w: int) -> int:
+    """X Y packed: its row r is sum_k X_rk row_k(Y), d products of an entry
+    and a packed row."""
+    return _slots([sum(map(mul, row, y.rows)) for row in x.entries], w * len(x.rows))
+
+
+def _times(a: _Gaussian, b: _Gaussian, w: int) -> tuple[int, int]:
+    """The real and imaginary parts of A B, packed."""
+    re, im = _mul(a.re, b.re, w), 0
     if a.im is not None:
-        im = _combine(add, im, kernel(a.im, b.re))
+        im = _mul(a.im, b.re, w)
+        if b.im is not None:
+            re -= _mul(a.im, b.im, w)
+    if b.im is not None:
+        im += _mul(a.re, b.im, w)
     return re, im
 
 
-def _defect_numerators(cleared: tuple[int, list[_Cleared]], algebra: LieAlgebra,
-                       i: int, j: int) -> tuple[list, list, int]:
-    """[Phi(x_i), Phi(x_j)] - Phi([x_i, x_j]) as real and imaginary integer
-    numerators over one denominator: [N_i, N_j] / D^2 - sum c_k N_k / D,
-    taken over D^2 E, E the common denominator of the bracket coefficients."""
-    den, mats = cleared
-    re, im = _gaussian(_commutator, mats[i], mats[j])
-    terms = algebra.bracket_terms.get((i, j), ())
-    e = lcm(*(c.d for _, c in terms))
+def _digit(v: int, w: int) -> int:
+    """The balanced residue of v modulo 2^w, in [-2^(w-1), 2^(w-1))."""
+    x = v & ((1 << w) - 1)
+    return x - (1 << w) if x >> (w - 1) else x
+
+
+def _unpack(v: int, d: int, w: int) -> list[list[int]]:
+    """The rows of the d x d matrix packed in v, slot 0 first, as balanced
+    base-2^w digits: exact when every entry lies in [-2^(w-1), 2^(w-1))."""
+    out = []
+    for _ in range(d):
+        row = []
+        for _ in range(d):
+            x = _digit(v, w)
+            row.append(x)
+            v = (v - x) >> w
+        out.append(row)
+    return out
+
+
+class _Packed(NamedTuple):
+    """The images D Phi(x_k) of a representation over one common denominator
+    D, packed with one slot width w wide enough for every defect numerator;
+    ``identity`` is the d x d identity matrix packed, sum_r 2^(w r (d + 1))."""
+
+    den: int
+    width: int
+    degree: int
+    identity: int
+    mats: tuple[_Gaussian, ...]
+
+
+def _pack_rep(matrices: Sequence[Matrix], algebra: LieAlgebra) -> _Packed:
+    """Clear the matrices to D N_k, then pack them with the width of the
+    bound 4 d E M^2 + D C M on every defect numerator: M bounds |Re| and |Im|
+    of the cleared entries, E is the denominator of the bracket terms, and C
+    the largest sum_k |E Re c_k| + |E Im c_k| over the pairs."""
+    d = len(matrices[0])
+    den, cleared = _clear(matrices)
+    e, _, terms = algebra.integer_terms
+    m = _magnitude(cleared)
+    c = max((sum(abs(a) + abs(b) for _, a, b in ts) for ts in terms.values()), default=0)
+    w = _width(4 * d * e * m * m + den * c * m)
+    return _Packed(den, w, d, _slots([1] * d, w * (d + 1)),
+                   tuple(_pack(x, w) for x in cleared))
+
+
+def _defect_numerators(packed: _Packed, algebra: LieAlgebra,
+                       i: int, j: int) -> tuple[int, int, int]:
+    """[Phi(x_i), Phi(x_j)] - Phi([x_i, x_j]) as packed real and imaginary
+    numerators over one denominator: E [N_i, N_j] - D sum (E c_k) N_k over
+    D^2 E, E the denominator of the bracket terms."""
+    den, w, _, _, mats = packed
+    a, b = mats[i], mats[j]
+    (re, im), (re2, im2) = _times(a, b, w), _times(b, a, w)
+    re, im = re - re2, im - im2
+    e, _, terms = algebra.integer_terms
     if e > 1:
-        re = [[x * e for x in row] for row in re]
-        im = [[x * e for x in row] for row in im]
-    for k, c in terms:
+        re, im = re * e, im * e
+    for k, ca, cb in terms.get((i, j), ()):
         # subtract D (E c) N_k, with E c = ca + cb i a Gaussian integer
-        ca, cb = c.a * (e // c.d) * den, c.b * (e // c.d) * den
-        m = mats[k]
-        m_im = m.im[0] if m.im is not None else [(0,) * len(row) for row in re]
-        for re_row, im_row, x_row, y_row in zip(re, im, m.re[0], m_im):
-            for s, (x, y) in enumerate(zip(x_row, y_row)):
-                if x or y:
-                    re_row[s] -= ca * x - cb * y
-                    im_row[s] -= ca * y + cb * x
+        x = mats[k]
+        x_re, x_im = x.re.whole, x.im.whole if x.im is not None else 0
+        re -= den * (ca * x_re - cb * x_im)
+        im -= den * (ca * x_im + cb * x_re)
     return re, im, den * den * e
 
 
-def _defect(cleared: tuple[int, list[_Cleared]], algebra: LieAlgebra,
-            i: int, j: int) -> Outcome:
-    """The outcome of the defect of pair (i, j), tested for a scalar in ints."""
-    re, im, total = _defect_numerators(cleared, algebra, i, j)
-    c, ci = re[0][0], im[0][0]
-    for r, (re_row, im_row) in enumerate(zip(re, im)):
-        for s, (x, y) in enumerate(zip(re_row, im_row)):
+def _defect(packed: _Packed, algebra: LieAlgebra, i: int, j: int) -> Outcome:
+    """The outcome of the defect of pair (i, j).  It is scalar iff each part
+    equals its slot-0 digit times the packed identity; only a failing defect
+    is unpacked, to find its first entry off that form."""
+    re, im, total = _defect_numerators(packed, algebra, i, j)
+    w, d = packed.width, packed.degree
+    c, ci = _digit(re, w), _digit(im, w)
+    if re == c * packed.identity and im == ci * packed.identity:
+        return Scalar._make(c, ci, total)
+    for r, rows in enumerate(zip(_unpack(re, d, w), _unpack(im, d, w))):
+        for s, (x, y) in enumerate(zip(*rows)):
             if (x != c or y != ci) if r == s else (x or y):
                 return r, s, str(Scalar._make(x, y, total))
-    return Scalar._make(c, ci, total)
+    raise AssertionError(f"defect of pair ({i},{j}) exceeds its slot width")
+
+
+def _multiply(x: _Cleared, y: _Cleared) -> _Cleared:
+    """X Y by the packed kernel; each part of an entry is at most 2 d M_X M_Y
+    in absolute value."""
+    d = len(x[0])
+    w = _width(2 * d * _magnitude([x]) * _magnitude([y]))
+    re, im = _times(_pack(x, w), _pack(y, w), w)
+    return _unpack(re, d, w), _unpack(im, d, w)
 
 
 def _conjugation_residual(shifted: Matrix, f: Matrix, m: Matrix,
@@ -218,14 +313,11 @@ def _conjugation_residual(shifted: Matrix, f: Matrix, m: Matrix,
     """shifted - f m f^-1, formed in Gaussian integers over one denominator D:
     D^2 shifted and (D f)(D m)(D f^-1) are both D^3 times their true values."""
     den, (s, a, b, c) = _clear([shifted, f, m, f_inv])
-    re, im = _gaussian(_product, a, b)
-    fm = _Cleared((re, None), (im, None) if any(map(any, im)) else None)
-    re, im = _gaussian(_product, fm, c)
+    re, im = _multiply(_multiply(a, b), c)
     d2 = den * den
-    s_im = s.im[0] if s.im is not None else [(0,) * len(row) for row in re]
     return tuple(tuple(Scalar._make(d2 * x - u, d2 * y - v, d2 * den)
                        for x, y, u, v in zip(*rows))
-                 for rows in zip(s.re[0], s_im, re, im))
+                 for rows in zip(*s, re, im))
 
 
 def _shift_diagonal(m: Matrix, s: Scalar) -> list[list[Scalar]]:
@@ -259,12 +351,13 @@ def validate_alpha_rep(algebra: LieAlgebra, matrices, alpha: BilinearForm
     """Failures of [Phi(x_i),Phi(x_j)] = alpha(i,j) I + Phi([x_i,x_j]);
     each failure carries (i, j, residual matrix)."""
     rep = projective_rep(algebra, matrices)
-    cleared = _clear(rep.matrices)
+    packed = rep._packed
     failures = []
     for i, j in _failing_pairs(rep, alpha):
-        re, im, total = _defect_numerators(cleared, algebra, i, j)
-        defect = [[Scalar._make(x, y, total) for x, y in zip(re_row, im_row)]
-                  for re_row, im_row in zip(re, im)]
+        re, im, total = _defect_numerators(packed, algebra, i, j)
+        d, w = packed.degree, packed.width
+        defect = [[Scalar._make(x, y, total) for x, y in zip(*rows)]
+                  for rows in zip(_unpack(re, d, w), _unpack(im, d, w))]
         residual = _shift_diagonal(defect, alpha.entry(i, j))
         failures.append((i, j, linalg.freeze_matrix(residual)))
     return failures
@@ -331,18 +424,21 @@ def verify_projective_equivalence(rep1: ProjectiveRep, rep2: ProjectiveRep,
     f_inv = linalg.invert(f)
     if f_inv is None:
         raise SingularF("witness matrix f is not invertible")
+    shifted = [_shift_diagonal(m, s) for m, s in zip(rep2.matrices, delta.vector)]
+    den1, phi1 = _clear(rep1.matrices)
+    den2, phi2 = _clear(shifted)
     _, (f_int,) = _clear([f])
+    # both sides carry the denominator of f; the left carries D_2 and is scaled
+    # by D_1, the right the reverse, and each is at most 2 d M_f M D in size
+    w = _width(2 * d * _magnitude([f_int])
+               * max(_magnitude(phi1) * den2, _magnitude(phi2) * den1))
+    f_packed = _pack(f_int, w)
     failures = []
-    for i in range(n):
-        den1, (phi1,) = _clear([rep1.matrices[i]])
-        shifted = _shift_diagonal(rep2.matrices[i], delta.vector[i])
-        den2, (phi2,) = _clear([shifted])
-        # both sides carry the denominator of f once; each carries its own rep's
-        left = _gaussian(_product, phi2, f_int)
-        right = _gaussian(_product, f_int, phi1)
-        if any(x * den1 != y * den2 for lpart, rpart in zip(left, right)
-               for lrow, rrow in zip(lpart, rpart) for x, y in zip(lrow, rrow)):
-            residual = _conjugation_residual(shifted, f, rep1.matrices[i], f_inv)
+    for i, (x1, x2) in enumerate(zip(phi1, phi2)):
+        left = _times(_pack(x2, w), f_packed, w)
+        right = _times(f_packed, _pack(x1, w), w)
+        if any(x * den1 != y * den2 for x, y in zip(left, right)):
+            residual = _conjugation_residual(shifted[i], f, rep1.matrices[i], f_inv)
             failures.append((i, residual))
     return EquivalenceReport(failures=tuple(failures),
                              delta_is_zero=not any(delta.vector))

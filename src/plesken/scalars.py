@@ -181,6 +181,10 @@ class Scalar:
         """Read the canonical string form back into a scalar."""
         if not isinstance(text, str):
             raise TypeError(f"scalar must be a string, got {type(text).__name__}")
+        if text == "0":
+            # most entries of a dense bracket vector; any other spelling of
+            # zero takes the general path below
+            return ZERO
         s = text.strip()
         if not s:
             raise ValueError("empty scalar string")

@@ -474,3 +474,45 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=env, cwd=str(tmp_path))
     assert result.returncode == 0
     assert json.loads(result.stdout)["order"] == 5
+
+
+
+def _h2_into_a_closed_pipe(tmp_path, *flags, read=0):
+    """Run `cohomology h2` on the zero-bracket algebra of dim 40 (C(40, 2) = 780
+    representatives, 30 KB of text) with stdout a 4 KiB pipe, whose reader
+    takes the first `read` bytes and closes it; return (exit code, the bytes
+    read, stderr)."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe size cannot be set on this platform")
+    path = tmp_path / "abelian40.json"
+    path.write_text('{"dim": 40}', encoding="utf-8")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(plesken.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "plesken", "cohomology", "h2", *flags, "-L", str(path)],
+        stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=str(tmp_path))
+    os.close(write_end)
+    first = os.read(read_end, read) if read else b""
+    os.close(read_end)
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(), first, stderr
+
+
+def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    # `plesken cohomology h2 -L abelian40.json | head -c 64`: the output is
+    # far larger than the pipe and the stream buffers, so the writer is still
+    # printing when the reader closes
+    code, first, stderr = _h2_into_a_closed_pipe(tmp_path, read=64)
+    head = b"Z2=780 B2=0 H2=780\nrepresentative 0:\n  alpha(0,1) = 1\nrepresentative 1:\n"
+    assert first and head.startswith(first)
+    assert (code, stderr) == (141, b"")
+
+
+def test_json_into_a_closed_pipe_exits_141(tmp_path):
+    # the JSON document is one write, into a pipe closed before it
+    code, _, stderr = _h2_into_a_closed_pipe(tmp_path, "--json")
+    assert (code, stderr) == (141, b"")

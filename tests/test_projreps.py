@@ -469,6 +469,111 @@ def test_random_reps_cover_both_outcomes():
                for rep in reps)
 
 
+
+# -- the packed kernel at its slot edge and at scale -------------------------------
+
+
+def test_slot_edge_reps_match_oracle(abelian2):
+    # X = M(1+i) J and Y = M(1-i) A, J all ones, A with column 0 all 1 and the
+    # rest of row 0 all -1: [X, Y]_00 = 4(d-1) M^2, within (d-1)/d of the
+    # bound 4 d M^2 that sets the slot width, so two bits less would wrap it
+    d, m = 13, 10 ** 12
+    a = [[ONE if s == 0 else S(-1) if r == 0 else ZERO for s in range(d)]
+         for r in range(d)]
+    x = [[S(m, m)] * d for _ in range(d)]
+    y = [[S(e.a * m, -e.a * m) for e in row] for row in a]
+    rep = projective_rep(abelian2, [x, y])
+    assert 4 * (d - 1) * m * m >= 1 << (rep._packed.width - 3)
+    # [X, Y] = 2 M^2 (J A - A J); its row 0 is 2 M^2 (2d - 2, d - 3, ..., d - 3)
+    assert rep.defects == ((0, 1, str(2 * m * m * (d - 3))),)
+    _check_against_oracle(rep, random.Random("edge"))
+    # [x0, x1] = c x1 with c = (1+i) M, Phi(x0) = 0 and Phi(x1) = (1-i) J: the
+    # defect -c Phi(x1) = -2 M J meets the bracket term D C M of the bound
+    algebra = from_structure_constants(2, {(0, 1): [ZERO, S(m, m)]})
+    rep = projective_rep(algebra, [linalg.zero_matrix(3, 3), [[S(1, -1)] * 3] * 3])
+    assert rep.defects == ((0, 1, str(-2 * m)),)
+    _check_against_oracle(rep, random.Random("bracket edge"))
+
+
+def _big_scalar(rng):
+    """A Gaussian rational of mixed sign with parts up to 10^12 and
+    denominators up to 10^3."""
+    return S(Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 1000)),
+             Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 1000)))
+
+
+def _reps_at_scale():
+    """Representations of degree 1 and 13 over sl2 with complex structure
+    constants: dense random images (non-scalar defects), a block sum twisted
+    by a large functional (scalar defects), and the zero representation."""
+    rng = random.Random("scale")
+    algebra, blocks = _base_reps()[1]
+    n = algebra.dim
+    dense = [[[_big_scalar(rng) for _ in range(13)] for _ in range(13)] for _ in range(n)]
+    block_sum = _block_sum([blocks[0], blocks[1], blocks[0], blocks[1], blocks[1]])
+    sigma = LinearFunctional(tuple(_big_scalar(rng) for _ in range(n)))
+    scalars = [[[_big_scalar(rng)]] for _ in range(n)]
+    return [
+        projective_rep(algebra, dense),
+        twist(projective_rep(algebra, block_sum), sigma),
+        projective_rep(algebra, scalars),
+        projective_rep(algebra, [linalg.zero_matrix(13, 13)] * n),
+        projective_rep(algebra, [[[ZERO]]] * n),
+    ]
+
+
+def test_defects_match_oracle_at_scale():
+    reps = _reps_at_scale()
+    assert [rep.degree for rep in reps] == [13, 13, 1, 13, 1]
+    assert any(c.b for vec in reps[0].algebra.brackets.values() for c in vec)
+    assert not isinstance(reps[0].defects[0], Scalar)
+    assert all(isinstance(o, Scalar) for rep in reps[1:] for o in rep.defects)
+    assert reps[1].cocycle is not None and not reps[1].cocycle.is_zero()
+    for k, rep in enumerate(reps):
+        _check_against_oracle(rep, random.Random(k))
+
+
+def test_equivalence_matches_oracle_at_scale():
+    # the block sum of degree 13 against its conjugate by a large f, shifted by
+    # a large delta, then with one entry changed
+    rng = random.Random("scale-equiv")
+    rep1 = _reps_at_scale()[1]
+    d, n = rep1.degree, rep1.algebra.dim
+    f = [[_big_scalar(rng) if r == s or rng.random() < 0.3 else ZERO for s in range(d)]
+         for r in range(d)]
+    f_inv = linalg.invert(f)
+    delta = LinearFunctional(tuple(_big_scalar(rng) for _ in range(n)))
+    conj = [mat_mul(mat_mul(f, m), f_inv) for m in rep1.matrices]
+    images = [[[x + delta.vector[k] if r == s else x for s, x in enumerate(row)]
+               for r, row in enumerate(m)] for k, m in enumerate(conj)]
+    rep2 = projective_rep(rep1.algebra, images)
+    assert verify_projective_equivalence(rep1, rep2, f, delta).failures == ()
+    images[2][5][7] = images[2][5][7] + _big_scalar(rng)
+    rep2 = projective_rep(rep1.algebra, images)
+    residual = [[ZERO] * d for _ in range(d)]
+    residual[5][7] = images[2][5][7] - conj[2][5][7]
+    assert verify_projective_equivalence(rep1, rep2, f, delta).failures == (
+        (2, linalg.freeze_matrix(residual)),)
+
+
+def test_equivalence_residual_at_its_slot_edge():
+    # f = M(1+i) H and Phi_1(x) = M(1-i) H^T, H the 2 x 2 Hadamard matrix:
+    # (f Phi_1(x))_00 = 2 d M^2 is the bound that sets the slot width of that
+    # product when the residual of a failing witness is formed
+    m = 10 ** 12
+    algebra = from_structure_constants(1, {})
+    hadamard = [[1, 1], [1, -1]]
+    f = [[S(m * x, m * x) for x in row] for row in hadamard]
+    rep1 = projective_rep(algebra, [[[S(m * x, -m * x) for x in col]
+                                     for col in zip(*hadamard)]])
+    rep2 = projective_rep(algebra, [[[ONE, ZERO], [ZERO, ZERO]]])
+    conj = mat_mul(mat_mul(f, rep1.matrices[0]), linalg.invert(f))
+    residual = linalg.freeze_matrix([vec_sub(r2, r1)
+                                     for r2, r1 in zip(rep2.matrices[0], conj)])
+    report = verify_projective_equivalence(rep1, rep2, f, LinearFunctional.zero(1))
+    assert report.failures == ((0, residual),)
+
+
 # -- each defect once per representation -------------------------------------------
 
 

@@ -57,6 +57,17 @@ def test_parse(text, expected):
     assert Scalar.parse(text) == expected
 
 
+def test_parse_of_the_text_0_is_the_zero_singleton():
+    assert Scalar.parse("0") is ZERO
+    # every other spelling of zero goes through the general parser
+    for text in (" 0", "0 ", "-0", "+0", "00", "0/7", "0*I", "0+0*I"):
+        zero = Scalar.parse(text)
+        assert zero == ZERO and zero is not ZERO and (zero.a, zero.b, zero.d) == (0, 0, 1)
+    for bad in ("0/0", "0 0", "0x"):
+        with pytest.raises(ValueError):
+            Scalar.parse(bad)
+
+
 @pytest.mark.parametrize("bad", ["", "1//2", "2+*I", "x", "1/0", "3 4"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 domain error (one machine-parsable line), 2 usage,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -103,12 +104,28 @@ def _load(path: str, reader, *args):
         raise BadDocument(f"{path}: {err}", witness=[path]) from None
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout in full.  Unbuffered (``python -u``), stdout
+    sits on the raw file, whose one write(2) into a pipe may take only part of
+    the bytes, and the text layer drops that count; so write until every byte
+    is taken, and a reader that has closed the pipe raises
+    :class:`BrokenPipeError` on the next write."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
 def _emit(args, json_doc, text_lines: list[str]) -> None:
     if args.json:
-        sys.stdout.write(_dump(json_doc))
+        _write(_dump(json_doc))
     else:
         for line in text_lines:
-            print(line)
+            _write(line + "\n")
 
 
 def _form_lines(form: BilinearForm) -> list[str]:
@@ -302,16 +319,16 @@ def _cmd_rep_twist(args) -> int:
 def _cmd_verify_all(args) -> int:
     report = run_all(max_group_order=args.max_group_order, seed=args.seed)
     if args.json:
-        sys.stdout.write(_dump(report))
+        _write(_dump(report))
     else:
         for c in report["criteria"]:
             status = "PASS" if c["passed"] else "FAIL"
             line = f"{status} {c['id']:2d} {c['name']}"
             if not c["passed"]:
                 line += f"  ({c['details'].get('reason', 'failed')})"
-            print(line)
+            _write(line + "\n")
         passed = sum(1 for c in report["criteria"] if c["passed"])
-        print(f"{passed}/{len(report['criteria'])} criteria passed")
+        _write(f"{passed}/{len(report['criteria'])} criteria passed\n")
     return 0 if report["all_passed"] else 1
 
 
@@ -441,14 +458,13 @@ def _run(args) -> int:
         return args.func(args)
     except DomainError as err:
         if getattr(args, "json", False):
-            sys.stdout.write(_dump({"error": err.code, "witness": err.witness}))
+            _write(_dump({"error": err.code, "witness": err.witness}))
         else:
             print(f"error: {err.code}: {err}", file=sys.stderr)
         return 1
     except FileNotFoundError as err:
         if getattr(args, "json", False):
-            sys.stdout.write(_dump({"error": "FileNotFound",
-                                    "witness": err.filename}))
+            _write(_dump({"error": "FileNotFound", "witness": err.filename}))
         else:
             print(f"error: FileNotFound: {err.filename}", file=sys.stderr)
         return 1

@@ -9,11 +9,13 @@ are canonical.  A :class:`BilinearForm` stores that flat vector too, so forms
 and subspaces share one layout.  The cocycle condition walks the basis
 triples of :func:`~plesken.liealg._linked_triples`, as Jacobi does, and reads
 its terms from the algebra's Gaussian-integer table; :func:`is_cocycle` clears
-the entries of alpha it can read to integers over their common denominator,
-so each residual is an integer pair and no ``Scalar`` is multiplied.  Z^2 is
-the kernel of the same terms: one sparse Gaussian-integer row per linked
-triple goes straight to :func:`~plesken.linalg.integer_nullspace`, with no
-dense row and no ``Scalar`` before the canonical basis.
+the entries alpha(x_m, x_t) it can read, m in the image of a bracket, into
+signed integer rows over their common denominator and sums c * row[t] per
+term (:func:`~plesken.liealg._cyclic_sums`), so each residual is an integer
+pair, no ``Scalar`` is multiplied and no flat index is computed per term.
+Z^2 is the kernel of the same terms: one sparse Gaussian-integer row per
+linked triple goes straight to :func:`~plesken.linalg.integer_nullspace`,
+with no dense row and no ``Scalar`` before the canonical basis.
 
 Sign convention, used consistently by the extension and representation
 modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
@@ -35,7 +37,7 @@ from .errors import (
     NotACocycle,
 )
 from .groups import _json_int
-from .liealg import LieAlgebra, _linked_triples
+from .liealg import LieAlgebra, _cyclic_sums, _linked_triples, _read_rows, _rotations
 from .linalg import Subspace, Vector
 from .scalars import ONE, ZERO, Scalar
 
@@ -194,21 +196,36 @@ def coboundary(algebra: LieAlgebra, sigma: LinearFunctional) -> BilinearForm:
     return BilinearForm.from_entries(n, entries)
 
 
-def _cocycle_terms(algebra: LieAlgebra, i: int, j: int, k: int):
+def _signed_index(n: int, m: int, t: int) -> tuple[int, int]:
+    """(flat index, sign) with alpha(x_m, x_t) = sign * flat[index], m != t."""
+    return (pair_index(n, m, t), 1) if m < t else (pair_index(n, t, m), -1)
+
+
+def _signed_indices(algebra: LieAlgebra) -> list:
+    """:func:`_signed_index` at each (m, t), t != m, of the rows m of
+    :func:`~plesken.liealg._read_rows`, and None at t = m."""
+    n = algebra.dim
+    rows = _read_rows(algebra)
+    for m, row in enumerate(rows):
+        if row is not None:
+            row[:] = [_signed_index(n, m, t) if t != m else None for t in range(n)]
+    return rows
+
+
+def _cocycle_terms(index: list, terms, i: int, j: int, k: int):
     """(flat index, E Re c, E Im c) terms of the cocycle condition on (i, j, k),
-    E the common denominator of :attr:`~plesken.liealg.LieAlgebra.integer_terms`.
+    from the :func:`_signed_indices` ``index`` and the ``terms`` of
+    :attr:`~plesken.liealg.LieAlgebra.integer_terms`, E their denominator.
 
     alpha([x_i,x_j],x_k) + alpha([x_j,x_k],x_i) + alpha([x_k,x_i],x_j) is the
     sum of c * flat[index] over the yielded terms; an index may repeat.
     """
-    n = algebra.dim
-    terms = algebra.integer_terms.terms
-    for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, cr, ci in terms.get((a, b), ()):
-            if m < t:
-                yield pair_index(n, m, t), cr, ci
-            elif m > t:
-                yield pair_index(n, t, m), -cr, -ci
+    for ts, t in _rotations(terms, i, j, k):
+        for m, cr, ci in ts:
+            entry = index[m][t]
+            if entry is not None:
+                idx, sign = entry
+                yield idx, sign * cr, sign * ci
 
 
 def _flat_over(algebra: LieAlgebra, alpha: BilinearForm) -> tuple[Scalar, ...]:
@@ -218,28 +235,36 @@ def _flat_over(algebra: LieAlgebra, alpha: BilinearForm) -> tuple[Scalar, ...]:
     return alpha.flat
 
 
-def _cleared_reads(algebra: LieAlgebra, flat: Vector) -> dict[int, tuple[int, int]]:
-    """D Re x and D Im x for each nonzero entry x of ``flat`` that the cocycle
-    condition can read, by flat index, D their common denominator.  Those are
-    the entries (m, t) with x_m in the image of some basis bracket, so a
-    zero-bracket algebra reads none."""
+def _cleared_rows(algebra: LieAlgebra, flat: Vector) -> tuple[list, Optional[list]]:
+    """Signed rows D alpha(x_m, x_t) = re_rows[m][t] + i im_rows[m][t], D the
+    common denominator of the entries read, for the rows m of
+    :func:`~plesken.liealg._read_rows` only, so a zero-bracket algebra reads
+    nothing; ``im_rows`` is None when those entries and the algebra are real."""
     n = algebra.dim
-    image = {m for ts in algebra.integer_terms.terms.values() for m, _, _ in ts}
-    read = {}
-    for m in image:
-        for t in range(n):
-            if t != m:
-                idx = pair_index(n, min(m, t), max(m, t))
-                if flat[idx]:
-                    read[idx] = flat[idx]
-    den = lcm(*{x.d for x in read.values()})
-    return {idx: (x.a * (den // x.d), x.b * (den // x.d)) for idx, x in read.items()}
+    re_rows = _read_rows(algebra)
+    read = []
+    for m, row in enumerate(re_rows):
+        if row is not None:
+            for t in range(n):
+                if t != m:
+                    idx, sign = _signed_index(n, m, t)
+                    if flat[idx]:
+                        read.append((m, t, sign, flat[idx]))
+    den = lcm(*{x.d for _, _, _, x in read})
+    real = algebra.integer_terms.real and not any([x.b for _, _, _, x in read])
+    im_rows = None if real else _read_rows(algebra)
+    for m, t, sign, x in read:
+        q = sign * (den // x.d)
+        re_rows[m][t] = q * x.a
+        if im_rows is not None:
+            im_rows[m][t] = q * x.b
+    return re_rows, im_rows
 
 
 def _residual(algebra: LieAlgebra, flat: Vector, i: int, j: int, k: int) -> Scalar:
-    den = algebra.integer_terms.den
+    den, _, terms = algebra.integer_terms
     acc = ZERO
-    for idx, cr, ci in _cocycle_terms(algebra, i, j, k):
+    for idx, cr, ci in _cocycle_terms(_signed_indices(algebra), terms, i, j, k):
         if flat[idx]:
             acc = acc + Scalar._make(cr, ci, den) * flat[idx]
     return acc
@@ -260,17 +285,12 @@ def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
     """True iff all residuals vanish; otherwise the first violating triple.
 
     Each residual is summed in Gaussian integers, E D times its true value."""
-    values = _cleared_reads(algebra, _flat_over(algebra, alpha))
-    for i, j, k in _linked_triples(algebra):
-        re = im = 0
-        for idx, cr, ci in _cocycle_terms(algebra, i, j, k):
-            x = values.get(idx)
-            if x is not None:
-                ar, ai = x
-                re += cr * ar - ci * ai
-                im += cr * ai + ci * ar
-        if re or im:
-            return False, (i, j, k)
+    flat = _flat_over(algebra, alpha)
+    if not algebra.integer_terms.terms:
+        return True, None
+    re_rows, im_rows = _cleared_rows(algebra, flat)
+    for i, j, k, _, _ in _cyclic_sums(algebra, re_rows, im_rows):
+        return False, (i, j, k)
     return True, None
 
 
@@ -279,11 +299,12 @@ def _constraint_rows(algebra: LieAlgebra) -> list[linalg.Row]:
     as the sparse Gaussian-integer row ({flat index: E Re c}, {flat index:
     E Im c}) of :func:`_cocycle_terms`, summed per index with zero sums
     dropped; a triple whose terms all cancel gives no row."""
+    index, terms = _signed_indices(algebra), algebra.integer_terms.terms
     rows = []
     for i, j, k in _linked_triples(algebra):
         re: dict[int, int] = {}
         im: dict[int, int] = {}
-        for idx, cr, ci in _cocycle_terms(algebra, i, j, k):
+        for idx, cr, ci in _cocycle_terms(index, terms, i, j, k):
             re[idx] = re.get(idx, 0) + cr
             if ci:
                 im[idx] = im.get(idx, 0) + ci

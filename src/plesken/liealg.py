@@ -4,12 +4,17 @@ A :class:`LieAlgebra` is a dimension plus structure constants over Q(i): for
 each basis pair i < j a vector c(i,j) with [x_i, x_j] = sum_k c(i,j)_k x_k.
 Antisymmetry is built into the representation; the Jacobi identity is checked
 on construction (or on demand via :func:`verify_lie_axioms`).  Those vectors
-are the one stored form; the bracket, Jacobi, the center, ad and the Killing
-form read their nonzero terms, :attr:`LieAlgebra.bracket_terms`, made once.
-Jacobi and the cocycle condition are cyclic sums over basis triples; both walk
-the one sequence of triples that can give a nonzero sum, :func:`_linked_triples`,
-and both sum in Gaussian integers over :attr:`LieAlgebra.integer_terms`, the
+are the one stored form; the bracket, the center and ad read their nonzero
+terms, :attr:`LieAlgebra.bracket_terms`, made once, and Jacobi, the Killing
+form and the cocycle condition read :attr:`LieAlgebra.integer_terms`, the
 same terms cleared once to integer numerators over one common denominator.
+Jacobi and the cocycle condition are cyclic sums over basis triples: both walk
+the one sequence of triples that can give a nonzero sum, :func:`_linked_triples`,
+through the one rotation rule :func:`_rotations`, and both are
+:func:`_cyclic_sums` over a table f(x_m, x_t) with a row only for each m in the
+image of a bracket.  For Jacobi an entry of that table is a bracket packed
+into one integer with w-bit slots, so a triple costs about nine products and
+one exact zero test (see :func:`verify_lie_axioms` for the width bound).
 
 The Plesken algebra of a finite group G is the span of the elements
 g_hat = g - g^-1 inside the group algebra, closed under the commutator.  Its
@@ -20,6 +25,7 @@ hard-coded.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
@@ -100,12 +106,18 @@ class LieAlgebra:
 
     @cached_property
     def integer_terms(self) -> IntegerTerms:
-        """:attr:`bracket_terms` over one common denominator, derived once."""
-        scalars = [c for vec in self.brackets.values() for c in vec if c]
+        """:attr:`bracket_terms` over one common denominator, derived once
+        from :attr:`brackets` (not through the ``Scalar`` table)."""
+        nonzero = [(pair, [(k, c) for k, c in enumerate(vec) if c.a or c.b])
+                   for pair, vec in self.brackets.items()]
+        scalars = [c for _, ts in nonzero for _, c in ts]
         den = lcm(*{c.d for c in scalars})
-        terms = {pair: tuple((k, c.a * (den // c.d), c.b * (den // c.d)) for k, c in ts)
-                 for pair, ts in self.bracket_terms.items()}
-        return IntegerTerms(den, not any(c.b for c in scalars), terms)
+        terms = {}
+        for (i, j), ts in nonzero:
+            forward = tuple([(k, c.a * (den // c.d), c.b * (den // c.d)) for k, c in ts])
+            terms[(i, j)] = forward
+            terms[(j, i)] = tuple([(k, -a, -b) for k, a, b in forward])
+        return IntegerTerms(den, not any([c.b for c in scalars]), terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
@@ -180,13 +192,15 @@ def _linked_triples(algebra: LieAlgebra):
     bracket: all k > j when [x_i, x_j] is nonzero, else the k > j linked to i
     or j by one.  Any other triple has a zero cyclic sum, for Jacobi and the
     cocycle condition alike."""
-    terms = algebra.bracket_terms
+    terms = algebra.integer_terms.terms
     n = algebra.dim
     linked: list[set[int]] = [set() for _ in range(n)]
     for a, b in terms:
         linked[a].add(b)
+    hubs = [j for j in range(n) if linked[j]]
     for i in range(n):
-        for j in range(i + 1, n):
+        # with i unlinked only a linked j can link the triple
+        for j in range(i + 1, n) if linked[i] else hubs[bisect_right(hubs, i):]:
             if (i, j) in terms:
                 third = range(j + 1, n)
             elif linked[i] or linked[j]:
@@ -197,33 +211,93 @@ def _linked_triples(algebra: LieAlgebra):
                 yield i, j, k
 
 
+def _rotations(terms, i: int, j: int, k: int):
+    """(terms of [x_a, x_b], t) for the rotations (a, b, t) = (i, j, k),
+    (j, k, i), (k, i, j).  Jacobi and the cocycle condition on (i, j, k) are
+    both the sum over them of c f(x_m, x_t) over the terms (m, c) of
+    [x_a, x_b], f the bracket or alpha."""
+    get = terms.get
+    return (get((i, j), ()), k), (get((j, k), ()), i), (get((k, i), ()), j)
+
+
+def _read_rows(algebra: LieAlgebra) -> list:
+    """A zero row [0] * n at each m in the image of some basis bracket, None
+    elsewhere: the rows f(x_m, .) that a cyclic sum can read, never n x n."""
+    n = algebra.dim
+    terms = algebra.integer_terms.terms
+    rows: list = [None] * n
+    for pair in algebra.brackets:
+        for m, _, _ in terms[pair]:
+            if rows[m] is None:
+                rows[m] = [0] * n
+    return rows
+
+
+def _cyclic_sums(algebra: LieAlgebra, re_rows: list, im_rows: Optional[list]):
+    """(i, j, k, re, im) for each linked triple, in order, whose cyclic sum of
+    c f(x_m, x_t) (see :func:`_rotations`) is nonzero, over the Gaussian-integer
+    terms c of :attr:`LieAlgebra.integer_terms` and f(x_m, x_t) =
+    re_rows[m][t] + i im_rows[m][t], integers or packed integer vectors.
+    ``im_rows`` is None when f and the algebra are real: then no imaginary
+    product is formed."""
+    terms = algebra.integer_terms.terms
+    if im_rows is None:
+        for i, j, k in _linked_triples(algebra):
+            re = 0
+            for ts, t in _rotations(terms, i, j, k):
+                for m, c, _ in ts:
+                    re += c * re_rows[m][t]
+            if re:
+                yield i, j, k, re, 0
+        return
+    for i, j, k in _linked_triples(algebra):
+        re = im = 0
+        for ts, t in _rotations(terms, i, j, k):
+            for m, cr, ci in ts:
+                x, y = re_rows[m][t], im_rows[m][t]
+                re += cr * x - ci * y
+                im += cr * y + ci * x
+        if re or im:
+            yield i, j, k, re, im
+
+
 def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Scalar, ...]]]:
     """All basis triples violating Jacobi, in lexicographic order, each with
     its residual [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j];
     empty means the data is a Lie algebra.
 
-    The sums run in Gaussian integers over :attr:`LieAlgebra.integer_terms`,
-    each coordinate E^2 times its true value; a real algebra skips every
-    imaginary product.  Only a failing triple's residual becomes scalars."""
+    Each bracket [x_m, x_t] read is packed, per part, into one integer with
+    its E-scaled coordinate s in the w-bit slot s (Kronecker substitution), so
+    a triple's Jacobiator, E^2 times its true value, is about nine products
+    of a term c with a packed bracket.  Every coordinate of it is at most
+    3 C M in absolute value, C the largest sum |Re c| + |Im c| over the terms
+    of one bracket and M the largest |Re c| or |Im c|; with
+    w = bit_length(3 C M) + 1 each lies strictly inside +-2^(w-1), where
+    balanced base-2^w digits are unique, so the packed sum is zero exactly
+    when the Jacobiator is.  Only a failing triple is unpacked to scalars."""
     den, real, terms = algebra.integer_terms
-    failures = []
-    for i, j, k in _linked_triples(algebra):
-        re: dict[int, int] = {}
-        im: dict[int, int] = {}
-        for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cr, ci in terms.get((a, b), ()):
-                for s, dr, di in terms.get((m, t), ()):
-                    if real:
-                        re[s] = re.get(s, 0) + cr * dr
-                    else:
-                        re[s] = re.get(s, 0) + cr * dr - ci * di
-                        im[s] = im.get(s, 0) + cr * di + ci * dr
-        if any(re.values()) or any(im.values()):
-            residual = linalg.zeros(algebra.dim)
-            for s in re.keys() | im.keys():
-                residual[s] = Scalar._make(re.get(s, 0), im.get(s, 0), den * den)
-            failures.append((i, j, k, tuple(residual)))
-    return failures
+    if not terms:
+        return []
+    n = algebra.dim
+    c = m = 0
+    for pair in algebra.brackets:
+        parts = [abs(x) for _, a, b in terms[pair] for x in (a, b)]
+        c, m = max(c, sum(parts)), max([m, *parts])
+    w = linalg._width(3 * c * m)
+    re_rows = _read_rows(algebra)
+    im_rows = None if real else _read_rows(algebra)
+    tables = [(re_rows, 1)] if real else [(re_rows, 1), (im_rows, 2)]
+    for a, b in algebra.brackets:
+        for table, part in tables:
+            v = sum([term[part] << w * term[0] for term in terms[a, b]])
+            if table[a] is not None:
+                table[a][b] = v
+            if table[b] is not None:
+                table[b][a] = -v
+    e2 = den * den
+    return [(i, j, k, tuple(Scalar._make(x, y, e2) if x or y else ZERO
+                            for x, y in zip(linalg._digits(re, n, w), linalg._digits(im, n, w))))
+            for i, j, k, re, im in _cyclic_sums(algebra, re_rows, im_rows)]
 
 
 # -- group algebra ------------------------------------------------------------
@@ -355,20 +429,34 @@ def _ad_terms(algebra: LieAlgebra, i: int) -> dict[tuple[int, int], Scalar]:
 
 
 def killing_form(algebra: LieAlgebra) -> list[list[Scalar]]:
-    """K(i,j) = trace(ad x_i composed with ad x_j); always symmetric."""
+    """K(i,j) = trace(ad x_i composed with ad x_j); always symmetric.
+
+    E^2 K(i, j) is the sum of c d over the entries c = (ad x_i)_km and
+    d = (ad x_j)_mk, summed in Gaussian integers over
+    :attr:`LieAlgebra.integer_terms` by matching each position (k, m) of an
+    ad entry with (m, k); only the entries become scalars."""
     n = algebra.dim
-    ads = [_ad_terms(algebra, i) for i in range(n)]
+    den, real, terms = algebra.integer_terms
+    at: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for (i, m), ts in terms.items():
+        for k, a, b in ts:
+            at.setdefault((k, m), []).append((i, a, b))
+    re: dict[tuple[int, int], int] = {}
+    im: dict[tuple[int, int], int] = {}
+    for (k, m), xs in at.items():
+        ys = at.get((m, k))
+        if ys:
+            for i, a, b in xs:
+                for j, c, d in ys:
+                    re[i, j] = re.get((i, j), 0) + a * c
+                    if not real:
+                        re[i, j] -= b * d
+                        im[i, j] = im.get((i, j), 0) + a * d + b * c
     out = linalg.zero_matrix(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            acc = ZERO
-            b = ads[j]
-            for (k, m), x in ads[i].items():
-                y = b.get((m, k))
-                if y:
-                    acc = acc + x * y
-            out[i][j] = acc
-            out[j][i] = acc
+    for (i, j), x in re.items():
+        y = im.get((i, j), 0)
+        if x or y:
+            out[i][j] = Scalar._make(x, y, den * den)
     return out
 
 
@@ -384,7 +472,8 @@ def algebra_to_json(algebra: LieAlgebra) -> dict:
     entries = []
     for (i, j) in sorted(algebra.brackets):
         entries.append({"i": i, "j": j,
-                        "c": [str(x) for x in algebra.brackets[(i, j)]]})
+                        "c": ["0" if x is ZERO else str(x)
+                              for x in algebra.brackets[(i, j)]]})
     return {"dim": algebra.dim, "labels": list(algebra.basis_labels),
             "brackets": entries}
 

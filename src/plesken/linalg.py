@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from operator import lshift
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -69,6 +70,38 @@ def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[list[Scalar]], list[i
     the final rows become scalars.
     """
     return _dense(_eliminate(_integer_rows(rows)), ncols)
+
+
+# -- packed integer vectors -----------------------------------------------------
+# Kronecker substitution: a vector of integers is one integer with w-bit slots.
+
+
+def _width(bound: int) -> int:
+    """The least w with every integer of absolute value at most bound inside
+    [-2^(w-1), 2^(w-1)), where balanced base-2^w digits are unique."""
+    return bound.bit_length() + 1
+
+
+def _slots(xs: Sequence[int], step: int) -> int:
+    """xs packed step bits apart: sum_s xs[s] 2^(step s)."""
+    return sum(map(lshift, xs, range(0, step * len(xs), step)))
+
+
+def _digit(v: int, w: int) -> int:
+    """The balanced residue of v modulo 2^w, in [-2^(w-1), 2^(w-1))."""
+    x = v & ((1 << w) - 1)
+    return x - (1 << w) if x >> (w - 1) else x
+
+
+def _digits(v: int, count: int, w: int) -> list[int]:
+    """The first ``count`` balanced base-2^w digits of v, slot 0 first: the
+    integers packed in v, exact when each lies in [-2^(w-1), 2^(w-1))."""
+    out = []
+    for _ in range(count):
+        x = _digit(v, w)
+        out.append(x)
+        v = (v - x) >> w
+    return out
 
 
 # -- the Gaussian-integer core ---------------------------------------------------

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from operator import lshift, mul
+from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import linalg
@@ -67,7 +67,7 @@ from .errors import (
 )
 from .groups import _json_int
 from .liealg import LieAlgebra
-from .linalg import Matrix
+from .linalg import Matrix, _digit, _digits, _slots, _width
 from .scalars import Scalar
 
 
@@ -158,17 +158,6 @@ def _magnitude(cleared: Sequence[_Cleared]) -> int:
     return max(max(map(abs, row)) for pair in cleared for part in pair for row in part)
 
 
-def _width(bound: int) -> int:
-    """The least w with every integer of absolute value at most bound inside
-    [-2^(w-1), 2^(w-1)), where balanced base-2^w digits are unique."""
-    return bound.bit_length() + 1
-
-
-def _slots(xs: Sequence[int], step: int) -> int:
-    """xs packed step bits apart: sum_s xs[s] 2^(step s)."""
-    return sum(map(lshift, xs, range(0, step * len(xs), step)))
-
-
 class _Part(NamedTuple):
     """One integer part X of a d x d matrix, as its rows of entries and packed
     with slot width w: ``rows[k]`` is row k, sum_c X_kc 2^(w c), and
@@ -215,24 +204,10 @@ def _times(a: _Gaussian, b: _Gaussian, w: int) -> tuple[int, int]:
     return re, im
 
 
-def _digit(v: int, w: int) -> int:
-    """The balanced residue of v modulo 2^w, in [-2^(w-1), 2^(w-1))."""
-    x = v & ((1 << w) - 1)
-    return x - (1 << w) if x >> (w - 1) else x
-
-
 def _unpack(v: int, d: int, w: int) -> list[list[int]]:
-    """The rows of the d x d matrix packed in v, slot 0 first, as balanced
-    base-2^w digits: exact when every entry lies in [-2^(w-1), 2^(w-1))."""
-    out = []
-    for _ in range(d):
-        row = []
-        for _ in range(d):
-            x = _digit(v, w)
-            row.append(x)
-            v = (v - x) >> w
-        out.append(row)
-    return out
+    """The rows of the d x d matrix packed in v, slot 0 first."""
+    digits = _digits(v, d * d, w)
+    return [digits[r * d:(r + 1) * d] for r in range(d)]
 
 
 class _Packed(NamedTuple):

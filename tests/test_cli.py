@@ -477,18 +477,18 @@ def test_console_entry_point(tmp_path):
 
 
 
-def _h2_into_a_closed_pipe(tmp_path, *flags, read=0):
+def _h2_into_a_closed_pipe(tmp_path, *flags, read=0, **environ):
     """Run `cohomology h2` on the zero-bracket algebra of dim 40 (C(40, 2) = 780
     representatives, 30 KB of text) with stdout a 4 KiB pipe, whose reader
     takes the first `read` bytes and closes it; return (exit code, the bytes
-    read, stderr)."""
+    read, stderr).  ``environ`` adds to the child's environment."""
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("pipe size cannot be set on this platform")
     path = tmp_path / "abelian40.json"
     path.write_text('{"dim": 40}', encoding="utf-8")
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(plesken.__file__)))
-    env = dict(os.environ, PYTHONPATH=src_dir)
+    env = dict(os.environ, PYTHONPATH=src_dir, **environ)
     read_end, write_end = os.pipe()
     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
     proc = subprocess.Popen(
@@ -515,4 +515,15 @@ def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
 def test_json_into_a_closed_pipe_exits_141(tmp_path):
     # the JSON document is one write, into a pipe closed before it
     code, _, stderr = _h2_into_a_closed_pipe(tmp_path, "--json")
+    assert (code, stderr) == (141, b"")
+
+
+def test_unbuffered_json_cut_short_exits_141(tmp_path):
+    # unbuffered, stdout writes to the raw pipe, where one write(2) of the
+    # 2.5 MB document takes only what the 4 KiB pipe holds before its reader
+    # closes it; the rest must still be written, so the run fails (141)
+    # instead of exiting 0 with the document cut short
+    code, first, stderr = _h2_into_a_closed_pipe(tmp_path, "--json", read=64,
+                                                 PYTHONUNBUFFERED="1")
+    assert first.startswith(b'{"b2":0,"h2":780,')
     assert (code, stderr) == (141, b"")

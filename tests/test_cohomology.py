@@ -43,6 +43,7 @@ from plesken.groups import from_permutation_generators, preset
 from plesken.liealg import (
     LieAlgebra,
     _default_labels,
+    _linked_triples,
     _normalize_table,
     algebra_to_json,
     center,
@@ -554,6 +555,40 @@ def test_zero_bracket_dim_1000_is_cheap():
     assert ext.total.dim == n + 1
     assert sorted(ext.total.brackets) == [(0, 1), (3, n - 1)]
     assert ext.total.brackets[(3, n - 1)] == tuple([ZERO] * n + [I])
+
+
+def test_one_bracket_dim_4000_checks_finish():
+    # with one bracket [x_0, x_1] = x_(n-1), only the pair (0, 1) links
+    # triples: the walk visits the linked j of each unlinked i, not C(n, 2)
+    # pairs, and the cocycle check reads the one row n - 1
+    n = 4000
+    algebra = from_structure_constants(n, {(0, 1): [0] * (n - 1) + [1]})
+    assert list(_linked_triples(algebra)) == [(0, 1, k) for k in range(2, n)]
+    entries = {(0, 1): S(2), (5, 7): I, (n - 2, n - 1): ZERO}
+    assert is_cocycle(algebra, BilinearForm.from_entries(n, entries)) == (True, None)
+    entries[(3, n - 1)] = S(Fraction(1, 3), 1)
+    assert is_cocycle(algebra, BilinearForm.from_entries(n, entries)) == (False, (0, 1, 3))
+
+
+def test_is_cocycle_witness_on_complex_forms_is_the_first_scalar_residual(sl2):
+    # a complex alpha that fails, over the real L(A5) and its complex rescaling
+    rng = random.Random(9151)
+    a5 = _a5_algebra()
+    scales = [S(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-3, 3))
+              for _ in range(a5.dim)]
+    complex_a5 = from_structure_constants(a5.dim, rescaled_table(a5, scales))
+    assert a5.integer_terms.real and not complex_a5.integer_terms.real
+    n = a5.dim
+    for algebra in (a5, complex_a5):
+        sigma = LinearFunctional(tuple(S(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                         rng.randint(-2, 2)) for _ in range(n)))
+        for p, q in [(0, 1), (4, 17), (n - 2, n - 1)]:
+            alpha = coboundary(algebra, sigma).add(
+                BilinearForm.from_entries(n, {(p, q): S(Fraction(2, 5), -1)}))
+            flat = alpha.flatten()
+            first = next((i, j, k) for i in range(n) for j in range(i + 1, n)
+                         for k in range(j + 1, n) if scalar_residual(algebra, flat, i, j, k))
+            assert is_cocycle(algebra, alpha) == (False, first)
 
 
 def _a5_algebra():

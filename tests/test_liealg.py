@@ -286,6 +286,73 @@ def test_large_sparse_algebras_build():
     assert [f[:3] for f in verify_lie_axioms(algebra)] == [(0, 1, 2)]
 
 
+def _slot_edge_table(big, inner, outer):
+    """[x_0, x_1] = [x_1, x_2] = [x_2, x_0] = inner x_3 and [x_3, x_t] = outer x_4
+    for t < 3: Jacobi fails on (0, 1, 2) only, with x_4-coordinate
+    3 inner outer.  With inner and outer of the form big (+-1 +-i) that is
+    +-6 big^2 in one part, exactly 3 C M, the bound the slot width is made from
+    (C = 2 big, M = big, over the cleared terms)."""
+    def line(k, c):
+        return [c if t == k else 0 for t in range(5)]
+    return {(0, 1): line(3, inner), (1, 2): line(3, inner), (0, 2): line(3, -inner),
+            (0, 3): line(4, -outer), (1, 3): line(4, -outer), (2, 3): line(4, -outer)}
+
+
+@pytest.mark.parametrize("inner, outer", [
+    (S(1, 1), S(1, 1)),                    # +6 big^2 i: the imaginary part at the edge
+    (S(1, 1), S(1, -1)),                   # +6 big^2: the real part
+    (S(-1, 1), S(1, 1)),                   # -6 big^2 - 0 i, reached from below
+    (S(Fraction(1, 3), Fraction(-1, 3)), S(Fraction(1, 3), Fraction(-1, 3))),  # E = 3
+])
+def test_jacobi_residual_at_its_slot_edge(inner, outer):
+    # the packed Jacobiator holds a coordinate of exactly 3 C M, so one bit
+    # less of slot width reads it back wrong
+    big = 10 ** 12 + 39
+    algebra = unchecked(5, _slot_edge_table(big, big * inner, big * outer))
+    e = algebra.integer_terms.den
+    terms = algebra.integer_terms.terms
+    c = max(sum(abs(a) + abs(b) for _, a, b in ts) for ts in terms.values())
+    m = max(max(abs(a), abs(b)) for ts in terms.values() for _, a, b in ts)
+    edge = 3 * big * big * inner * outer
+    assert max(abs(edge.re), abs(edge.im)) * e * e == 3 * c * m
+    assert verify_lie_axioms(algebra) == all_triples_jacobi(algebra) == [
+        (0, 1, 2, (ZERO, ZERO, ZERO, ZERO, edge))]
+    with pytest.raises(errors.JacobiViolation) as exc:
+        from_structure_constants(5, _slot_edge_table(big, big * inner, big * outer))
+    assert exc.value.witness == [0, 1, 2, ["0", "0", "0", "0", str(edge)]]
+
+
+def test_jacobi_at_scale_matches_all_triples():
+    # large Gaussian-rational constants, Lie (a rescaled sl2) or broken
+    rng = random.Random(7717)
+    for trial in range(30):
+        n = rng.randint(3, 6)
+        table = gaussian_table(rng, n, real=trial % 3 == 0)
+        scale = S(Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 999)),
+                  Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 999)))
+        algebra = unchecked(n, {p: [scale * c for c in vec] for p, vec in table.items()})
+        assert verify_lie_axioms(algebra) == all_triples_jacobi(algebra)
+
+
+def test_killing_form_makes_no_scalar_products(monkeypatch):
+    group = from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    algebra, _ = plesken_algebra(group)
+    expected = killing_form(algebra)
+    fresh = LieAlgebra(algebra.dim, algebra.brackets, algebra.basis_labels)
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        original = Scalar.__dict__[name]
+
+        def counted(self, other, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    assert killing_form(fresh) == expected
+    assert calls == []
+    assert ONE * ONE == ONE and calls == ["__mul__"]
+
+
 def test_from_structure_constants_rejects_broken_table():
     with pytest.raises(errors.JacobiViolation) as exc:
         from_structure_constants(3, BROKEN_TABLE)

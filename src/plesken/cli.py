@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from .cohomology import (
     BilinearForm,
+    _pairs,
     form_from_json,
     form_to_json,
     functional_from_json,
@@ -39,6 +40,7 @@ from .extensions import (
 )
 from .groups import _json_int, group_from_json, group_to_json, preset, self_inverse_count
 from .liealg import (
+    _json_matrix,
     algebra_from_json,
     algebra_to_json,
     center,
@@ -56,7 +58,6 @@ from .projreps import (
     twist,
     verify_projective_equivalence,
 )
-from .scalars import Scalar
 from .verify import run_all
 
 
@@ -129,9 +130,7 @@ def _emit(args, json_doc, text_lines: list[str]) -> None:
 
 
 def _form_lines(form: BilinearForm) -> list[str]:
-    n = form.dim
-    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
-    lines = [f"alpha({i},{j}) = {v}" for (i, j), v in zip(pairs, form.flat) if v]
+    lines = [f"alpha({i},{j}) = {v}" for (i, j), v in zip(_pairs(form.dim), form.flat) if v]
     return lines or ["zero form"]
 
 
@@ -275,8 +274,7 @@ def _cmd_rep_verify_equiv(args) -> int:
     algebra = _load(args.algebra, algebra_from_json) if args.algebra else None
     rep1 = _load_rep(args.r1, algebra)
     rep2 = _load_rep(args.r2, algebra)
-    f = _load(args.f, lambda doc: [[Scalar.parse(x) for x in row]
-                                   for row in doc["matrix"]])
+    f = _load(args.f, lambda doc: _json_matrix(doc["matrix"], "matrix"))
     delta = _load(args.delta, functional_from_json)
     report = verify_projective_equivalence(rep1, rep2, f, delta)
     doc = {

@@ -6,13 +6,14 @@ forms (x,y) -> -sigma([x,y]) for linear functionals sigma.  Both live inside
 the space of alternating forms, flattened over the strict upper triangle in
 row-major order (0,1), (0,2), ..., (n-2,n-1), so that subspace computations
 are canonical.  A :class:`BilinearForm` stores that flat vector too, so forms
-and subspaces share one layout.  The cocycle condition walks the basis
-triples of :func:`~plesken.liealg._linked_triples`, as Jacobi does, and reads
-its terms from the algebra's Gaussian-integer table; :func:`is_cocycle` clears
-the entries alpha(x_m, x_t) it can read, m in the image of a bracket, into
-signed integer rows over their common denominator and sums c * row[t] per
-term (:func:`~plesken.liealg._cyclic_sums`), so each residual is an integer
-pair, no ``Scalar`` is multiplied and no flat index is computed per term.
+and subspaces share one layout.  The cocycle condition on a triple is the sum
+over :func:`~plesken.liealg._rotations` of c alpha(x_m, x_t), c the
+Gaussian-integer terms of :attr:`~plesken.liealg.LieAlgebra.integer_terms`;
+:func:`is_cocycle` walks the triples of
+:func:`~plesken.liealg._linked_triples`, as Jacobi does, over the entries
+alpha(x_m, x_t) it can read, m in the image of a bracket, cleared once by
+:func:`~plesken.scalars.clear` into signed integer rows
+(:func:`~plesken.liealg._cyclic_sums`), so no ``Scalar`` is multiplied.
 Z^2 is the kernel of the same terms: one sparse Gaussian-integer row per
 linked triple goes straight to :func:`~plesken.linalg.integer_nullspace`,
 with no dense row and no ``Scalar`` before the canonical basis.
@@ -26,7 +27,6 @@ modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
@@ -37,9 +37,17 @@ from .errors import (
     NotACocycle,
 )
 from .groups import _json_int
-from .liealg import LieAlgebra, _cyclic_sums, _linked_triples, _read_rows, _rotations
+from .liealg import (
+    LieAlgebra,
+    _cyclic_sums,
+    _json_matrix,
+    _json_scalars,
+    _linked_triples,
+    _read_rows,
+    _rotations,
+)
 from .linalg import Subspace, Vector
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, clear
 
 
 def flat_dim(n: int) -> int:
@@ -201,33 +209,6 @@ def _signed_index(n: int, m: int, t: int) -> tuple[int, int]:
     return (pair_index(n, m, t), 1) if m < t else (pair_index(n, t, m), -1)
 
 
-def _signed_indices(algebra: LieAlgebra) -> list:
-    """:func:`_signed_index` at each (m, t), t != m, of the rows m of
-    :func:`~plesken.liealg._read_rows`, and None at t = m."""
-    n = algebra.dim
-    rows = _read_rows(algebra)
-    for m, row in enumerate(rows):
-        if row is not None:
-            row[:] = [_signed_index(n, m, t) if t != m else None for t in range(n)]
-    return rows
-
-
-def _cocycle_terms(index: list, terms, i: int, j: int, k: int):
-    """(flat index, E Re c, E Im c) terms of the cocycle condition on (i, j, k),
-    from the :func:`_signed_indices` ``index`` and the ``terms`` of
-    :attr:`~plesken.liealg.LieAlgebra.integer_terms`, E their denominator.
-
-    alpha([x_i,x_j],x_k) + alpha([x_j,x_k],x_i) + alpha([x_k,x_i],x_j) is the
-    sum of c * flat[index] over the yielded terms; an index may repeat.
-    """
-    for ts, t in _rotations(terms, i, j, k):
-        for m, cr, ci in ts:
-            entry = index[m][t]
-            if entry is not None:
-                idx, sign = entry
-                yield idx, sign * cr, sign * ci
-
-
 def _flat_over(algebra: LieAlgebra, alpha: BilinearForm) -> tuple[Scalar, ...]:
     if alpha.dim != algebra.dim:
         raise DimensionMismatch(
@@ -250,24 +231,14 @@ def _cleared_rows(algebra: LieAlgebra, flat: Vector) -> tuple[list, Optional[lis
                     idx, sign = _signed_index(n, m, t)
                     if flat[idx]:
                         read.append((m, t, sign, flat[idx]))
-    den = lcm(*{x.d for _, _, _, x in read})
-    real = algebra.integer_terms.real and not any([x.b for _, _, _, x in read])
+    _, re, im = clear([x for _, _, _, x in read])
+    real = algebra.integer_terms.real and not any(im)
     im_rows = None if real else _read_rows(algebra)
-    for m, t, sign, x in read:
-        q = sign * (den // x.d)
-        re_rows[m][t] = q * x.a
+    for (m, t, sign, _), a, b in zip(read, re, im):
+        re_rows[m][t] = sign * a
         if im_rows is not None:
-            im_rows[m][t] = q * x.b
+            im_rows[m][t] = sign * b
     return re_rows, im_rows
-
-
-def _residual(algebra: LieAlgebra, flat: Vector, i: int, j: int, k: int) -> Scalar:
-    den, _, terms = algebra.integer_terms
-    acc = ZERO
-    for idx, cr, ci in _cocycle_terms(_signed_indices(algebra), terms, i, j, k):
-        if flat[idx]:
-            acc = acc + Scalar._make(cr, ci, den) * flat[idx]
-    return acc
 
 
 def cocycle_residual(algebra: LieAlgebra, alpha: BilinearForm,
@@ -277,7 +248,15 @@ def cocycle_residual(algebra: LieAlgebra, alpha: BilinearForm,
     for idx in (i, j, k):
         if not 0 <= idx < n:
             raise IndexOutOfRange(f"index {idx} out of range for dim {n}")
-    return _residual(algebra, _flat_over(algebra, alpha), i, j, k)
+    _flat_over(algebra, alpha)
+    den, _, terms = algebra.integer_terms
+    acc = ZERO
+    for ts, t in _rotations(terms, i, j, k):
+        for m, cr, ci in ts:
+            x = alpha.entry(m, t)
+            if x:
+                acc = acc + Scalar._make(cr, ci, den) * x
+    return acc
 
 
 def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
@@ -296,18 +275,26 @@ def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
 
 def _constraint_rows(algebra: LieAlgebra) -> list[linalg.Row]:
     """One linear constraint over the flattened form per linked basis triple,
-    as the sparse Gaussian-integer row ({flat index: E Re c}, {flat index:
-    E Im c}) of :func:`_cocycle_terms`, summed per index with zero sums
-    dropped; a triple whose terms all cancel gives no row."""
-    index, terms = _signed_indices(algebra), algebra.integer_terms.terms
+    its cocycle condition (see :func:`~plesken.liealg._rotations`), as the
+    sparse Gaussian-integer row ({flat index: E Re c}, {flat index: E Im c}),
+    summed per index with zero sums dropped; no row if all terms cancel."""
+    n, terms = algebra.dim, algebra.integer_terms.terms
+    index = _read_rows(algebra)
+    for m, row in enumerate(index):
+        if row is not None:
+            row[:] = [_signed_index(n, m, t) if t != m else None for t in range(n)]
     rows = []
     for i, j, k in _linked_triples(algebra):
         re: dict[int, int] = {}
         im: dict[int, int] = {}
-        for idx, cr, ci in _cocycle_terms(index, terms, i, j, k):
-            re[idx] = re.get(idx, 0) + cr
-            if ci:
-                im[idx] = im.get(idx, 0) + ci
+        for ts, t in _rotations(terms, i, j, k):
+            for m, cr, ci in ts:
+                entry = index[m][t]
+                if entry is not None:
+                    idx, sign = entry
+                    re[idx] = re.get(idx, 0) + sign * cr
+                    if ci:
+                        im[idx] = im.get(idx, 0) + sign * ci
         re = {idx: x for idx, x in re.items() if x}
         if im:
             im = {idx: x for idx, x in im.items() if x}
@@ -400,7 +387,7 @@ def form_to_json(form: BilinearForm) -> dict:
 
 def form_from_json(doc: dict) -> BilinearForm:
     dim = _json_int(doc, "dim")
-    rows = [tuple(Scalar.parse(s) for s in row) for row in doc.get("upper", [])]
+    rows = _json_matrix(doc.get("upper", []), "upper")
     expected = [dim - 1 - i for i in range(max(dim - 1, 0))]
     if [len(r) for r in rows] != expected:
         raise DimensionMismatch(f"upper-triangle shape does not match dim {dim}")
@@ -412,4 +399,4 @@ def functional_to_json(sigma: LinearFunctional) -> dict:
 
 
 def functional_from_json(doc: dict) -> LinearFunctional:
-    return LinearFunctional(tuple(Scalar.parse(s) for s in doc["v"]))
+    return LinearFunctional(tuple(_json_scalars(doc["v"], "v")))

@@ -15,9 +15,11 @@ cohomology of the extracted cocycles and realized by an explicit commuting
 isomorphism, never by a generic isomorphism search.
 
 The maps f, g, s and phi are multiplied on one sparse kernel: a matrix is
-read as the nonzero entries (r, x) of each column, and every product, defect
-and check is a sum of x * column into its nonzero entries {r: value}, so the
-cost follows the nonzeros rather than (n+1)^2 per vector.
+read as the nonzero entries (r, x) of each column, and every product and
+check is a sum of x * column into its nonzero entries {r: value}, so the
+cost follows the nonzeros rather than (n+1)^2 per vector.  The checks that
+read the bracket sum cleared columns against the Gaussian-integer
+:attr:`~plesken.liealg.LieAlgebra.integer_terms`.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .errors import (
     NoSection,
     NotACocycle,
 )
-from .liealg import LieAlgebra, algebra_from_json, algebra_to_json
+from .liealg import LieAlgebra, _json_matrix, _json_scalars, algebra_from_json, algebra_to_json
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, clear
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +115,11 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
     if linalg.rank(g, n + 1) != n:
         failures.append("projection is not surjective")
     # centrality of the kernel line; [f, f] = 0 needs no check of its own
-    terms = total.bracket_terms
+    terms = total.integer_terms.terms
+    _, f_re, f_im = clear([x for _, x in f_terms])
     for j in range(n + 1):
-        if _combination((x, terms.get((t, j), ())) for t, x in f_terms):
+        if linalg._combine((a, b, terms.get((t, j), ()))
+                           for (t, _), a, b in zip(f_terms, f_re, f_im)):
             failures.append(f"kernel line is not central: [f, x_{j}] != 0")
     if s is not None and not _is_right_inverse(g, s, n):
         failures.append("stored section does not satisfy g s = I")
@@ -154,19 +158,27 @@ def _is_right_inverse(g: Matrix, s: Matrix, n: int) -> bool:
 
 def _homomorphism_defects(m: Matrix, source: LieAlgebra, target: LieAlgebra):
     """(i, j, [M e_i, M e_j] - M [e_i, e_j]) for i < j, M mapping source to
-    target, each defect as its nonzero entries {r: value}.
-
-    M is a homomorphism exactly when every defect is empty.
-    """
+    target, each defect as its nonzero entries {r: value}; M is a homomorphism
+    exactly when every defect is empty.  M is cleared once to D M, and
+    D^2 E F times a defect, E and F the denominators of the source and target
+    terms, is summed in Gaussian integers: E (D M)_ai (D M)_bj (F c_ab) over
+    a, b minus D F (E c_ijk) (D M) e_k over k."""
     cols = _columns(m, source.dim)
-    source_terms, target_terms = source.bracket_terms, target.bracket_terms
+    den, re, im = clear([x for col in cols for _, x in col])
+    parts = iter(zip(re, im))
+    cols = [[(r, *next(parts)) for r, _ in col] for col in cols]
+    e, _, source_terms = source.integer_terms
+    f, _, target_terms = target.integer_terms
+    total, shift = den * den * e * f, -den * f
     for i in range(source.dim):
         for j in range(i + 1, source.dim):
-            images = [(x * y, target_terms[(a, b)])
-                      for a, x in cols[i] for b, y in cols[j]
-                      if (a, b) in target_terms]
-            images += [(-c, cols[k]) for k, c in source_terms.get((i, j), ())]
-            yield i, j, _combination(images)
+            pairs = [(e * (a * c - b * d), e * (a * d + b * c), target_terms[x, y])
+                     for x, a, b in cols[i] for y, c, d in cols[j]
+                     if (x, y) in target_terms]
+            pairs += [(shift * a, shift * b, cols[k])
+                      for k, a, b in source_terms.get((i, j), ())]
+            yield i, j, {r: Scalar._make(u, v, total)
+                         for r, (u, v) in linalg._combine(pairs).items()}
 
 
 def find_section(ext: CentralExtension) -> list[list[Scalar]]:
@@ -336,11 +348,11 @@ def extension_to_json(ext: CentralExtension) -> dict:
 def extension_from_json(doc: dict) -> CentralExtension:
     base = algebra_from_json(doc["base"])
     total = algebra_from_json(doc["total"])
-    f = tuple(Scalar.parse(s) for s in doc["f"])
-    g = tuple(tuple(Scalar.parse(s) for s in row) for row in doc["g"])
+    f = tuple(_json_scalars(doc["f"], "f"))
+    g = linalg.freeze_matrix(_json_matrix(doc["g"], "g"))
     s = None
     if doc.get("s") is not None:
-        s = tuple(tuple(Scalar.parse(x) for x in row) for row in doc["s"])
+        s = linalg.freeze_matrix(_json_matrix(doc["s"], "s"))
     ext = CentralExtension(total=total, base=base, injection_f=f,
                            projection_g=g, section_s=s)
     failures = verify_central_extension(ext)

@@ -485,13 +485,24 @@ def _json_int(doc: dict, key: str) -> int:
     return value
 
 
+def _json_array(value, name: str) -> list:
+    """``value`` when it is a JSON array; a string, which would be read one
+    character at a time, or any other value raises ``TypeError``."""
+    if type(value) is not list:
+        raise TypeError(f"{name} {value!r} is not an array")
+    return value
+
+
 def group_from_json(doc: dict) -> FiniteGroup:
     """Read a group document; table entries, ``order`` and ``identity`` must
     be JSON integers (not floats, bools or strings), else ``TypeError``."""
     for key in ("order", "identity"):
         if key in doc:
             _json_int(doc, key)
-    group = from_cayley_table(doc["table"], doc.get("labels"))
+    labels = doc.get("labels")
+    if labels is not None:
+        _json_array(labels, "labels")
+    group = from_cayley_table(doc["table"], labels)
     if "identity" in doc and doc["identity"] != group.identity:
         raise BadParameter(
             f"declared identity {doc['identity']} but table forces {group.identity}")

@@ -4,10 +4,10 @@ A :class:`LieAlgebra` is a dimension plus structure constants over Q(i): for
 each basis pair i < j a vector c(i,j) with [x_i, x_j] = sum_k c(i,j)_k x_k.
 Antisymmetry is built into the representation; the Jacobi identity is checked
 on construction (or on demand via :func:`verify_lie_axioms`).  Those vectors
-are the one stored form; the bracket, the center and ad read their nonzero
-terms, :attr:`LieAlgebra.bracket_terms`, made once, and Jacobi, the Killing
-form and the cocycle condition read :attr:`LieAlgebra.integer_terms`, the
-same terms cleared once to integer numerators over one common denominator.
+are the one stored form; every sum over the bracket (the bracket itself, ad,
+the center, Jacobi, the Killing form, the cocycle condition) reads the one
+table derived from them, :attr:`LieAlgebra.integer_terms`: their nonzero terms
+cleared once by :func:`~plesken.scalars.clear` to Gaussian integers.
 Jacobi and the cocycle condition are cyclic sums over basis triples: both walk
 the one sequence of triples that can give a nonzero sum, :func:`_linked_triples`,
 through the one rotation rule :func:`_rotations`, and both are
@@ -28,14 +28,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import BadParameter, DimensionMismatch, JacobiViolation
-from .groups import FiniteGroup, _json_int
+from .groups import FiniteGroup, _json_array, _json_int
 from .linalg import Subspace, Vector
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, clear
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,9 @@ class GroupAlgebraElement:
 
 
 class IntegerTerms(NamedTuple):
-    """The bracket terms cleared to Gaussian integers: ``terms[(a, b)]`` holds
-    (k, E Re c, E Im c) for each term (k, c) of ``bracket_terms[(a, b)]``, E
-    the common denominator ``den`` of all structure constants; ``real`` is
+    """The nonzero structure constants as Gaussian integers: ``terms[(a, b)]``
+    holds (k, E Re c, E Im c) for each nonzero c = c(a,b)_k, in increasing k,
+    E the common denominator ``den`` of all structure constants; ``real`` is
     true when no structure constant has an imaginary part."""
 
     den: int
@@ -94,30 +93,19 @@ class LieAlgebra:
         return tuple(-x for x in vec)
 
     @cached_property
-    def bracket_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]:
-        """Nonzero terms ((k, c), ...) of [x_a, x_b] for each ordered pair
-        (a, b) with a nonzero bracket, derived once from :attr:`brackets`."""
-        terms = {}
-        for (i, j), vec in self.brackets.items():
-            forward = tuple((k, c) for k, c in enumerate(vec) if c)
-            terms[(i, j)] = forward
-            terms[(j, i)] = tuple((k, -c) for k, c in forward)
-        return terms
-
-    @cached_property
     def integer_terms(self) -> IntegerTerms:
-        """:attr:`bracket_terms` over one common denominator, derived once
-        from :attr:`brackets` (not through the ``Scalar`` table)."""
+        """The nonzero structure constants over one common denominator,
+        derived once from :attr:`brackets`."""
         nonzero = [(pair, [(k, c) for k, c in enumerate(vec) if c.a or c.b])
                    for pair, vec in self.brackets.items()]
-        scalars = [c for _, ts in nonzero for _, c in ts]
-        den = lcm(*{c.d for c in scalars})
+        den, re, im = clear([c for _, ts in nonzero for _, c in ts])
+        parts = iter(zip(re, im))
         terms = {}
         for (i, j), ts in nonzero:
-            forward = tuple([(k, c.a * (den // c.d), c.b * (den // c.d)) for k, c in ts])
+            forward = tuple([(k, *next(parts)) for k, _ in ts])
             terms[(i, j)] = forward
             terms[(j, i)] = tuple([(k, -a, -b) for k, a, b in forward])
-        return IntegerTerms(den, not any([c.b for c in scalars]), terms)
+        return IntegerTerms(den, not any(im), terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
@@ -167,24 +155,21 @@ def from_structure_constants(dim: int, table,
 
 
 def bracket(algebra: LieAlgebra, u: Vector, v: Vector) -> list[Scalar]:
-    """Bilinear extension of the structure constants to coordinate vectors."""
+    """Bilinear extension of the structure constants to coordinate vectors,
+    summed in Gaussian integers over the cleared u and v."""
     n = algebra.dim
     if len(u) != n or len(v) != n:
         raise DimensionMismatch(
             f"expected vectors of length {n}, got {len(u)} and {len(v)}")
-    terms = algebra.bracket_terms
-    v_nonzero = [(j, y) for j, y in enumerate(v) if y]
-    out = linalg.zeros(n)
-    for i, x in enumerate(u):
-        if not x:
-            continue
-        for j, y in v_nonzero:
-            ij = terms.get((i, j))
-            if ij:
-                coeff = x * y
-                for k, c in ij:
-                    out[k] = out[k] + coeff * c
-    return out
+    den, _, terms = algebra.integer_terms
+    us, vs = [i for i, x in enumerate(u) if x], [j for j, y in enumerate(v) if y]
+    du, ure, uim = clear([u[i] for i in us])
+    dv, vre, vim = clear([v[j] for j in vs])
+    pairs = [(a * c - b * d, a * d + b * c, terms[i, j])
+             for i, a, b in zip(us, ure, uim) for j, c, d in zip(vs, vre, vim)
+             if (i, j) in terms]
+    sums, total = linalg._combine(pairs), du * dv * den
+    return [Scalar._make(*sums[k], total) if k in sums else ZERO for k in range(n)]
 
 
 def _linked_triples(algebra: LieAlgebra):
@@ -393,18 +378,20 @@ def plesken_algebra(group: FiniteGroup) -> tuple[LieAlgebra, PleskenBasis]:
 
 
 def center(algebra: LieAlgebra) -> Subspace:
-    """{v : [v, x_j] = 0 for all j}, as the nullspace of the stacked adjoints."""
+    """{v : [v, x_j] = 0 for all j}: the kernel of one Gaussian-integer row
+    per (j, k), whose column i holds E c(i,j)_k."""
     n = algebra.dim
-    rows = []
-    for j in range(n):
-        by_k: dict[int, list[Scalar]] = {}
-        for (k, i), c in _ad_terms(algebra, j).items():
-            by_k.setdefault(k, linalg.zeros(n))[i] = c
-        rows.extend(by_k[k] for k in sorted(by_k))
+    rows: dict[tuple[int, int], linalg.Row] = {}
+    for (i, j), ts in algebra.integer_terms.terms.items():
+        for k, a, b in ts:
+            re, im = rows.setdefault((j, k), ({}, {}))
+            if a:
+                re[i] = a
+            if b:
+                im[i] = b
     if not rows:
         return Subspace.full(n)
-    null = linalg.nullspace(rows, n)
-    return Subspace(n, linalg.freeze_matrix(null))
+    return Subspace(n, linalg.freeze_matrix(linalg.integer_nullspace(list(rows.values()), n)))
 
 
 def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
@@ -416,16 +403,12 @@ def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
 def ad_matrix(algebra: LieAlgebra, i: int) -> list[list[Scalar]]:
     """Matrix of ad x_i: column j holds the coordinates of [x_i, x_j]."""
     n = algebra.dim
+    den, _, terms = algebra.integer_terms
     mat = linalg.zero_matrix(n, n)
-    for (k, j), c in _ad_terms(algebra, i).items():
-        mat[k][j] = c
+    for j in range(n):
+        for k, a, b in terms.get((i, j), ()):
+            mat[k][j] = Scalar._make(a, b, den)
     return mat
-
-
-def _ad_terms(algebra: LieAlgebra, i: int) -> dict[tuple[int, int], Scalar]:
-    # nonzero entries {(k, j): c} of ad x_i, c the x_k-coordinate of [x_i, x_j]
-    terms = algebra.bracket_terms
-    return {(k, j): c for j in range(algebra.dim) for k, c in terms.get((i, j), ())}
 
 
 def killing_form(algebra: LieAlgebra) -> list[list[Scalar]]:
@@ -478,10 +461,27 @@ def algebra_to_json(algebra: LieAlgebra) -> dict:
             "brackets": entries}
 
 
+def _json_scalars(value, name: str) -> list[Scalar]:
+    """The scalars of a JSON array of scalar strings."""
+    return [Scalar.parse(s) for s in _json_array(value, name)]
+
+
+def _json_matrix(value, name: str) -> list[list[Scalar]]:
+    """The rows of a JSON array of arrays of scalar strings."""
+    return [_json_scalars(row, f"{name} row") for row in _json_array(value, name)]
+
+
 def algebra_from_json(doc: dict) -> LieAlgebra:
+    """Read an algebra document; a pair given twice is a
+    :class:`~plesken.errors.BadParameter` naming it, never last-one-wins."""
     dim = _json_int(doc, "dim")
     table = {}
     for entry in doc.get("brackets", []):
         i, j = _json_int(entry, "i"), _json_int(entry, "j")
-        table[(i, j)] = [Scalar.parse(s) for s in entry["c"]]
-    return from_structure_constants(dim, table, labels=doc.get("labels"))
+        if (i, j) in table:
+            raise BadParameter(f"bracket ({i},{j}) is given twice", witness=[i, j])
+        table[(i, j)] = _json_scalars(entry["c"], "c")
+    labels = doc.get("labels")
+    if labels is not None:
+        _json_array(labels, "labels")
+    return from_structure_constants(dim, table, labels)

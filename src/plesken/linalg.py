@@ -137,6 +137,21 @@ def _cleared(row: Vector) -> Row:
     return re, im
 
 
+def _combine(pairs) -> dict[int, list[int]]:
+    """The nonzero entries {index: [Re, Im]} of the sum of (x + i y) column over
+    the (x, y, column) of ``pairs``, a column being (index, Re, Im) triples."""
+    acc: dict[int, list[int]] = {}
+    for x, y, column in pairs:
+        for r, a, b in column:
+            s = acc.get(r)
+            if s is None:
+                acc[r] = [x * a - y * b, x * b + y * a]
+            else:
+                s[0] += x * a - y * b
+                s[1] += x * b + y * a
+    return {r: s for r, s in acc.items() if s[0] or s[1]}
+
+
 def _integer_rows(rows: Iterable[Vector]) -> list[Row]:
     return [row for row in map(_cleared, rows) if row[0] or row[1]]
 

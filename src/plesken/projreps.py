@@ -6,15 +6,16 @@ together with the defect cocycle alpha, defined by
     [Phi(x), Phi(y)] = alpha(x, y) I + Phi([x, y]).
 
 Defects are formed in Gaussian-integer arithmetic on packed integers.  The
-matrices are cleared once to real and imaginary integer numerators N_k over
-one common denominator D, and each row of each part is packed into one
-integer with w-bit slots (Kronecker substitution): row k of X is
-sum_c X_kc 2^(w c), so row r of X Y is sum_k X_rk row_k(Y).  (A packed column
-times a packed row would also multiply the d^2 - d empty slots of the
-column.)  The defect of a pair, E [N_i, N_j] - D sum (E c_k) N_k with E the
-bracket denominator, is D^2 E times its true value, one packed integer per
-part with entry (r, c) in slot r d + c.  Each representation takes one width
-w from a bound on every entry of such a numerator,
+matrices are cleared once (:func:`~plesken.scalars.clear`) to real and
+imaginary numerators N_k over one denominator D, and each row of each part
+is packed into one integer with w-bit slots (Kronecker substitution): row k
+of X is sum_c X_kc 2^(w c), so row r of X Y is sum_k X_rk row_k(Y).  (A
+packed column times a packed row would also multiply the d^2 - d empty slots
+of the column.)  The defect of a pair, E [N_i, N_j] - D sum (E c_k) N_k over
+the terms E c_k of :attr:`~plesken.liealg.LieAlgebra.integer_terms`, is
+D^2 E times its true value, one packed integer per part with entry (r, c) in
+slot r d + c.  Each representation takes one width w from a bound on every
+entry of such a numerator,
 
     |entry| <= 4 d E M^2 + D C M < 2^(w - 1),
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from itertools import islice
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -65,10 +66,10 @@ from .errors import (
     NotEquivalent,
     SingularF,
 )
-from .groups import _json_int
-from .liealg import LieAlgebra
+from .groups import _json_array, _json_int
+from .liealg import LieAlgebra, _json_matrix
 from .linalg import Matrix, _digit, _digits, _slots, _width
-from .scalars import Scalar
+from .scalars import Scalar, clear
 
 
 # A defect's outcome: alpha(i, j) when the defect is alpha(i, j) I, else its
@@ -147,9 +148,10 @@ _Cleared = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 def _clear(matrices: Sequence[Matrix]) -> tuple[int, list[_Cleared]]:
     """The common denominator D of every entry, and D times each matrix."""
-    den = lcm(*{x.d for m in matrices for row in m for x in row})
-    return den, [(tuple([tuple([x.a * (den // x.d) for x in row]) for row in m]),
-                  tuple([tuple([x.b * (den // x.d) for x in row]) for row in m]))
+    den, re, im = clear([x for m in matrices for row in m for x in row])
+    re, im = iter(re), iter(im)
+    return den, [(tuple([tuple(islice(re, len(row))) for row in m]),
+                  tuple([tuple(islice(im, len(row))) for row in m]))
                  for m in matrices]
 
 
@@ -465,8 +467,7 @@ def rep_from_json(algebra: LieAlgebra, doc: dict) -> ProjectiveRep:
     if _json_int(doc, "dim") != algebra.dim:
         raise DimensionMismatch(
             f"document dim {doc['dim']} does not match algebra dim {algebra.dim}")
-    matrices = [[[Scalar.parse(x) for x in row] for row in m]
-                for m in doc["matrices"]]
+    matrices = [_json_matrix(m, "matrix") for m in _json_array(doc["matrices"], "matrices")]
     cocycle = None
     if doc.get("alpha") is not None:
         cocycle = form_from_json(doc["alpha"])

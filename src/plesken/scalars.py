@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd
-from typing import Union
+from math import gcd, lcm
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -204,6 +204,13 @@ class Scalar:
                 num, den = _parse_rational(term, text)
                 re_n, re_d = re_n * den + num * re_d, re_d * den
         return cls._make(re_n * im_d, im_n * re_d, re_d * im_d)
+
+
+def clear(values: Sequence[Scalar]) -> tuple[int, list[int], list[int]]:
+    """(D, re, im): the least common denominator D of the scalars and the
+    real and imaginary parts of D times each, in order; D is 1 for none."""
+    den = lcm(*{x.d for x in values})
+    return den, [x.a * (den // x.d) for x in values], [x.b * (den // x.d) for x in values]
 
 
 def _coerce(value: object) -> Scalar | None:

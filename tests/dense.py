@@ -1,11 +1,13 @@
 """Dense Scalar oracles for the tests.
 
-The library multiplies matrices on two kernels only: sparse columns for the
-structure maps of an extension and Gaussian integers for representation
-matrices.  The plain row-by-column products below are the independent slow
-path the tests compare both against, together with dense restatements of the
-extension checks that read every entry of every map.  The Jacobi and
-cocycle checks run in Gaussian integers; :func:`scalar_cocycle_terms` and
+The library multiplies matrices on Gaussian-integer kernels only: sparse
+columns for the structure maps of an extension and packed rows for
+representation matrices.  The plain row-by-column products below are the
+independent slow path the tests compare both against, together with dense
+restatements of the extension checks that read every entry of every map.
+Every oracle here reads the stored ``brackets`` (through :func:`dense_bracket`
+or ``structure``), never the table the library derives from them.  The Jacobi
+and cocycle checks run in Gaussian integers; :func:`scalar_cocycle_terms` and
 :func:`scalar_residual` are their term-by-term ``Scalar`` walk, and
 :func:`gaussian_table` makes the sparse tables with Gaussian-rational
 coefficients both are compared on.  :func:`dense_rows` spells out the sparse
@@ -22,7 +24,6 @@ from plesken import linalg
 from plesken.cohomology import BilinearForm, are_cohomologous, pair_index
 from plesken.errors import BaseMismatch
 from plesken.extensions import _kernel_coefficient, cocycle_from_extension, find_section
-from plesken.liealg import bracket
 from plesken.scalars import ONE, ZERO, I, Scalar
 
 
@@ -76,12 +77,24 @@ def column(m, k):
     return [row[k] for row in m]
 
 
+def dense_bracket(algebra, u, v):
+    """[u, v] summed over every stored basis pair i < j of ``brackets``."""
+    out = [ZERO] * algebra.dim
+    for (i, j), c in algebra.brackets.items():
+        coeff = u[i] * v[j] - u[j] * v[i]
+        if coeff:
+            for k, ck in enumerate(c):
+                if ck:
+                    out[k] = out[k] + coeff * ck
+    return out
+
+
 def homomorphism_failures(m, source, target, name):
     """"<name> is not a homomorphism at (i,j)" wherever
     [M e_i, M e_j] != M [e_i, e_j], from whole columns of M."""
     return [f"{name} is not a homomorphism at ({i},{j})"
             for i in range(source.dim) for j in range(i + 1, source.dim)
-            if any(vec_sub(bracket(target, column(m, i), column(m, j)),
+            if any(vec_sub(dense_bracket(target, column(m, i), column(m, j)),
                            mat_vec(m, source.structure(i, j))))]
 
 
@@ -104,7 +117,7 @@ def verify_central_extension(ext):
         return failures
     if not any(f):
         failures.append("injection vector is zero")
-    if any(bracket(total, f, f)):
+    if any(dense_bracket(total, f, f)):
         failures.append("injection bracket [f,f] is nonzero")
     failures += homomorphism_failures(g, total, ext.base, "projection")
     if any(mat_vec(g, f)):
@@ -112,7 +125,7 @@ def verify_central_extension(ext):
     if linalg.rank(g, n + 1) != n:
         failures.append("projection is not surjective")
     for j, e_j in enumerate(linalg.identity_matrix(n + 1)):
-        if any(bracket(total, f, e_j)):
+        if any(dense_bracket(total, f, e_j)):
             failures.append(f"kernel line is not central: [f, x_{j}] != 0")
     if s is not None and not mat_eq(mat_mul(g, s), linalg.identity_matrix(n)):
         failures.append("stored section does not satisfy g s = I")
@@ -198,14 +211,13 @@ def rescaled_table(algebra, scales):
 
 def scalar_cocycle_terms(algebra, i, j, k):
     """(flat index, coefficient) terms of the cocycle condition on (i, j, k),
-    read from the ``Scalar`` bracket terms."""
+    read from the stored structure vectors."""
     n = algebra.dim
-    terms = algebra.bracket_terms
     for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, cm in terms.get((a, b), ()):
-            if m < t:
+        for m, cm in enumerate(algebra.structure(a, b)):
+            if cm and m < t:
                 yield pair_index(n, m, t), cm
-            elif m > t:
+            elif cm and m > t:
                 yield pair_index(n, t, m), -cm
 
 

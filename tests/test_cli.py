@@ -409,6 +409,57 @@ def test_non_integer_document_field_is_domain_error(tmp_path, capsys, verb, name
     assert json.loads(out) == {"error": "BadDocument", "witness": [paths[name]]}
 
 
+# a string where an array belongs is not read one character at a time
+STRING_FOR_ARRAY = [
+    ("cohomology h2 -L {algebra}", "algebra",
+     {**HEIS3_DOC, "brackets": [{"i": 0, "j": 1, "c": "001"}]}),
+    ("cohomology h2 -L {algebra}", "algebra", {**HEIS3_DOC, "labels": "XYZ"}),
+    ("algebra plesken -g {group}", "group", {**READER_DOCS["group"], "labels": "eab"}),
+    ("extension build -L {algebra} --alpha {alpha}", "alpha", {"dim": 3, "upper": ["10", "0"]}),
+    ("rep twist -r {rep} --sigma {sigma}", "sigma", {"v": "201"}),
+    ("rep cocycle -L {algebra} -r {rep}", "rep", {**READER_DOCS["rep"], "matrices": [
+        ["01", "00"], *READER_DOCS["rep"]["matrices"][1:]]}),
+    ("extension cocycle -e {extension}", "extension",
+     {**READER_DOCS["extension"], "f": "0001"}),
+    ("extension cocycle -e {extension}", "extension",
+     {**READER_DOCS["extension"], "g": ["1000", "0100", "0010"]}),
+    ("rep verify-equiv -r1 {rep} -r2 {rep} --f {f} --delta {sigma}", "f",
+     {"matrix": ["10", "01"]}),
+]
+
+
+@pytest.mark.parametrize("verb,name,doc", STRING_FOR_ARRAY, ids=[
+    "bracket-c", "algebra-labels", "group-labels", "upper-rows", "functional-v",
+    "rep-matrix-rows", "extension-f", "extension-g-rows", "f-matrix-rows"])
+def test_string_for_an_array_is_domain_error(tmp_path, capsys, verb, name, doc):
+    paths = {}
+    for other in READER_DOCS:
+        paths[other] = str(tmp_path / f"{other}.json")
+        with open(paths[other], "w", encoding="utf-8") as handle:
+            json.dump(doc if other == name else READER_DOCS[other], handle)
+    argv = verb.format(**paths).split()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BadDocument: ") and err.count("\n") == 1
+    assert "is not an array" in err
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "BadDocument", "witness": [paths[name]]}
+
+
+def test_bracket_pair_given_twice_is_domain_error(tmp_path, capsys):
+    # the last entry for a pair does not silently win
+    path = tmp_path / "L.json"
+    path.write_text(json.dumps({**HEIS3_DOC, "brackets": HEIS3_DOC["brackets"] + [
+        {"i": 0, "j": 1, "c": ["0", "0", "0"]}]}))
+    code, out, err = run_cli(capsys, "cohomology", "h2", "-L", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: BadParameter: bracket (0,1) is given twice\n"
+    code, out, err = run_cli(capsys, "cohomology", "h2", "-L", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "BadParameter", "witness": [0, 1]}
+
+
 @pytest.mark.parametrize("key,value,failure", [
     ("f", ["0", "0", "1"], "injection has length 3, not 4"),
     ("g", [["1", "0", "0", "0"], ["0", "1", "0"], ["0", "0", "1", "0"]],

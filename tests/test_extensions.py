@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import dense
-from dense import column, mat_eq, mat_mul, mat_vec
+from dense import column, dense_bracket, mat_eq, mat_mul, mat_vec
 from plesken import errors, linalg
 from plesken.cli import main
 from plesken.cohomology import (
@@ -32,7 +32,7 @@ from plesken.extensions import (
     verify_central_extension,
     verify_equivalence_map,
 )
-from plesken.liealg import bracket, from_structure_constants, verify_lie_axioms
+from plesken.liealg import from_structure_constants, verify_lie_axioms
 from plesken.scalars import ONE, ZERO, Scalar
 from plesken.verify import random_cocycle, random_functional
 
@@ -324,7 +324,7 @@ def _rebased(ext, rng):
                 shear)
     t_inv = linalg.invert(t)
     images = [column(t_inv, k) for k in range(m)]
-    table = {(i, j): mat_vec(t, bracket(ext.total, images[i], images[j]))
+    table = {(i, j): mat_vec(t, dense_bracket(ext.total, images[i], images[j]))
              for i in range(m) for j in range(i + 1, m)}
     f = tuple(F_SCALE * x for x in mat_vec(t, ext.injection_f))
     tau = [_rand_entry(rng) for _ in range(m - 1)]

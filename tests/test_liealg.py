@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from dense import dense_nullspace, gaussian_table, rescaled_table
+from dense import dense_bracket, dense_nullspace, gaussian_table, rescaled_table
 from plesken import errors
 from plesken.groups import from_permutation_generators, preset, self_inverse_count
 from plesken.liealg import (
@@ -238,16 +238,20 @@ def test_verify_lie_axioms_matches_all_triples_on_sparse_tables():
         assert verify_lie_axioms(algebra) == all_triples_jacobi(algebra)
 
 
-def test_integer_terms_clear_bracket_terms(oracle_algebras):
+def test_integer_terms_clear_stored_brackets(oracle_algebras):
     rng = random.Random(8)
     tables = [unchecked(n, gaussian_table(rng, n, real=n % 2 == 0)) for n in range(3, 9)]
     for algebra in tables + [a for _, a in oracle_algebras]:
         den, real, terms = algebra.integer_terms
-        scalars = [c for ts in algebra.bracket_terms.values() for _, c in ts]
+        forward = {pair: tuple((k, c) for k, c in enumerate(vec) if c)
+                   for pair, vec in algebra.brackets.items()}
+        scalars = [c for ts in forward.values() for _, c in ts]
         assert den == lcm(*[c.d for c in scalars])
         assert real == all(c.is_rational() for c in scalars)
+        expected = {**forward, **{(j, i): tuple((k, -c) for k, c in ts)
+                                  for (i, j), ts in forward.items()}}
         assert {pair: tuple((k, Scalar._make(re, im, den)) for k, re, im in ts)
-                for pair, ts in terms.items()} == algebra.bracket_terms
+                for pair, ts in terms.items()} == expected
 
 
 def test_verify_lie_axioms_matches_all_triples_on_gaussian_tables():
@@ -441,18 +445,6 @@ def test_killing_form_symmetry(sl2, heis3):
 
 
 # -- oracles: the dense code the sparse kernels replaced -------------------------
-
-
-def dense_bracket(algebra, u, v):
-    """[u, v] summed over every stored basis pair i < j."""
-    out = [ZERO] * algebra.dim
-    for (i, j), c in algebra.brackets.items():
-        coeff = u[i] * v[j] - u[j] * v[i]
-        if coeff:
-            for k, ck in enumerate(c):
-                if ck:
-                    out[k] = out[k] + coeff * ck
-    return out
 
 
 def dense_ad_matrix(algebra, i):

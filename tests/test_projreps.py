@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dense import mat_mul, vec_sub
+from dense import mat_mul, rescaled_table, vec_sub
 from plesken import errors, linalg, projreps, verify
 from plesken.cli import main
 from plesken.cohomology import (
@@ -248,7 +248,9 @@ def _oracle_defect(rep, i, j):
     a, b = rep.matrices[i], rep.matrices[j]
     out = [vec_sub(r1, r2)
            for r1, r2 in zip(mat_mul(a, b), mat_mul(b, a))]
-    for k, c in rep.algebra.bracket_terms.get((i, j), ()):
+    for k, c in enumerate(rep.algebra.structure(i, j)):
+        if not c:
+            continue
         for row, image_row in zip(out, rep.matrices[k]):
             for s, x in enumerate(image_row):
                 if x:
@@ -330,14 +332,7 @@ def _rand_scalar(rng):
 def _rescaled(algebra, blocks, scales):
     """The algebra in the basis y_k = scales[k] x_k, with the representations
     Phi(y_k) = scales[k] Phi(x_k): structure constants get denominators and i."""
-    table = {}
-    for (a, b), terms in algebra.bracket_terms.items():
-        if a < b:
-            vec = [ZERO] * algebra.dim
-            for k, c in terms:
-                vec[k] = scales[a] * scales[b] * c / scales[k]
-            table[(a, b)] = vec
-    scaled = from_structure_constants(algebra.dim, table)
+    scaled = from_structure_constants(algebra.dim, rescaled_table(algebra, scales))
     return scaled, [tuple([[scales[k] * x for x in row] for row in m]
                           for k, m in enumerate(block)) for block in blocks]
 

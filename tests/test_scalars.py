@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from plesken.scalars import I, ONE, ZERO, Scalar
+from plesken.scalars import I, ONE, ZERO, Scalar, clear
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -125,3 +125,13 @@ def test_str_matches_fraction_formatter():
         assert str(s) == fraction_str(s)
     assert [str(s) for s in fixed] == ["0", "1", "-1", "1*I", "-1*I", "-3/4*I", "-5/6",
                                        "1/2+1/3*I", "-7/9-1*I", "2-5/2*I"]
+
+
+@given(st.lists(scalars, max_size=6))
+def test_clear_gives_the_least_common_denominator(values):
+    den, re, im = clear(values)
+    assert [Scalar(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)] == values
+    # D is least: no proper divisor of D clears every value
+    assert all(any((den // p) % x.d for x in values)
+               for p in range(2, den + 1) if den % p == 0)
+    assert clear([]) == (1, [], [])

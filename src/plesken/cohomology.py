@@ -196,11 +196,19 @@ class H2Result:
 
 
 def coboundary(algebra: LieAlgebra, sigma: LinearFunctional) -> BilinearForm:
-    """The form (x, y) -> -sigma([x, y])."""
+    """The form (x, y) -> -sigma([x, y]).  sigma's support is read once, and
+    each entry sums only its nonzero products, in the order of
+    :meth:`LinearFunctional.value`."""
     n = algebra.dim
+    support = [(k, s) for k, s in zip(range(n), sigma.vector) if s]
     entries = {}
-    for (i, j), c in algebra.brackets.items():
-        entries[(i, j)] = -sigma.value(c)
+    for pair, c in algebra.brackets.items():
+        acc = ZERO
+        for k, s in support:
+            x = c[k]
+            if x:
+                acc = acc + s * x
+        entries[pair] = -acc
     return BilinearForm.from_entries(n, entries)
 
 

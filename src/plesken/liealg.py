@@ -20,7 +20,10 @@ The Plesken algebra of a finite group G is the span of the elements
 g_hat = g - g^-1 inside the group algebra, closed under the commutator.  Its
 structure constants are obtained by evaluating the group-algebra commutator
 and re-expressing the result in the hat basis; no closed bracket formula is
-hard-coded.
+hard-coded.  A commutator of two hat elements has at most eight nonzero
+coefficients, so :func:`hat_coordinates` reads only those, through the
+element -> (basis index, representative) map :attr:`PleskenBasis.members`
+made once per basis, never a scan of all n pairs.
 """
 
 from __future__ import annotations
@@ -42,6 +45,16 @@ class PleskenBasis:
     """Inverse pairs (g, g^-1), one per basis vector g_hat, g the smaller index."""
 
     pairs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def members(self) -> dict[int, tuple[int, bool]]:
+        """Each member of a pair -> (its basis index, whether it is the
+        representative g rather than g^-1)."""
+        out = {}
+        for k, (g, gi) in enumerate(self.pairs):
+            out[g] = (k, True)
+            out[gi] = (k, False)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,24 +342,36 @@ def plesken_pairs(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
 
 def hat_coordinates(group: FiniteGroup, element: GroupAlgebraElement,
                     basis: PleskenBasis) -> list[Scalar]:
-    """Express a group-algebra element in the hat basis.
+    """Express a group-algebra element in the hat basis, reading only its
+    nonzero coefficients through :attr:`PleskenBasis.members`.
 
-    Raises ValueError when the element is outside the span: nonzero weight on
-    a self-inverse element, or pair weights that are not opposite.
+    Raises ValueError when the element is outside the span: pair weights that
+    are not opposite (the first such pair in basis order), else nonzero
+    weight on a self-inverse element (the first in the element's order).
     """
-    coords = []
     coeffs = element.coefficients
-    for g, gi in basis.pairs:
-        cg = coeffs.get(g, ZERO)
-        if coeffs.get(gi, ZERO) != -cg:
+    members = basis.members
+    coords = [ZERO] * len(basis.pairs)
+    touched = set()
+    loose = None
+    for g, c in coeffs.items():
+        slot = members.get(g)
+        if slot is None:
+            if loose is None:
+                loose = g
+            continue
+        k, representative = slot
+        if representative:
+            coords[k] = c
+        touched.add(k)
+    for k in sorted(touched):
+        g, gi = basis.pairs[k]
+        if coeffs.get(gi, ZERO) != -coords[k]:
             raise ValueError(
                 f"element is not in the hat span: pair ({g},{gi}) weights differ")
-        coords.append(cg)
-    pair_members = {g for pair in basis.pairs for g in pair}
-    for g in coeffs:
-        if g not in pair_members:
-            raise ValueError(
-                f"element is not in the hat span: weight on self-inverse element {g}")
+    if loose is not None:
+        raise ValueError(
+            f"element is not in the hat span: weight on self-inverse element {loose}")
     return coords
 
 
@@ -360,14 +385,13 @@ def plesken_algebra(group: FiniteGroup) -> tuple[LieAlgebra, PleskenBasis]:
     pairs = plesken_pairs(group)
     basis = PleskenBasis(pairs)
     n = len(pairs)
+    hats = [hat_element(group, g) for g, _ in pairs]
     brackets: dict[tuple[int, int], tuple[Scalar, ...]] = {}
     for i in range(n):
-        ui = hat_element(group, pairs[i][0])
         for j in range(i + 1, n):
-            w = group_algebra_commutator(group, ui, hat_element(group, pairs[j][0]))
-            vec = hat_coordinates(group, w, basis)
-            if any(vec):
-                brackets[(i, j)] = tuple(vec)
+            w = group_algebra_commutator(group, hats[i], hats[j])
+            if not w.is_zero():
+                brackets[(i, j)] = tuple(hat_coordinates(group, w, basis))
     labels = tuple(f"hat({group.label(g)})" for g, _ in pairs)
     algebra = LieAlgebra(dim=n, brackets=brackets, basis_labels=labels,
                          provenance=(group, basis))

@@ -15,8 +15,12 @@ pivot rule is the one difference between the two uses: :func:`rref`,
 leftmost column, so the kept rows are the RREF, which is unique whatever
 order produced it; :func:`rank` and the kernels take the column with the
 fewest kept rows in the index, which clears less, and
-:func:`integer_nullspace` then puts the kernel in its canonical RREF.  Only
-the final rows become scalars.  :meth:`Subspace.contains` and
+:func:`integer_nullspace` then puts the kernel in its canonical RREF.  Every
+caller passes the column count, and the elimination stops as soon as every
+column holds a pivot: each row left would reduce to zero, so a tall matrix of
+full column rank (the brackets spanning [L, L] of a semisimple L, the center's
+rows) costs only the rows taken before that.  Only the final rows become
+scalars.  :meth:`Subspace.contains` and
 :meth:`Subspace.complement_rows` reduce on the same integer rows.  The one
 other path, :func:`rank_reversed`, is a deliberately different, dense
 ``Scalar`` ordering (right-to-left columns, bottom-up pivots) kept as an
@@ -69,7 +73,7 @@ def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[list[Scalar]], list[i
     The rows are eliminated in Gaussian integers by :func:`_eliminate`; only
     the final rows become scalars.
     """
-    return _dense(_eliminate(_integer_rows(rows)), ncols)
+    return _dense(_eliminate(_integer_rows(rows), ncols), ncols)
 
 
 # -- packed integer vectors -----------------------------------------------------
@@ -238,9 +242,10 @@ def _columns(re: dict[int, int], im: dict[int, int]):
     return re.keys() | im.keys() if im else re.keys()
 
 
-def _eliminate(rows: list[Row], free: bool = False) -> dict[int, Row]:
-    """A reduced form of the rows as {pivot: row}: each row is zero at every
-    other pivot, and the rows span the row space.
+def _eliminate(rows: list[Row], ncols: int, free: bool = False) -> dict[int, Row]:
+    """A reduced form of the rows, whose columns lie below ``ncols``, as
+    {pivot: row}: each row is zero at every other pivot, and the rows span
+    the row space.
 
     Rows are taken fewest nonzeros first (ties go to the lowest input index).
     Each is reduced against the rows kept so far; a nonzero residue gets a
@@ -253,7 +258,9 @@ def _eliminate(rows: list[Row], free: bool = False) -> dict[int, Row]:
     instead the residue's column with the fewest rows in the index (ties to
     the lowest column), which clears less but gives a reduced form that
     depends on the order; it serves only the rank and the kernel, which do
-    not.  The input rows are updated in place.
+    not.  Once every column holds a pivot, every row left would reduce to
+    zero, so the elimination stops there with the same kept rows.  The input
+    rows taken are updated in place.
     """
     sizes = [len(_columns(re, im)) for re, im in rows]
     order = sorted(range(len(rows)), key=sizes.__getitem__)
@@ -282,6 +289,8 @@ def _eliminate(rows: list[Row], free: bool = False) -> dict[int, Row]:
         for c in cols:
             holders.setdefault(c, set()).update(touched)
         kept[lead] = row
+        if len(kept) == ncols:
+            break
     return kept
 
 
@@ -306,7 +315,7 @@ def _dense(kept: dict[int, Row], ncols: int) -> tuple[list[list[Scalar]], list[i
 
 
 def rank(rows: Iterable[Vector], ncols: int) -> int:
-    return len(_eliminate(_integer_rows(rows), free=True))
+    return len(_eliminate(_integer_rows(rows), ncols, free=True))
 
 
 def rank_reversed(rows: Iterable[Vector], ncols: int) -> int:
@@ -350,11 +359,11 @@ def nullspace(rows: Iterable[Vector], ncols: int) -> list[list[Scalar]]:
 
 
 def integer_nullspace(rows: list[Row], ncols: int) -> list[list[Scalar]]:
-    """Canonical nullspace basis of nonzero Gaussian-integer rows, which are
-    updated in place: the RREF of the vectors L e_f - sum r_p[f] e_p (L/L_p
+    """Canonical nullspace basis of nonzero Gaussian-integer rows, which may
+    be updated in place: the RREF of the vectors L e_f - sum r_p[f] e_p (L/L_p
     scaling each r_p to the common lead L), one per free column f of a
     free-pivot reduced form of the rows."""
-    kept = _eliminate(rows, free=True)
+    kept = _eliminate(rows, ncols, free=True)
     users: dict[int, list[int]] = {}
     for p, row in kept.items():
         for j in _columns(*row):
@@ -375,7 +384,7 @@ def integer_nullspace(rows: list[Row], ncols: int) -> list[list[Scalar]]:
             if free in pim:
                 im[p] = -k * pim[free]
         basis.append((re, im))
-    return _dense(_eliminate(basis), ncols)[0]
+    return _dense(_eliminate(basis, ncols), ncols)[0]
 
 
 def solve(a_rows: Iterable[Vector], b: Vector, ncols: int) -> Optional[list[Scalar]]:

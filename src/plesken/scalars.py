@@ -7,13 +7,17 @@ anywhere in this package.
 
 The canonical string form is ``"a/b"`` for rational values and
 ``"a/b+c/d*I"`` for proper complex ones, e.g. ``"3/2+1/2*I"``, ``"-4"``,
-``"1/3*I"``.  :func:`Scalar.parse` reads that form back.
+``"1/3*I"``.  :func:`Scalar.parse` reads that form back.  Documents repeat a
+few texts many times, so it memoises the scalar of each text it has read
+(the most recent :data:`_PARSE_MEMO`), which is safe because a scalar is
+never mutated; ``"0"`` is tested before the memo and is always :data:`ZERO`.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence, Union
 
@@ -178,32 +182,16 @@ class Scalar:
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
-        """Read the canonical string form back into a scalar."""
+        """Read the canonical string form back into a scalar.  Equal texts give
+        the same object, from a memo of the last :data:`_PARSE_MEMO` texts read;
+        malformed text is never memoised and raises on every call."""
         if not isinstance(text, str):
             raise TypeError(f"scalar must be a string, got {type(text).__name__}")
         if text == "0":
-            # most entries of a dense bracket vector; any other spelling of
-            # zero takes the general path below
+            # most entries of a dense bracket vector, cheaper to test than to
+            # look up; any other spelling of zero takes the general path
             return ZERO
-        s = text.strip()
-        if not s:
-            raise ValueError("empty scalar string")
-        if s[0] not in "+-":
-            s = "+" + s
-        terms = _TERM_RE.findall(s)
-        if "".join(terms) != s:
-            raise ValueError(f"malformed scalar string {text!r}")
-        # real and imaginary parts as integer fractions re_n/re_d, im_n/im_d
-        re_n, re_d, im_n, im_d = 0, 1, 0, 1
-        for term in terms:
-            if term.endswith("*I") or term in ("+I", "-I"):
-                coeff = term[:-2] if term.endswith("*I") else term[:-1] + "1"
-                num, den = _parse_rational(coeff, text)
-                im_n, im_d = im_n * den + num * im_d, im_d * den
-            else:
-                num, den = _parse_rational(term, text)
-                re_n, re_d = re_n * den + num * re_d, re_d * den
-        return cls._make(re_n * im_d, im_n * re_d, re_d * im_d)
+        return _parse(text)
 
 
 def clear(values: Sequence[Scalar]) -> tuple[int, list[int], list[int]]:
@@ -240,6 +228,33 @@ def _parse_rational(term: str, original: str) -> tuple[int, int]:
     if den == 0:
         raise ValueError(f"zero denominator in scalar string {original!r}")
     return num, den
+
+
+_PARSE_MEMO = 4096
+
+
+@lru_cache(maxsize=_PARSE_MEMO)
+def _parse(text: str) -> Scalar:
+    """The body of :meth:`Scalar.parse`, memoised by exact text."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty scalar string")
+    if s[0] not in "+-":
+        s = "+" + s
+    terms = _TERM_RE.findall(s)
+    if "".join(terms) != s:
+        raise ValueError(f"malformed scalar string {text!r}")
+    # real and imaginary parts as integer fractions re_n/re_d, im_n/im_d
+    re_n, re_d, im_n, im_d = 0, 1, 0, 1
+    for term in terms:
+        if term.endswith("*I") or term in ("+I", "-I"):
+            coeff = term[:-2] if term.endswith("*I") else term[:-1] + "1"
+            num, den = _parse_rational(coeff, text)
+            im_n, im_d = im_n * den + num * im_d, im_d * den
+        else:
+            num, den = _parse_rational(term, text)
+            re_n, re_d = re_n * den + num * re_d, re_d * den
+    return Scalar._make(re_n * im_d, im_n * re_d, re_d * im_d)
 
 
 ZERO = Scalar(0)

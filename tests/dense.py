@@ -13,7 +13,9 @@ and cocycle checks run in Gaussian integers; :func:`scalar_cocycle_terms` and
 coefficients both are compared on.  :func:`dense_rows` spells out the sparse
 Gaussian-integer rows of the library as ``Scalar`` rows, for the dense
 Gauss-Jordan oracles :func:`dense_rref` and :func:`dense_nullspace` and for
-:func:`~plesken.linalg.rank_reversed`.
+:func:`~plesken.linalg.rank_reversed`.  :func:`dense_hat_coordinates` scans
+every basis pair of a Plesken basis, where the library reads only the nonzero
+coefficients of the element.
 """
 
 from __future__ import annotations
@@ -87,6 +89,26 @@ def dense_bracket(algebra, u, v):
                 if ck:
                     out[k] = out[k] + coeff * ck
     return out
+
+
+def dense_hat_coordinates(group, element, basis):
+    """Hat coordinates by a scan of every basis pair, then of every
+    coefficient for weight outside the pairs; the same ValueErrors as
+    :func:`~plesken.liealg.hat_coordinates`."""
+    coords = []
+    coeffs = element.coefficients
+    for g, gi in basis.pairs:
+        cg = coeffs.get(g, ZERO)
+        if coeffs.get(gi, ZERO) != -cg:
+            raise ValueError(
+                f"element is not in the hat span: pair ({g},{gi}) weights differ")
+        coords.append(cg)
+    pair_members = {g for pair in basis.pairs for g in pair}
+    for g in coeffs:
+        if g not in pair_members:
+            raise ValueError(
+                f"element is not in the hat span: weight on self-inverse element {g}")
+    return coords
 
 
 def homomorphism_failures(m, source, target, name):

@@ -466,6 +466,26 @@ def test_z2_basis_matches_dense_nullspace_on_gaussian_tables():
     assert kinds == {(real, True) for real in (True, False)}
 
 
+def test_coboundary_matches_the_functional_value_of_each_bracket(fixture_set):
+    # the sparse coboundary against -sigma.value([x_i, x_j]) per pair, for
+    # functionals from one nonzero to full support, real and Gaussian
+    rng = random.Random(2718)
+    algebras = [algebra for _, algebra in fixture_set.algebras]
+    for trial in range(30):
+        n = rng.randint(2, 7)
+        table = gaussian_table(rng, n, real=trial % 3 == 0)
+        algebras.append(LieAlgebra(n, _normalize_table(n, table), _default_labels(n)))
+    for algebra in algebras:
+        n = algebra.dim
+        for support in {0, min(1, n), n // 2, n}:
+            values = [ZERO] * n
+            for k in rng.sample(range(n), support):
+                values[k] = rng.choice([ONE, S(-2), S(Fraction(1, 3), 1), I])
+            sigma = LinearFunctional(tuple(values))
+            expected = {pair: -sigma.value(c) for pair, c in algebra.brackets.items()}
+            assert coboundary(algebra, sigma) == BilinearForm.from_entries(n, expected)
+
+
 # -- the integer cocycle check against the Scalar walk ------------------------------
 
 

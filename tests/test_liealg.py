@@ -7,11 +7,19 @@ from math import lcm
 
 import pytest
 
-from dense import dense_bracket, dense_nullspace, gaussian_table, rescaled_table
+from dense import (
+    dense_bracket,
+    dense_hat_coordinates,
+    dense_nullspace,
+    gaussian_table,
+    rescaled_table,
+)
 from plesken import errors
 from plesken.groups import from_permutation_generators, preset, self_inverse_count
 from plesken.liealg import (
+    GroupAlgebraElement,
     LieAlgebra,
+    PleskenBasis,
     Subspace,
     _default_labels,
     _normalize_table,
@@ -28,6 +36,7 @@ from plesken.liealg import (
     is_semisimple,
     killing_form,
     plesken_algebra,
+    plesken_pairs,
     verify_lie_axioms,
 )
 from plesken.scalars import ONE, ZERO, I, Scalar
@@ -97,6 +106,65 @@ def test_plesken_oracle_equivalence(name, param):
                 group, hat_element(group, basis.pairs[i][0]),
                 hat_element(group, basis.pairs[j][0]))
             assert tuple(hat_coordinates(group, w, basis)) == algebra.structure(i, j)
+
+
+@pytest.mark.parametrize("name,param", FIXTURE_GROUPS + [("symmetric", 5), ("heisenberg_p", 5)])
+def test_hat_coordinates_match_dense_oracle_on_every_commutator(name, param):
+    group = preset(name, param)
+    basis = PleskenBasis(plesken_pairs(group))
+    hats = [hat_element(group, g) for g, _ in basis.pairs]
+    for i, u in enumerate(hats):
+        for v in hats[i + 1:]:
+            w = group_algebra_commutator(group, u, v)
+            assert hat_coordinates(group, w, basis) == dense_hat_coordinates(group, w, basis)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of its ValueError."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name,param", [
+    ("dihedral", 4), ("symmetric", 3), ("quaternion8", 0), ("heisenberg_p", 3),
+    ("symmetric", 5)])
+def test_hat_coordinates_reject_like_dense_oracle(name, param):
+    # weight on an involution (or the identity), unequal pair weights, and
+    # both, several of each, over hat combinations in shuffled key order: the
+    # first failing pair in basis order wins, else the first loose element in
+    # the element's own order
+    rng = random.Random(f"hat-{name}-{param}")
+    group = preset(name, param)
+    basis = PleskenBasis(plesken_pairs(group))
+    loose = [g for g in group.elements() if group.inverse[g] == g]
+    seen = set()
+    for trial in range(90):
+        coeffs = {}
+        for g, gi in rng.sample(basis.pairs, rng.randint(0, min(4, len(basis.pairs)))):
+            c = S(rng.choice([-3, -1, 1, 2]), rng.randint(-1, 1))
+            coeffs[g], coeffs[gi] = c, -c
+        kind = trial % 3
+        if kind != 1:
+            for g in rng.sample(loose, rng.randint(1, min(3, len(loose)))):
+                coeffs[g] = S(rng.choice([-2, 1, 3]), rng.randint(-1, 1))
+        if kind != 0:
+            for pair in rng.sample(basis.pairs, rng.randint(1, min(3, len(basis.pairs)))):
+                g, gi = pair if rng.random() < 0.5 else pair[::-1]
+                coeffs[g] = c = S(rng.choice([-1, 1, 2]), rng.randint(-1, 1))
+                if rng.random() < 0.5:
+                    coeffs[gi] = c
+                else:
+                    coeffs.pop(gi, None)
+        items = list(coeffs.items())
+        rng.shuffle(items)
+        element = GroupAlgebraElement(dict(items))
+        got = _outcome(hat_coordinates, group, element, basis)
+        assert got == _outcome(dense_hat_coordinates, group, element, basis)
+        assert got[0] is ValueError
+        seen.add((kind, got[1].split(":")[1].split()[0]))
+    assert seen == {(0, "weight"), (1, "pair"), (2, "pair")}
 
 
 @pytest.mark.parametrize("name,param", FIXTURE_GROUPS)
@@ -339,10 +407,13 @@ def test_jacobi_at_scale_matches_all_triples():
 
 
 def test_killing_form_makes_no_scalar_products(monkeypatch):
-    group = from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
-    algebra, _ = plesken_algebra(group)
-    expected = killing_form(algebra)
-    fresh = LieAlgebra(algebra.dim, algebra.brackets, algebra.basis_labels)
+    cases = []
+    for generators in ([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)],   # A5
+                       [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]):  # S5
+        algebra, _ = plesken_algebra(from_permutation_generators(generators))
+        fresh = LieAlgebra(algebra.dim, algebra.brackets, algebra.basis_labels)
+        cases.append((fresh, killing_form(algebra)))
+    assert [fresh.dim for fresh, _ in cases] == [22, 47]
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
         original = Scalar.__dict__[name]
@@ -352,7 +423,8 @@ def test_killing_form_makes_no_scalar_products(monkeypatch):
             return _original(self, other)
 
         monkeypatch.setattr(Scalar, name, counted)
-    assert killing_form(fresh) == expected
+    for fresh, expected in cases:
+        assert killing_form(fresh) == expected
     assert calls == []
     assert ONE * ONE == ONE and calls == ["__mul__"]
 

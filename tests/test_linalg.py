@@ -158,7 +158,7 @@ def test_rank_agrees_with_reversed_ordering():
         else:
             m = _hard_matrix(rng, rows, cols, big=False)
         assert linalg.rank(m, cols) == linalg.rank_reversed(m, cols)
-        free = linalg._eliminate(linalg._integer_rows(m), free=True)
+        free = linalg._eliminate(linalg._integer_rows(m), cols, free=True)
         moved += sorted(free) != dense_rref(m, cols)[1]
     assert moved
 
@@ -309,7 +309,7 @@ def test_running_rref_rows_are_primitive_with_positive_real_pivots():
     for _ in range(30):
         cols = rng.randint(2, 6)
         m = _hard_matrix(rng, rng.randint(2, 6), cols, big=True)
-        kept = linalg._eliminate(linalg._integer_rows(m))
+        kept = linalg._eliminate(linalg._integer_rows(m), cols)
         red, pivots = dense_rref(m, cols)
         assert sorted(kept) == pivots
         for p, row in zip(pivots, red):
@@ -320,3 +320,86 @@ def test_running_rref_rows_are_primitive_with_positive_real_pivots():
             assert linalg._scalars((re, im), den, cols) == row
             grew += den > 10 ** 6
     assert grew
+
+
+# -- the stop at full rank ------------------------------------------------------------
+
+
+def _full_rank_then_dependent(rng, cols, extra, complex_entries):
+    """cols independent rows, row i led at column i by a nonzero pivot, then
+    ``extra`` combinations of two or three of them."""
+    def entry():
+        re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        im = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if complex_entries else 0
+        return Scalar(re, im)
+
+    top = []
+    for i in range(cols):
+        lead = rng.choice(COMPLEX_PIVOTS) if complex_entries else Scalar(rng.choice([1, -2, 3]))
+        top.append([ZERO] * i + [lead] + [entry() if rng.random() < 0.5 else ZERO
+                                          for _ in range(cols - i - 1)])
+    rest = []
+    for _ in range(extra):
+        acc = [ZERO] * cols
+        for row in rng.sample(top, min(cols, rng.randint(2, 3))):
+            c = entry() or ONE
+            acc = [a + c * x for a, x in zip(acc, row)]
+        rest.append(acc)
+    return top + rest
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_full_rank_stop_matches_dense_oracles(complex_entries):
+    rng = random.Random(f"full-rank-{complex_entries}")
+    for trial in range(12):
+        cols = rng.randint(1, 7)
+        m = _full_rank_then_dependent(rng, cols, rng.randint(cols, 6 * cols), complex_entries)
+        if trial % 2:
+            rng.shuffle(m)
+        red, pivots = dense_rref(m, cols)
+        assert pivots == list(range(cols))
+        assert linalg.rref(m, cols) == (red, pivots)
+        assert linalg.rank(m, cols) == cols == linalg.rank_reversed(m, cols)
+        assert linalg.integer_nullspace(linalg._integer_rows(m), cols) == \
+            dense_nullspace(m, cols) == []
+        assert linalg.Subspace.from_spanning(cols, m).basis == linalg.freeze_matrix(red)
+        x = [Scalar(rng.randint(-3, 3), rng.randint(-2, 2) if complex_entries else 0)
+             for _ in range(cols)]
+        image = [sum((a * b for a, b in zip(row, x)), ZERO) for row in m]
+        assert linalg.solve(m, image, cols) == dense_solve(m, image, cols) == x
+        # with this many dependent rows, one changed right-hand side entry
+        # leaves no solution: the augmented matrix reaches full rank
+        other = image[:-1] + [image[-1] + ONE]
+        assert linalg.solve(m, other, cols) is dense_solve(m, other, cols) is None
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["leftmost", "free"])
+def test_elimination_never_reduces_the_rows_after_full_rank(monkeypatch, free):
+    # row i of the triangle has cols - i nonzeros, and each row after it has
+    # cols, so the triangle is taken first (ties go to the lower index); once
+    # it is, every column holds a pivot and each later row would reduce to 0
+    rng = random.Random(f"stop-{free}")
+    cols = 6
+
+    def nonzero():
+        return Scalar(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)),
+                      rng.randint(-2, 2))
+
+    top = [[ZERO] * i + [nonzero() for _ in range(cols - i)] for i in range(cols)]
+    m = top + [[nonzero() for _ in range(cols)] for _ in range(40)]
+    rows = linalg._integer_rows(m)
+    after = rows[cols:]
+    before = [(dict(re), dict(im)) for re, im in after]
+    reduced = []
+    original = linalg._reduce
+
+    def counted(re, im, against):
+        reduced.append(re)
+        return original(re, im, against)
+
+    monkeypatch.setattr(linalg, "_reduce", counted)
+    kept = linalg._eliminate(rows, cols, free=free)
+    assert sorted(kept) == list(range(cols)) and reduced
+    assert not any(re is row_re for re in reduced for row_re, _ in after)
+    assert after == before
+    assert linalg._dense(kept, cols)[0] == dense_rref(m, cols)[0]

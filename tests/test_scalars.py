@@ -74,6 +74,43 @@ def test_parse_rejects_garbage(bad):
         Scalar.parse(bad)
 
 
+def test_parse_gives_the_same_object_for_the_same_text():
+    for text in ("3/2+1/2*I", "-1", "I", " 0", "7/3"):
+        first = Scalar.parse(text)
+        # an equal string made at run time, not the same literal
+        assert Scalar.parse("".join(list(text))) is first
+
+
+@pytest.mark.parametrize("bad", ["", "1//2", "x", "1/0", "0/0", "3 4"])
+def test_parse_raises_on_every_call_for_bad_text(bad):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            Scalar.parse(bad)
+
+
+@pytest.mark.parametrize("value,name", [(1, "int"), (None, "NoneType"), (b"1", "bytes"),
+                                        (["1"], "list"), (Fraction(1, 2), "Fraction")])
+def test_parse_refuses_a_non_string_before_the_memo(value, name):
+    # an unhashable list gets the same message as any other non-string
+    for _ in range(2):
+        with pytest.raises(TypeError) as exc:
+            Scalar.parse(value)
+        assert str(exc.value) == f"scalar must be a string, got {name}"
+
+
+def test_parse_is_exact_past_the_memo_bound():
+    rng = random.Random(5000)
+    values = {}
+    while len(values) < 5000:
+        x = Scalar(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999)),
+                   Fraction(rng.randint(-99, 99), rng.randint(1, 99)) if rng.random() < 0.5 else 0)
+        values[str(x)] = x
+    for _ in range(2):  # the second pass reads texts the bound has evicted
+        for text, x in values.items():
+            y = Scalar.parse(text)
+            assert (y.a, y.b, y.d) == (x.a, x.b, x.d)
+
+
 @given(scalars)
 def test_string_roundtrip(s):
     assert Scalar.parse(str(s)) == s

@@ -18,6 +18,25 @@ Z^2 is the kernel of the same terms: one sparse Gaussian-integer row per
 linked triple goes straight to :func:`~plesken.linalg.integer_nullspace`,
 with no dense row and no ``Scalar`` before the canonical basis.
 
+:func:`h2` takes that kernel only when L has no semisimple ideal to split
+off.  Let P be the first term of the derived series, from [L, L] down, on
+which the Killing form of L has full rank (:func:`~plesken.liealg._split_ideal`).
+The form restricted to an ideal is the ideal's own Killing form, so P is
+semisimple by Cartan's criterion, and L = P + R as ideals with R = C_L(P),
+isomorphic to L/P.  By Whitehead's lemmas H^1(P) = H^2(P) = 0, so by the
+Kunneth formula of Hochschild and Serre (Ann. Math. 1953) the projection
+pi_R along P induces H^2(R) = H^2(L), that is
+
+    Z^2(L) = B^2(L) + pi_R^* Z^2(R)
+
+as subspaces (:func:`_split_z2`).  Its canonical RREF is the kernel's, byte
+for byte, and the certificate is the exact Gaussian-integer rank of the
+Killing form on P.  Z^2(R) is the kernel of R's own constraints, small since
+R is: for every L(G), R is the center, so Z^2(R) is every form on it.  The
+kernel of L's constraints is the fallback when the series reaches 0 (abelian,
+nilpotent and other solvable L) or stops at a perfect P whose Killing form
+is degenerate (sl2 + C^2, the Takiff algebras g + g_ad).
+
 Sign convention, used consistently by the extension and representation
 modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
 
@@ -27,6 +46,7 @@ modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
@@ -40,11 +60,13 @@ from .groups import _json_int
 from .liealg import (
     LieAlgebra,
     _cyclic_sums,
+    _default_labels,
     _json_matrix,
     _json_scalars,
     _linked_triples,
     _read_rows,
     _rotations,
+    _split_ideal,
 )
 from .linalg import Subspace, Vector
 from .scalars import ONE, ZERO, Scalar, clear
@@ -330,16 +352,86 @@ def b2_basis(algebra: LieAlgebra) -> Subspace:
     return Subspace.from_spanning(flat_dim(n), generators)
 
 
+def _wedge(n: int, phi, psi) -> list[tuple[int, int, int]]:
+    """phi ^ psi flattened, (x, y) -> phi(x) psi(y) - psi(x) phi(y), as
+    (flat index, Re, Im) terms; phi and psi are (index, Re, Im) terms."""
+    def column(a):
+        for b, u, v in psi:
+            if b != a:
+                idx, sign = _signed_index(n, a, b)
+                yield idx, sign * u, sign * v
+
+    sums = linalg._combine((x, y, column(a)) for a, x, y in phi)
+    return [(idx, x, y) for idx, (x, y) in sums.items()]
+
+
+def _split_z2(algebra: LieAlgebra, b2: Subspace) -> Optional[Subspace]:
+    """Z^2(L) = B^2(L) + pi_R^* Z^2(R) when L = P + R with P semisimple (see
+    the module docstring), or None when :func:`~plesken.liealg._split_ideal`
+    finds no such P.  R is read as L/P at the columns J off the pivots of P's
+    RREF: x_j maps to e_j for j in J, and a pivot p to minus the J-part of
+    P's row at p, all scaled by the least common lead D.  Its brackets, its
+    pull-backs and the spanning rows are Gaussian integers; Z^2(R) comes from
+    :func:`z2_basis`, and only the canonical basis becomes scalars."""
+    ideal, semisimple = _split_ideal(algebra)
+    if not semisimple:
+        return None
+    n = algebra.dim
+    free = [j for j in range(n) if j not in ideal]
+    r = len(free)
+    if r < 2:
+        return b2  # no nonzero form on R
+    lead = lcm(*(row[0][p] for p, row in ideal.items()))
+    quotient: list = [None] * n  # D times the image of x_a in R, as (k, Re, Im)
+    for k, j in enumerate(free):
+        quotient[j] = [(k, lead, 0)]
+    for p, (re, im) in ideal.items():
+        s = -lead // re[p]
+        quotient[p] = [(k, s * re.get(j, 0), s * im.get(j, 0))
+                       for k, j in enumerate(free) if j in re or j in im]
+    den, _, terms = algebra.integer_terms
+    brackets = {}
+    for k, a in enumerate(free):
+        for l in range(k + 1, r):
+            sums = linalg._combine((x, y, quotient[m])
+                                   for m, x, y in terms.get((a, free[l]), ()))
+            if sums:
+                vec = [ZERO] * r
+                for t, (x, y) in sums.items():
+                    vec[t] = Scalar._make(x, y, den * lead)
+                brackets[(k, l)] = tuple(vec)
+    z2r = z2_basis(LieAlgebra(r, brackets, _default_labels(r)))
+    phi: list[list] = [[] for _ in range(r)]
+    for a, terms_a in enumerate(quotient):
+        for k, x, y in terms_a:
+            phi[k].append((a, x, y))
+    pairs_r = list(_pairs(r))
+    wedges: dict[int, list] = {}
+    rows = [(dict(re), dict(im)) for _, (re, im) in b2._rows]
+    for _, (re, im) in z2r._rows:
+        for idx in linalg._columns(re, im):
+            if idx not in wedges:
+                wedges[idx] = _wedge(n, *(phi[k] for k in pairs_r[idx]))
+        rows.append(linalg._sums_row(linalg._combine(
+            (re.get(idx, 0), im.get(idx, 0), wedges[idx])
+            for idx in linalg._columns(re, im))))
+    return Subspace.from_reduced(flat_dim(n), linalg._eliminate(rows, flat_dim(n)))
+
+
 def h2(algebra: LieAlgebra) -> H2Result:
     """dim H^2 = dim Z^2 - dim B^2, with canonical class representatives.
 
-    The inclusion B^2 within Z^2 is asserted, not assumed.  Representatives
-    are the Z^2 basis vectors reduced, in order, against the B^2 RREF basis
-    and the representatives found so far, normalized to lead 1
+    Z^2 is :func:`_split_z2` when L splits off a semisimple ideal, else
+    :func:`z2_basis`; both give the same canonical basis.  The inclusion B^2
+    within Z^2 is asserted, not assumed.  Representatives are the Z^2 basis
+    vectors reduced, in order, against the B^2 RREF basis and the
+    representatives found so far, normalized to lead 1
     (:meth:`~plesken.linalg.Subspace.complement_rows`, in Gaussian integers).
     """
-    z2 = z2_basis(algebra)
     b2 = b2_basis(algebra)
+    z2 = _split_z2(algebra, b2)
+    if z2 is None:
+        z2 = z2_basis(algebra)
     if not all(z2.contains(row) for row in b2.basis):
         raise InternalInclusionViolation(
             "a coboundary fell outside the cocycle space; "

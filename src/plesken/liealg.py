@@ -5,9 +5,13 @@ each basis pair i < j a vector c(i,j) with [x_i, x_j] = sum_k c(i,j)_k x_k.
 Antisymmetry is built into the representation; the Jacobi identity is checked
 on construction (or on demand via :func:`verify_lie_axioms`).  Those vectors
 are the one stored form; every sum over the bracket (the bracket itself, ad,
-the center, Jacobi, the Killing form, the cocycle condition) reads the one
-table derived from them, :attr:`LieAlgebra.integer_terms`: their nonzero terms
-cleared once by :func:`~plesken.scalars.clear` to Gaussian integers.
+the center, the derived series, Jacobi, the Killing form, the cocycle
+condition) reads the one table derived from them,
+:attr:`LieAlgebra.integer_terms`: their nonzero terms cleared once by
+:func:`~plesken.scalars.clear` to Gaussian integers.  The structural probes
+eliminate Gaussian-integer rows from it directly, and Cartan's criterion is
+one test, :func:`_killing_full_rank`, on L (:func:`is_semisimple`) or on a
+term of the derived series (:func:`_split_ideal`).
 Jacobi and the cocycle condition are cyclic sums over basis triples: both walk
 the one sequence of triples that can give a nonzero sum, :func:`_linked_triples`,
 through the one rotation rule :func:`_rotations`, and both are
@@ -418,10 +422,34 @@ def center(algebra: LieAlgebra) -> Subspace:
     return Subspace(n, linalg.freeze_matrix(linalg.integer_nullspace(list(rows.values()), n)))
 
 
+def _derived_rows(algebra: LieAlgebra,
+                  basis: Optional[list[linalg.Row]] = None) -> dict[int, linalg.Row]:
+    """[V, V] as its RREF, the kept rows {pivot: row} of a leftmost-pivot
+    elimination, V the span of ``basis`` (Gaussian-integer rows) or all of L
+    when it is None.  The rows eliminated are the brackets [u, v] of the pairs
+    of ``basis``, summed in Gaussian integers over
+    :attr:`LieAlgebra.integer_terms`, or those terms themselves."""
+    terms = algebra.integer_terms.terms
+    if basis is None:
+        rows = [({k: a for k, a, _ in ts if a}, {k: b for k, _, b in ts if b})
+                for ts in map(terms.__getitem__, algebra.brackets) if ts]
+    else:
+        vectors = [[(i, re.get(i, 0), im.get(i, 0)) for i in linalg._columns(re, im)]
+                   for re, im in basis]
+        rows = []
+        for s, u in enumerate(vectors):
+            for v in vectors[s + 1:]:
+                sums = linalg._combine((a * c - b * d, a * d + b * c, terms[i, j])
+                                       for i, a, b in u for j, c, d in v if (i, j) in terms)
+                if sums:
+                    rows.append(linalg._sums_row(sums))
+    return linalg._eliminate(rows, algebra.dim)
+
+
 def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
-    """Span of all basis brackets [x_i, x_j], i < j."""
-    vectors = [list(v) for v in algebra.brackets.values()]
-    return Subspace.from_spanning(algebra.dim, vectors)
+    """Span of all basis brackets [x_i, x_j], i < j, eliminated from the rows
+    of :attr:`LieAlgebra.integer_terms` with no dense vector."""
+    return Subspace.from_reduced(algebra.dim, _derived_rows(algebra))
 
 
 def ad_matrix(algebra: LieAlgebra, i: int) -> list[list[Scalar]]:
@@ -435,15 +463,13 @@ def ad_matrix(algebra: LieAlgebra, i: int) -> list[list[Scalar]]:
     return mat
 
 
-def killing_form(algebra: LieAlgebra) -> list[list[Scalar]]:
-    """K(i,j) = trace(ad x_i composed with ad x_j); always symmetric.
-
-    E^2 K(i, j) is the sum of c d over the entries c = (ad x_i)_km and
+def _killing_columns(algebra: LieAlgebra) -> dict[int, list[tuple[int, int, int]]]:
+    """E^2 K as its nonzero columns {j: [(i, Re, Im)]}, K(i, j) = trace(ad x_i
+    ad x_j): the sum of c d over the entries c = (ad x_i)_km and
     d = (ad x_j)_mk, summed in Gaussian integers over
     :attr:`LieAlgebra.integer_terms` by matching each position (k, m) of an
-    ad entry with (m, k); only the entries become scalars."""
-    n = algebra.dim
-    den, real, terms = algebra.integer_terms
+    ad entry with (m, k)."""
+    real, terms = algebra.integer_terms.real, algebra.integer_terms.terms
     at: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for (i, m), ts in terms.items():
         for k, a, b in ts:
@@ -459,17 +485,76 @@ def killing_form(algebra: LieAlgebra) -> list[list[Scalar]]:
                     if not real:
                         re[i, j] -= b * d
                         im[i, j] = im.get((i, j), 0) + a * d + b * c
-    out = linalg.zero_matrix(n, n)
+    columns: dict[int, list[tuple[int, int, int]]] = {}
     for (i, j), x in re.items():
         y = im.get((i, j), 0)
         if x or y:
-            out[i][j] = Scalar._make(x, y, den * den)
+            columns.setdefault(j, []).append((i, x, y))
+    return columns
+
+
+def killing_form(algebra: LieAlgebra) -> list[list[Scalar]]:
+    """K(i,j) = trace(ad x_i composed with ad x_j); always symmetric.
+
+    Summed in Gaussian integers by :func:`_killing_columns`; only the entries
+    become scalars."""
+    n = algebra.dim
+    e2 = algebra.integer_terms.den ** 2
+    out = linalg.zero_matrix(n, n)
+    for j, column in _killing_columns(algebra).items():
+        for i, x, y in column:
+            out[i][j] = Scalar._make(x, y, e2)
     return out
+
+
+def _killing_full_rank(columns: dict, basis: list[linalg.Row]) -> bool:
+    """Cartan's test: whether the Killing form of L, given by its
+    :func:`_killing_columns`, restricted to the span of ``basis``
+    (independent Gaussian-integer rows) has full rank.  The restriction
+    U K U^T is summed and its rank taken in Gaussian integers, with no
+    ``Scalar``.  On an ideal P it is P's own Killing form, so full rank means
+    P is semisimple."""
+    at: dict[int, list[tuple[int, int, int]]] = {}
+    for a, (re, im) in enumerate(basis):
+        for i in linalg._columns(re, im):
+            at.setdefault(i, []).append((a, re.get(i, 0), im.get(i, 0)))
+    form = []
+    for re, im in basis:
+        ku = linalg._combine((re.get(j, 0), im.get(j, 0), columns[j])
+                             for j in linalg._columns(re, im) if j in columns)
+        row = linalg._sums_row(linalg._combine((x, y, at[i]) for i, (x, y) in ku.items()
+                                           if i in at))
+        if row[0] or row[1]:
+            form.append(row)
+    return len(linalg._eliminate(form, len(basis), free=True)) == len(basis)
 
 
 def is_semisimple(algebra: LieAlgebra) -> bool:
     """Cartan's criterion: the Killing form is nondegenerate, i.e. of full rank."""
-    return linalg.rank(killing_form(algebra), algebra.dim) == algebra.dim
+    return _killing_full_rank(_killing_columns(algebra),
+                              [({i: 1}, {}) for i in range(algebra.dim)])
+
+
+def _split_ideal(algebra: LieAlgebra) -> tuple[dict[int, linalg.Row], bool]:
+    """(P, True) for the first term P of the derived series, from [L, L]
+    down, on which the Killing form of L has full rank: P is then a
+    semisimple ideal and L = P + C_L(P).  Otherwise (P, False) for the term
+    where the series stops: P = 0, or a perfect P whose Killing form is
+    degenerate.  P is given as its RREF kept rows (see :func:`_derived_rows`).
+
+    A semisimple ideal is perfect, so for a reductive L (every L(G)) the
+    series stops at [L, L] at once."""
+    ideal = _derived_rows(algebra)
+    columns = _killing_columns(algebra)
+    while ideal:
+        basis = list(ideal.values())
+        if _killing_full_rank(columns, basis):
+            return ideal, True
+        deeper = _derived_rows(algebra, basis)
+        if len(deeper) == len(ideal):
+            break
+        ideal = deeper
+    return ideal, False
 
 
 # -- serialization --------------------------------------------------------------

@@ -156,6 +156,12 @@ def _combine(pairs) -> dict[int, list[int]]:
     return {r: s for r, s in acc.items() if s[0] or s[1]}
 
 
+def _sums_row(sums: dict[int, list[int]]) -> Row:
+    """The row of the {column: [Re, Im]} sums of :func:`_combine`."""
+    return ({k: x for k, (x, _) in sums.items() if x},
+            {k: y for k, (_, y) in sums.items() if y})
+
+
 def _integer_rows(rows: Iterable[Vector]) -> list[Row]:
     return [row for row in map(_cleared, rows) if row[0] or row[1]]
 
@@ -353,11 +359,6 @@ def rank_reversed(rows: Iterable[Vector], ncols: int) -> int:
     return count
 
 
-def nullspace(rows: Iterable[Vector], ncols: int) -> list[list[Scalar]]:
-    """Canonical nullspace basis of scalar rows; see :func:`integer_nullspace`."""
-    return integer_nullspace(_integer_rows(rows), ncols)
-
-
 def integer_nullspace(rows: list[Row], ncols: int) -> list[list[Scalar]]:
     """Canonical nullspace basis of nonzero Gaussian-integer rows, which may
     be updated in place: the RREF of the vectors L e_f - sum r_p[f] e_p (L/L_p
@@ -419,6 +420,12 @@ class Subspace:
     def from_spanning(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
         rows, _ = rref(vectors, ambient_dim)
         return cls(ambient_dim, freeze_matrix(rows))
+
+    @classmethod
+    def from_reduced(cls, ambient_dim: int, kept: dict[int, Row]) -> "Subspace":
+        """The span of the kept rows of a leftmost-pivot :func:`_eliminate`,
+        which are its RREF already; only they become scalars."""
+        return cls(ambient_dim, freeze_matrix(_dense(kept, ambient_dim)[0]))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":

@@ -11,6 +11,7 @@ from dense import (
     dense_bracket,
     dense_hat_coordinates,
     dense_nullspace,
+    dense_rref,
     gaussian_table,
     rescaled_table,
 )
@@ -495,6 +496,20 @@ def test_center_matches_dense_nullspace_on_fixtures(fixture_set):
         rows = [[algebra.structure(i, j)[k] for i in range(n)]
                 for j in range(n) for k in range(n)]
         assert [list(row) for row in center(algebra).basis] == dense_nullspace(rows, n), name
+
+
+def test_derived_subalgebra_matches_dense_rref(fixture_set):
+    # the rows eliminated are the integer terms, not the dense bracket
+    # vectors; the basis is still the RREF of those vectors
+    rng = random.Random("derived-rows")
+    cases = list(fixture_set.algebras)
+    for trial in range(12):
+        n = rng.randint(2, 6)
+        cases.append((f"table{trial}", unchecked(n, gaussian_table(rng, n, real=trial % 3 == 0))))
+    for name, algebra in cases:
+        vectors = [list(vec) for vec in algebra.brackets.values()]
+        expected, _ = dense_rref(vectors, algebra.dim)
+        assert [list(row) for row in derived_subalgebra(algebra).basis] == expected, name
 
 
 def test_killing_form_values(heis3, q8_algebra, abelian2):

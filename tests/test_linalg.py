@@ -102,7 +102,7 @@ def test_nullspace_annihilates_rows():
     for _ in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         m = _rand_matrix(rng, rows, cols)
-        basis = linalg.nullspace(m, cols)
+        basis = linalg.integer_nullspace(linalg._integer_rows(m), cols)
         assert len(basis) == cols - linalg.rank(m, cols)
         for v in basis:
             assert not any(mat_vec(m, v))
@@ -253,7 +253,7 @@ def test_integer_core_matches_dense_oracles(big):
         assert (red, pivots) == dense_rref(m, cols)
         assert all(red[k][p] == ONE for k, p in enumerate(pivots))
         assert linalg.rank(m, cols) == len(pivots) == linalg.rank_reversed(m, cols)
-        assert linalg.nullspace(m, cols) == dense_nullspace(m, cols)
+        assert linalg.integer_nullspace(linalg._integer_rows(m), cols) == dense_nullspace(m, cols)
         x = [_gaussian(rng, big) for _ in range(cols)]
         image = [sum((a * b for a, b in zip(row, x)), ZERO) for row in m]
         other = [_gaussian(rng, big) for _ in range(rows)]
@@ -281,15 +281,15 @@ def test_integer_core_on_zeros_that_are_not_the_singleton():
         m = [[z, z, z], [z, TWO_MINUS_I, z], [z, z, z]]
         assert linalg.rref(m, 3) == ([[ZERO, ONE, ZERO]], [1])
         assert linalg.rank(m, 3) == 1
-        assert linalg.nullspace([[z, z]], 2) == [[ONE, ZERO], [ZERO, ONE]]
+        assert linalg.integer_nullspace(linalg._integer_rows([[z, z]]), 2) == [[ONE, ZERO], [ZERO, ONE]]
         assert linalg.solve([[z, I]], [z], 2) == [ZERO, ZERO]
         assert linalg.Subspace.from_spanning(2, [[z, z]]).dim == 0
         assert linalg.Subspace.from_spanning(2, [[ONE, z]]).contains([I, z])
 
 
 def test_integer_core_on_empty_shapes():
-    assert linalg.nullspace([], 0) == []
-    assert linalg.nullspace([], 2) == [[ONE, ZERO], [ZERO, ONE]]
+    assert linalg.integer_nullspace([], 0) == []
+    assert linalg.integer_nullspace([], 2) == [[ONE, ZERO], [ZERO, ONE]]
     assert linalg.solve([], [], 0) == []
     assert linalg.invert([]) == []
     empty = linalg.Subspace.from_spanning(3, [])

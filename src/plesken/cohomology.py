@@ -113,18 +113,6 @@ class BilinearForm:
         return cls(dim, tuple(flat))
 
     @classmethod
-    def from_matrix(cls, matrix: Sequence[Sequence[Scalar]]) -> "BilinearForm":
-        n = len(matrix)
-        for i in range(n):
-            if matrix[i][i]:
-                raise ValueError(f"diagonal entry ({i},{i}) must be zero")
-            for j in range(i + 1, n):
-                if matrix[i][j] != -matrix[j][i]:
-                    raise ValueError(f"matrix is not alternating at ({i},{j})")
-        return cls.from_entries(
-            n, {(i, j): matrix[i][j] for i in range(n) for j in range(i + 1, n)})
-
-    @classmethod
     def from_flat(cls, dim: int, flat: Vector) -> "BilinearForm":
         if len(flat) != flat_dim(dim):
             raise DimensionMismatch(
@@ -218,18 +206,18 @@ class H2Result:
 
 
 def coboundary(algebra: LieAlgebra, sigma: LinearFunctional) -> BilinearForm:
-    """The form (x, y) -> -sigma([x, y]).  sigma's support is read once, and
-    each entry sums only its nonzero products, in the order of
-    :meth:`LinearFunctional.value`."""
+    """The form (x, y) -> -sigma([x, y]).  sigma's support is read once into
+    a dict, and each entry sums the products over the stored terms of its
+    bracket that meet it, in the order of :meth:`LinearFunctional.value`."""
     n = algebra.dim
-    support = [(k, s) for k, s in zip(range(n), sigma.vector) if s]
+    support = {k: s for k, s in zip(range(n), sigma.vector) if s}
     entries = {}
-    for pair, c in algebra.brackets.items():
+    for pair, ts in algebra.brackets.items():
         acc = ZERO
-        for k, s in support:
-            x = c[k]
-            if x:
-                acc = acc + s * x
+        for k, c in ts:
+            s = support.get(k)
+            if s is not None:
+                acc = acc + s * c
         entries[pair] = -acc
     return BilinearForm.from_entries(n, entries)
 
@@ -396,10 +384,8 @@ def _split_z2(algebra: LieAlgebra, b2: Subspace) -> Optional[Subspace]:
             sums = linalg._combine((x, y, quotient[m])
                                    for m, x, y in terms.get((a, free[l]), ()))
             if sums:
-                vec = [ZERO] * r
-                for t, (x, y) in sums.items():
-                    vec[t] = Scalar._make(x, y, den * lead)
-                brackets[(k, l)] = tuple(vec)
+                brackets[(k, l)] = tuple([(t, Scalar._make(x, y, den * lead))
+                                          for t, (x, y) in sorted(sums.items())])
     z2r = z2_basis(LieAlgebra(r, brackets, _default_labels(r)))
     phi: list[list] = [[] for _ in range(r)]
     for a, terms_a in enumerate(quotient):
@@ -459,8 +445,8 @@ def are_cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
             raise NotACocycle(f"{name} form is not a cocycle", witness=list(witness))
     rows = []
     rhs = []
-    for (i, j), c in sorted(algebra.brackets.items()):
-        rows.append(list(c))
+    for i, j in sorted(algebra.brackets):
+        rows.append(algebra.structure(i, j))
         rhs.append(beta.entry(i, j) - alpha.entry(i, j))
     # pairs with zero bracket force nothing; alpha and beta must already agree
     for pair, a, b in zip(_pairs(n), alpha.flat, beta.flat):

@@ -68,13 +68,12 @@ def extension_from_cocycle(base: LieAlgebra, alpha: BilinearForm) -> CentralExte
     ok, witness = is_cocycle(base, alpha)
     if not ok:
         raise NotACocycle("form fails the cocycle condition", witness=list(witness))
-    table = {key: list(vec) + [ZERO] for key, vec in base.brackets.items()}
+    brackets = dict(base.brackets)
     for key, a in zip(_pairs(n), alpha.flat):
         if a:
-            table.setdefault(key, [ZERO] * (n + 1))[n] = a
+            brackets[key] = brackets.get(key, ()) + ((n, a),)
     # alpha is a cocycle on a Lie algebra, so the total satisfies Jacobi
-    total = LieAlgebra(dim=n + 1,
-                       brackets={key: tuple(vec) for key, vec in sorted(table.items())},
+    total = LieAlgebra(dim=n + 1, brackets=dict(sorted(brackets.items())),
                        basis_labels=tuple(base.basis_labels) + ("z",))
     injection = tuple([ZERO] * n + [ONE])
     projection = tuple(tuple(ONE if r == c else ZERO for c in range(n + 1))

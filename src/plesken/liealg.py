@@ -1,17 +1,18 @@
 """Exact Lie algebra core.
 
 A :class:`LieAlgebra` is a dimension plus structure constants over Q(i): for
-each basis pair i < j a vector c(i,j) with [x_i, x_j] = sum_k c(i,j)_k x_k.
+each basis pair i < j with a nonzero bracket, the terms (k, c(i,j)_k) with
+[x_i, x_j] = sum_k c(i,j)_k x_k, nonzero c only, in increasing k.
 Antisymmetry is built into the representation; the Jacobi identity is checked
-on construction (or on demand via :func:`verify_lie_axioms`).  Those vectors
-are the one stored form; every sum over the bracket (the bracket itself, ad,
-the center, the derived series, Jacobi, the Killing form, the cocycle
-condition) reads the one table derived from them,
-:attr:`LieAlgebra.integer_terms`: their nonzero terms cleared once by
-:func:`~plesken.scalars.clear` to Gaussian integers.  The structural probes
-eliminate Gaussian-integer rows from it directly, and Cartan's criterion is
-one test, :func:`_killing_full_rank`, on L (:func:`is_semisimple`) or on a
-term of the derived series (:func:`_split_ideal`).
+on construction (or on demand via :func:`verify_lie_axioms`).  Those terms
+are the one stored form, and :meth:`LieAlgebra.structure` the one dense view
+of them; every sum over the bracket (the bracket itself, the center, the
+derived series, Jacobi, the Killing form, the cocycle condition) reads the one
+table derived from them, :attr:`LieAlgebra.integer_terms`: the same terms
+cleared once by :func:`~plesken.scalars.clear` to Gaussian integers.  The
+structural probes eliminate Gaussian-integer rows from it directly, and
+Cartan's criterion is one test, :func:`_killing_full_rank`, on L
+(:func:`is_semisimple`) or on a term of the derived series (:func:`_split_ideal`).
 Jacobi and the cocycle condition are cyclic sums over basis triples: both walk
 the one sequence of triples that can give a nonzero sum, :func:`_linked_triples`,
 through the one rotation rule :func:`_rotations`, and both are
@@ -26,7 +27,7 @@ structure constants are obtained by evaluating the group-algebra commutator
 and re-expressing the result in the hat basis; no closed bracket formula is
 hard-coded.  A commutator of two hat elements has at most eight nonzero
 coefficients, so :func:`hat_coordinates` reads only those, through the
-element -> (basis index, representative) map :attr:`PleskenBasis.members`
+element -> basis index map :attr:`PleskenBasis.members`
 made once per basis, never a scan of all n pairs.
 """
 
@@ -51,14 +52,9 @@ class PleskenBasis:
     pairs: tuple[tuple[int, int], ...]
 
     @cached_property
-    def members(self) -> dict[int, tuple[int, bool]]:
-        """Each member of a pair -> (its basis index, whether it is the
-        representative g rather than g^-1)."""
-        out = {}
-        for k, (g, gi) in enumerate(self.pairs):
-            out[g] = (k, True)
-            out[gi] = (k, False)
-        return out
+    def members(self) -> dict[int, int]:
+        """Each member of a pair -> its basis index."""
+        return {g: k for k, pair in enumerate(self.pairs) for g in pair}
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,38 +83,37 @@ class IntegerTerms(NamedTuple):
     terms: dict[tuple[int, int], tuple[tuple[int, int, int], ...]]
 
 
+Terms = tuple[tuple[int, Scalar], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Finite-dimensional Lie algebra with exact structure constants."""
+    """Finite-dimensional Lie algebra with exact structure constants:
+    ``brackets[(i, j)]``, i < j, holds the nonzero terms (k, c) of
+    [x_i, x_j] in increasing k; a pair with a zero bracket has no entry."""
 
     dim: int
-    brackets: dict[tuple[int, int], tuple[Scalar, ...]]
+    brackets: dict[tuple[int, int], Terms]
     basis_labels: tuple[str, ...]
     provenance: Optional[tuple[FiniteGroup, PleskenBasis]] = field(
         default=None, compare=False)
 
     def structure(self, i: int, j: int) -> tuple[Scalar, ...]:
-        """Bracket [x_i, x_j] as a coordinate vector, any index order."""
-        if i == j:
-            return tuple([ZERO] * self.dim)
-        if i < j:
-            vec = self.brackets.get((i, j))
-            return vec if vec is not None else tuple([ZERO] * self.dim)
-        vec = self.brackets.get((j, i))
-        if vec is None:
-            return tuple([ZERO] * self.dim)
-        return tuple(-x for x in vec)
+        """Bracket [x_i, x_j] as a dense coordinate vector, any index order:
+        the one dense view of :attr:`brackets`."""
+        vec = [ZERO] * self.dim
+        for k, c in self.brackets.get((min(i, j), max(i, j)), ()):
+            vec[k] = c if i < j else -c
+        return tuple(vec)
 
     @cached_property
     def integer_terms(self) -> IntegerTerms:
-        """The nonzero structure constants over one common denominator,
-        derived once from :attr:`brackets`."""
-        nonzero = [(pair, [(k, c) for k, c in enumerate(vec) if c.a or c.b])
-                   for pair, vec in self.brackets.items()]
-        den, re, im = clear([c for _, ts in nonzero for _, c in ts])
+        """The stored terms over one common denominator, derived once from
+        :attr:`brackets`."""
+        den, re, im = clear([c for ts in self.brackets.values() for _, c in ts])
         parts = iter(zip(re, im))
         terms = {}
-        for (i, j), ts in nonzero:
+        for (i, j), ts in self.brackets.items():
             forward = tuple([(k, *next(parts)) for k, _ in ts])
             terms[(i, j)] = forward
             terms[(j, i)] = tuple([(k, -a, -b) for k, a, b in forward])
@@ -135,16 +130,23 @@ def _default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(dim))
 
 
-def _normalize_table(dim: int, table) -> dict[tuple[int, int], tuple[Scalar, ...]]:
-    brackets: dict[tuple[int, int], tuple[Scalar, ...]] = {}
+def _normalize_table(dim: int, table) -> dict[tuple[int, int], Terms]:
+    """The stored terms of a table of length-``dim`` vectors; a zero vector
+    gives no entry."""
+    brackets: dict[tuple[int, int], Terms] = {}
     for (i, j), vec in table.items():
         if not (0 <= i < j < dim):
             raise BadParameter(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-        v = tuple(x if isinstance(x, Scalar) else Scalar(x) for x in vec)
-        if len(v) != dim:
-            raise BadParameter(f"bracket vector for ({i},{j}) has length {len(v)}")
-        if any(v):
-            brackets[(i, j)] = v
+        if len(vec) != dim:
+            raise BadParameter(f"bracket vector for ({i},{j}) has length {len(vec)}")
+        terms = []
+        for k, x in enumerate(vec):
+            if x is not ZERO:
+                c = x if isinstance(x, Scalar) else Scalar(x)
+                if c:
+                    terms.append((k, c))
+        if terms:
+            brackets[(i, j)] = tuple(terms)
     return brackets
 
 
@@ -344,6 +346,26 @@ def plesken_pairs(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _hat_terms(element: GroupAlgebraElement, basis: PleskenBasis) -> Terms:
+    """The nonzero hat coordinates (k, c) of ``element``, in increasing k; see
+    :func:`hat_coordinates`."""
+    coeffs, members = element.coefficients, basis.members
+    loose = next((g for g in coeffs if g not in members), None)
+    terms = []
+    for k in sorted({members[g] for g in coeffs if g in members}):
+        g, gi = basis.pairs[k]
+        c = coeffs.get(g, ZERO)
+        if coeffs.get(gi, ZERO) != -c:
+            raise ValueError(
+                f"element is not in the hat span: pair ({g},{gi}) weights differ")
+        if c:
+            terms.append((k, c))
+    if loose is not None:
+        raise ValueError(
+            f"element is not in the hat span: weight on self-inverse element {loose}")
+    return tuple(terms)
+
+
 def hat_coordinates(group: FiniteGroup, element: GroupAlgebraElement,
                     basis: PleskenBasis) -> list[Scalar]:
     """Express a group-algebra element in the hat basis, reading only its
@@ -353,29 +375,9 @@ def hat_coordinates(group: FiniteGroup, element: GroupAlgebraElement,
     are not opposite (the first such pair in basis order), else nonzero
     weight on a self-inverse element (the first in the element's order).
     """
-    coeffs = element.coefficients
-    members = basis.members
     coords = [ZERO] * len(basis.pairs)
-    touched = set()
-    loose = None
-    for g, c in coeffs.items():
-        slot = members.get(g)
-        if slot is None:
-            if loose is None:
-                loose = g
-            continue
-        k, representative = slot
-        if representative:
-            coords[k] = c
-        touched.add(k)
-    for k in sorted(touched):
-        g, gi = basis.pairs[k]
-        if coeffs.get(gi, ZERO) != -coords[k]:
-            raise ValueError(
-                f"element is not in the hat span: pair ({g},{gi}) weights differ")
-    if loose is not None:
-        raise ValueError(
-            f"element is not in the hat span: weight on self-inverse element {loose}")
+    for k, c in _hat_terms(element, basis):
+        coords[k] = c
     return coords
 
 
@@ -390,12 +392,12 @@ def plesken_algebra(group: FiniteGroup) -> tuple[LieAlgebra, PleskenBasis]:
     basis = PleskenBasis(pairs)
     n = len(pairs)
     hats = [hat_element(group, g) for g, _ in pairs]
-    brackets: dict[tuple[int, int], tuple[Scalar, ...]] = {}
+    brackets: dict[tuple[int, int], Terms] = {}
     for i in range(n):
         for j in range(i + 1, n):
             w = group_algebra_commutator(group, hats[i], hats[j])
             if not w.is_zero():
-                brackets[(i, j)] = tuple(hat_coordinates(group, w, basis))
+                brackets[(i, j)] = _hat_terms(w, basis)
     labels = tuple(f"hat({group.label(g)})" for g, _ in pairs)
     algebra = LieAlgebra(dim=n, brackets=brackets, basis_labels=labels,
                          provenance=(group, basis))
@@ -453,13 +455,13 @@ def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
 
 
 def ad_matrix(algebra: LieAlgebra, i: int) -> list[list[Scalar]]:
-    """Matrix of ad x_i: column j holds the coordinates of [x_i, x_j]."""
+    """Matrix of ad x_i: column j holds the coordinates of [x_i, x_j], read
+    from the stored terms."""
     n = algebra.dim
-    den, _, terms = algebra.integer_terms
     mat = linalg.zero_matrix(n, n)
     for j in range(n):
-        for k, a, b in terms.get((i, j), ()):
-            mat[k][j] = Scalar._make(a, b, den)
+        for k, c in algebra.brackets.get((min(i, j), max(i, j)), ()):
+            mat[k][j] = c if i < j else -c
     return mat
 
 
@@ -562,10 +564,11 @@ def _split_ideal(algebra: LieAlgebra) -> tuple[dict[int, linalg.Row], bool]:
 
 def algebra_to_json(algebra: LieAlgebra) -> dict:
     entries = []
-    for (i, j) in sorted(algebra.brackets):
-        entries.append({"i": i, "j": j,
-                        "c": ["0" if x is ZERO else str(x)
-                              for x in algebra.brackets[(i, j)]]})
+    for (i, j), ts in sorted(algebra.brackets.items()):
+        text = ["0"] * algebra.dim
+        for k, c in ts:
+            text[k] = str(c)
+        entries.append({"i": i, "j": j, "c": text})
     return {"dim": algebra.dim, "labels": list(algebra.basis_labels),
             "brackets": entries}
 

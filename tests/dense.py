@@ -5,9 +5,10 @@ columns for the structure maps of an extension and packed rows for
 representation matrices.  The plain row-by-column products below are the
 independent slow path the tests compare both against, together with dense
 restatements of the extension checks that read every entry of every map.
-Every oracle here reads the stored ``brackets`` (through :func:`dense_bracket`
-or ``structure``), never the table the library derives from them.  The Jacobi
-and cocycle checks run in Gaussian integers; :func:`scalar_cocycle_terms` and
+Every oracle here reads the structure constants through the dense view
+``structure`` (directly or through :func:`dense_bracket`), never the table the
+library derives from the stored terms.  The Jacobi and cocycle checks run
+in Gaussian integers; :func:`scalar_cocycle_terms` and
 :func:`scalar_residual` are their term-by-term ``Scalar`` walk, and
 :func:`gaussian_table` makes the sparse tables with Gaussian-rational
 coefficients both are compared on.  :func:`dense_rows` spells out the sparse
@@ -80,12 +81,13 @@ def column(m, k):
 
 
 def dense_bracket(algebra, u, v):
-    """[u, v] summed over every stored basis pair i < j of ``brackets``."""
+    """[u, v] summed over the dense ``structure`` of every basis pair i < j
+    with a stored bracket."""
     out = [ZERO] * algebra.dim
-    for (i, j), c in algebra.brackets.items():
+    for i, j in algebra.brackets:
         coeff = u[i] * v[j] - u[j] * v[i]
         if coeff:
-            for k, ck in enumerate(c):
+            for k, ck in enumerate(algebra.structure(i, j)):
                 if ck:
                     out[k] = out[k] + coeff * ck
     return out
@@ -227,8 +229,9 @@ def gaussian_form(rng, n, count):
 def rescaled_table(algebra, scales):
     """The structure constants of ``algebra`` in the basis scales[i] x_i:
     [y_i, y_j] = sum_k scales[i] scales[j] / scales[k] c(i,j)_k y_k."""
-    return {(i, j): [scales[i] * scales[j] / scales[k] * c for k, c in enumerate(vec)]
-            for (i, j), vec in algebra.brackets.items()}
+    return {(i, j): [scales[i] * scales[j] / scales[k] * c
+                     for k, c in enumerate(algebra.structure(i, j))]
+            for i, j in algebra.brackets}
 
 
 def scalar_cocycle_terms(algebra, i, j, k):

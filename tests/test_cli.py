@@ -447,17 +447,20 @@ def test_string_for_an_array_is_domain_error(tmp_path, capsys, verb, name, doc):
     assert json.loads(out) == {"error": "BadDocument", "witness": [paths[name]]}
 
 
-def test_bracket_pair_given_twice_is_domain_error(tmp_path, capsys):
-    # the last entry for a pair does not silently win
+@pytest.mark.parametrize("entry,message,witness", [
+    # the last entry for a pair does not silently win, even when it is zero
+    ({"i": 0, "j": 1, "c": ["0", "0", "0"]}, "bracket (0,1) is given twice", "[0,1]"),
+    ({"i": 0, "j": 2, "c": ["0", "1"]}, "bracket vector for (0,2) has length 2", "null"),
+    ({"i": 2, "j": 1, "c": ["0", "0", "0"]},
+     "bracket key (2,1) must satisfy 0 <= i < j < dim", "null"),
+], ids=["given-twice", "wrong-length", "key-not-increasing"])
+def test_bracket_pair_given_twice_is_domain_error(tmp_path, capsys, entry, message, witness):
     path = tmp_path / "L.json"
-    path.write_text(json.dumps({**HEIS3_DOC, "brackets": HEIS3_DOC["brackets"] + [
-        {"i": 0, "j": 1, "c": ["0", "0", "0"]}]}))
+    path.write_text(json.dumps({**HEIS3_DOC, "brackets": HEIS3_DOC["brackets"] + [entry]}))
     code, out, err = run_cli(capsys, "cohomology", "h2", "-L", str(path))
-    assert (code, out) == (1, "")
-    assert err == "error: BadParameter: bracket (0,1) is given twice\n"
+    assert (code, out, err) == (1, "", f"error: BadParameter: {message}\n")
     code, out, err = run_cli(capsys, "cohomology", "h2", "-L", str(path), "--json")
-    assert code == 1
-    assert json.loads(out) == {"error": "BadParameter", "witness": [0, 1]}
+    assert (code, out) == (1, f'{{"error":"BadParameter","witness":{witness}}}\n')
 
 
 @pytest.mark.parametrize("key,value,failure", [

@@ -191,8 +191,8 @@ def takiff(algebra):
     the y, [y_i, y_j] = 0."""
     n = algebra.dim
     table = {}
-    for (i, j), vec in algebra.brackets.items():
-        table[(i, j)] = list(vec) + [ZERO] * n
+    for i, j in algebra.brackets:
+        table[(i, j)] = list(algebra.structure(i, j)) + [ZERO] * n
     for i in range(n):
         for j in range(n):
             vec = algebra.structure(i, j)
@@ -257,8 +257,8 @@ def borel(m):
             if weight:
                 table[(k, h + r)] = _unit(n, h + r, weight)
     nil = nilradical(m)
-    for (a, b), vec in nil.brackets.items():
-        table[(h + a, h + b)] = [ZERO] * h + list(vec)
+    for a, b in nil.brackets:
+        table[(h + a, h + b)] = [ZERO] * h + list(nil.structure(a, b))
     return from_structure_constants(n, table)
 
 

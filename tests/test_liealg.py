@@ -16,6 +16,8 @@ from dense import (
     rescaled_table,
 )
 from plesken import errors
+from plesken.cohomology import BilinearForm
+from plesken.extensions import extension_from_cocycle
 from plesken.groups import from_permutation_generators, preset, self_inverse_count
 from plesken.liealg import (
     GroupAlgebraElement,
@@ -77,11 +79,50 @@ def test_plesken_dihedral8_line():
 def test_plesken_q8_structure_constants(q8_algebra):
     # hand convolution: i_hat j_hat = 2k - 2(-k), so [i_hat, j_hat] = 4 k_hat
     assert q8_algebra.dim == 3
-    assert q8_algebra.brackets == {
+    assert {pair: q8_algebra.structure(*pair) for pair in [(0, 1), (0, 2), (1, 2)]} == {
         (0, 1): (ZERO, ZERO, S(4)),
         (0, 2): (ZERO, S(-4), ZERO),
         (1, 2): (S(4), ZERO, ZERO),
     }
+
+
+def assert_one_stored_form(algebra):
+    """Keys i < j, each entry a non-empty tuple of (k, c) with k strictly
+    increasing and no c zero; the dense view antisymmetric, zero diagonal."""
+    n = algebra.dim
+    for (i, j), ts in algebra.brackets.items():
+        assert 0 <= i < j < n
+        assert isinstance(ts, tuple) and ts
+        assert all(isinstance(t, tuple) and len(t) == 2 for t in ts)
+        ks = [k for k, _ in ts]
+        assert 0 <= ks[0] and ks[-1] < n
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+        assert all(isinstance(c, Scalar) and c for _, c in ts)
+    for i in range(n):
+        assert algebra.structure(i, i) == tuple([ZERO] * n)
+        for j in range(i + 1, n):
+            assert algebra.structure(j, i) == tuple(-c for c in algebra.structure(i, j))
+
+
+def test_every_constructor_stores_sorted_nonzero_terms(fixture_set, heis3):
+    zero = Scalar(0)  # equal to ZERO, not the same object
+    built = from_structure_constants(
+        4, {(0, 1): [zero, 0, ONE, Fraction(0)], (0, 2): [0, 0, 0, 0],
+            (2, 3): [ZERO, ZERO, ZERO, ZERO]})
+    assert built.brackets == {(0, 1): ((2, ONE),)}
+    read = algebra_from_json({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "c": ["0", "0", "1"]}, {"i": 0, "j": 2, "c": ["0", "0", "0"]},
+        {"i": 1, "j": 2, "c": ["0", "0/3", "0*I"]}]})
+    assert read.brackets == {(0, 1): ((2, ONE),)}
+    algebras = [built, read]
+    for _, group in fixture_set.groups:
+        algebras.append(plesken_algebra(group)[0])
+    alpha = BilinearForm.from_entries(3, {(0, 1): I, (0, 2): S(2)})  # [x0, x2] = 0
+    ext = extension_from_cocycle(heis3, alpha)
+    assert ext.total.brackets == {(0, 1): ((2, ONE), (3, I)), (0, 2): ((3, S(2)),)}
+    algebras.append(ext.total)
+    for algebra in algebras:
+        assert_one_stored_form(algebra)
 
 
 @pytest.mark.parametrize("name,param", FIXTURE_GROUPS)
@@ -312,8 +353,9 @@ def test_integer_terms_clear_stored_brackets(oracle_algebras):
     tables = [unchecked(n, gaussian_table(rng, n, real=n % 2 == 0)) for n in range(3, 9)]
     for algebra in tables + [a for _, a in oracle_algebras]:
         den, real, terms = algebra.integer_terms
-        forward = {pair: tuple((k, c) for k, c in enumerate(vec) if c)
-                   for pair, vec in algebra.brackets.items()}
+        n = algebra.dim
+        forward = {(i, j): ts for i in range(n) for j in range(i + 1, n)
+                   if (ts := tuple((k, c) for k, c in enumerate(algebra.structure(i, j)) if c))}
         scalars = [c for ts in forward.values() for _, c in ts]
         assert den == lcm(*[c.d for c in scalars])
         assert real == all(c.is_rational() for c in scalars)
@@ -507,7 +549,7 @@ def test_derived_subalgebra_matches_dense_rref(fixture_set):
         n = rng.randint(2, 6)
         cases.append((f"table{trial}", unchecked(n, gaussian_table(rng, n, real=trial % 3 == 0))))
     for name, algebra in cases:
-        vectors = [list(vec) for vec in algebra.brackets.values()]
+        vectors = [list(algebra.structure(i, j)) for i, j in algebra.brackets]
         expected, _ = dense_rref(vectors, algebra.dim)
         assert [list(row) for row in derived_subalgebra(algebra).basis] == expected, name
 

@@ -520,7 +520,8 @@ def _reps_at_scale():
 def test_defects_match_oracle_at_scale():
     reps = _reps_at_scale()
     assert [rep.degree for rep in reps] == [13, 13, 1, 13, 1]
-    assert any(c.b for vec in reps[0].algebra.brackets.values() for c in vec)
+    algebra = reps[0].algebra
+    assert any(c.b for i, j in algebra.brackets for c in algebra.structure(i, j))
     assert not isinstance(reps[0].defects[0], Scalar)
     assert all(isinstance(o, Scalar) for rep in reps[1:] for o in rep.defects)
     assert reps[1].cocycle is not None and not reps[1].cocycle.is_zero()

@@ -437,9 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
 EXIT_CLOSED_PIPE = 141
 
 
+# main builds the parser once and reuses it, since parsing leaves it as it
+# was; a list, so no module name is rebound after import
+_PARSER: list[argparse.ArgumentParser] = []
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if not _PARSER:
+        _PARSER.append(build_parser())
+    args = _PARSER[0].parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()

@@ -15,8 +15,9 @@ alpha(x_m, x_t) it can read, m in the image of a bracket, cleared once by
 :func:`~plesken.scalars.clear` into signed integer rows
 (:func:`~plesken.liealg._cyclic_sums`), so no ``Scalar`` is multiplied.
 Z^2 is the kernel of the same terms: one sparse Gaussian-integer row per
-linked triple goes straight to :func:`~plesken.linalg.integer_nullspace`,
-with no dense row and no ``Scalar`` before the canonical basis.
+linked triple goes straight to :func:`~plesken.linalg._kernel`, and the
+:class:`~plesken.linalg.Subspace` keeps the kernel's integer RREF rows, so
+no dense row and no ``Scalar`` is made unless its basis is read.
 
 :func:`h2` takes that kernel only when L has no semisimple ideal to split
 off.  Let P be the first term of the derived series, from [L, L] down, on
@@ -208,7 +209,8 @@ class H2Result:
 def coboundary(algebra: LieAlgebra, sigma: LinearFunctional) -> BilinearForm:
     """The form (x, y) -> -sigma([x, y]).  sigma's support is read once into
     a dict, and each entry sums the products over the stored terms of its
-    bracket that meet it, in the order of :meth:`LinearFunctional.value`."""
+    bracket that meet it, in the order of :meth:`LinearFunctional.value`; a
+    zero sum leaves the entry the ``ZERO`` of an empty one."""
     n = algebra.dim
     support = {k: s for k, s in zip(range(n), sigma.vector) if s}
     entries = {}
@@ -218,7 +220,8 @@ def coboundary(algebra: LieAlgebra, sigma: LinearFunctional) -> BilinearForm:
             s = support.get(k)
             if s is not None:
                 acc = acc + s * c
-        entries[pair] = -acc
+        if acc:
+            entries[pair] = -acc
     return BilinearForm.from_entries(n, entries)
 
 
@@ -328,7 +331,7 @@ def z2_basis(algebra: LieAlgebra) -> Subspace:
     rows = _constraint_rows(algebra)
     if not rows:
         return Subspace.full(nflat)
-    return Subspace(nflat, linalg.freeze_matrix(linalg.integer_nullspace(rows, nflat)))
+    return Subspace.from_reduced(nflat, linalg._kernel(rows, nflat))
 
 
 def b2_basis(algebra: LieAlgebra) -> Subspace:
@@ -360,7 +363,7 @@ def _split_z2(algebra: LieAlgebra, b2: Subspace) -> Optional[Subspace]:
     RREF: x_j maps to e_j for j in J, and a pivot p to minus the J-part of
     P's row at p, all scaled by the least common lead D.  Its brackets, its
     pull-backs and the spanning rows are Gaussian integers; Z^2(R) comes from
-    :func:`z2_basis`, and only the canonical basis becomes scalars."""
+    :func:`z2_basis`, and the result keeps its RREF rows as integers too."""
     ideal, semisimple = _split_ideal(algebra)
     if not semisimple:
         return None
@@ -393,8 +396,8 @@ def _split_z2(algebra: LieAlgebra, b2: Subspace) -> Optional[Subspace]:
             phi[k].append((a, x, y))
     pairs_r = list(_pairs(r))
     wedges: dict[int, list] = {}
-    rows = [(dict(re), dict(im)) for _, (re, im) in b2._rows]
-    for _, (re, im) in z2r._rows:
+    rows = [(dict(re), dict(im)) for re, im in b2._kept.values()]
+    for re, im in z2r._kept.values():
         for idx in linalg._columns(re, im):
             if idx not in wedges:
                 wedges[idx] = _wedge(n, *(phi[k] for k in pairs_r[idx]))
@@ -409,16 +412,17 @@ def h2(algebra: LieAlgebra) -> H2Result:
 
     Z^2 is :func:`_split_z2` when L splits off a semisimple ideal, else
     :func:`z2_basis`; both give the same canonical basis.  The inclusion B^2
-    within Z^2 is asserted, not assumed.  Representatives are the Z^2 basis
-    vectors reduced, in order, against the B^2 RREF basis and the
-    representatives found so far, normalized to lead 1
-    (:meth:`~plesken.linalg.Subspace.complement_rows`, in Gaussian integers).
+    within Z^2 is asserted, not assumed, on the Gaussian-integer rows of both.
+    Representatives are the Z^2 basis vectors reduced, in order, against the
+    B^2 RREF basis and the representatives found so far, normalized to lead 1
+    (:meth:`~plesken.linalg.Subspace.complement_rows`, in Gaussian integers);
+    only they become scalars and forms.
     """
     b2 = b2_basis(algebra)
     z2 = _split_z2(algebra, b2)
     if z2 is None:
         z2 = z2_basis(algebra)
-    if not all(z2.contains(row) for row in b2.basis):
+    if not all(z2._holds(row) for row in b2._kept.values()):
         raise InternalInclusionViolation(
             "a coboundary fell outside the cocycle space; "
             "the algebra data is inconsistent")

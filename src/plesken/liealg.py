@@ -421,7 +421,7 @@ def center(algebra: LieAlgebra) -> Subspace:
                 im[i] = b
     if not rows:
         return Subspace.full(n)
-    return Subspace(n, linalg.freeze_matrix(linalg.integer_nullspace(list(rows.values()), n)))
+    return Subspace.from_reduced(n, linalg._kernel(list(rows.values()), n))
 
 
 def _derived_rows(algebra: LieAlgebra,

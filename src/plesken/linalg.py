@@ -4,7 +4,7 @@ Vectors are sequences of :class:`~plesken.scalars.Scalar`; matrices are
 row-major sequences of such rows.  The one exact elimination path,
 :func:`_eliminate`, runs in Gaussian integers on sparse rows (:data:`Row`).
 A scalar row is cleared once to Gaussian-integer numerators over its own
-denominator; :func:`integer_nullspace` takes such rows directly, as
+denominator; :func:`_kernel` takes such rows directly, as
 :func:`~plesken.cohomology.z2_basis` builds them.  Rows are taken fewest
 nonzeros first against the rows kept so far, which each carry a positive
 integer pivot, with their integer content divided out, and no imaginary
@@ -14,14 +14,16 @@ pivot rule is the one difference between the two uses: :func:`rref`,
 :func:`solve`, :func:`invert` and :meth:`Subspace.from_spanning` take the
 leftmost column, so the kept rows are the RREF, which is unique whatever
 order produced it; :func:`rank` and the kernels take the column with the
-fewest kept rows in the index, which clears less, and
-:func:`integer_nullspace` then puts the kernel in its canonical RREF.  Every
-caller passes the column count, and the elimination stops as soon as every
-column holds a pivot: each row left would reduce to zero, so a tall matrix of
-full column rank (the brackets spanning [L, L] of a semisimple L, the center's
-rows) costs only the rows taken before that.  Only the final rows become
-scalars.  :meth:`Subspace.contains` and
-:meth:`Subspace.complement_rows` reduce on the same integer rows.  The one
+fewest kept rows in the index, which clears less, and :func:`_kernel` then
+puts the kernel in its canonical RREF.  Every caller passes the column
+count, and the elimination stops as soon as every column holds a pivot: each
+row left would reduce to zero, so a tall matrix of full column rank (the
+brackets spanning [L, L] of a semisimple L, the center's rows) costs only
+the rows taken before that.  Only the final rows become scalars, and a
+:class:`Subspace` does not even do that: it keeps the kept rows of its RREF
+as the elimination leaves them, :meth:`Subspace.contains` and
+:meth:`Subspace.complement_rows` reduce on them, visiting only the pivots a
+row holds, and its ``Scalar`` basis is made when it is first read.  The one
 other path, :func:`rank_reversed`, is a deliberately different, dense
 ``Scalar`` ordering (right-to-left columns, bottom-up pivots) kept as an
 independent cross-check; callers that need a verified rank run both and
@@ -35,8 +37,8 @@ representation matrices on the Gaussian-integer kernel of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import lshift
 from typing import Iterable, Optional, Sequence
@@ -178,15 +180,14 @@ def _subtract(target: dict[int, int], c: int, source: dict[int, int]) -> None:
 
 
 def _reduce(re: dict[int, int], im: dict[int, int],
-            against: Iterable[tuple[int, Row]]) -> tuple[dict[int, int], dict[int, int], int]:
+            against: Iterable[tuple[int, Row]]) -> Row:
     """Clear the pivot of each (pivot, row) in order from the row (re, im).
 
     Each step is w <- a w - b r with a = L / g, b = w[p] / g and g the gcd of
-    L = r[p] and w[p], so the result is ``scale`` times the exact residue
-    w - sum w[p] / L r.  Rows must be zero at the pivots before them.  The
-    maps passed in may be updated in place; use the ones returned.
+    L = r[p] and w[p], so the result is a positive integer times the exact
+    residue w - sum w[p] / L r.  Rows must be zero at the pivots before them.
+    The maps passed in may be updated in place; use the ones returned.
     """
-    scale = 1
     for p, (rre, rim) in against:
         fr = re.get(p, 0)
         fi = im.get(p, 0) if im else 0
@@ -196,7 +197,6 @@ def _reduce(re: dict[int, int], im: dict[int, int],
         g = gcd(lead, fr, fi)
         a = lead // g
         if a != 1:
-            scale *= a
             re = {j: a * x for j, x in re.items()}
             if im:
                 im = {j: a * x for j, x in im.items()}
@@ -210,7 +210,7 @@ def _reduce(re: dict[int, int], im: dict[int, int],
             _subtract(im, fi, rre)
             if rim:
                 _subtract(re, -fi, rim)
-    return re, im, scale
+    return re, im
 
 
 def _lead_real(re: dict[int, int], im: dict[int, int], lead: int) -> Row:
@@ -276,7 +276,7 @@ def _eliminate(rows: list[Row], ncols: int, free: bool = False) -> dict[int, Row
         re, im = rows[i]
         against = [(p, kept[p]) for p in _columns(re, im) if p in kept]
         if against:
-            re, im, _ = _reduce(re, im, against)
+            re, im = _reduce(re, im, against)
             if not (re or im):
                 continue
         cols = _columns(re, im)
@@ -289,7 +289,7 @@ def _eliminate(rows: list[Row], ncols: int, free: bool = False) -> dict[int, Row
         for p in holders.pop(lead, ()):
             ore, oim = kept[p]
             if lead in ore or lead in oim:
-                kept[p] = _primitive(*_reduce(ore, oim, ((lead, row),))[:2])
+                kept[p] = _primitive(*_reduce(ore, oim, ((lead, row),)))
                 touched.add(p)
         # a cleared row can gain any column of ``row`` and no other
         for c in cols:
@@ -359,11 +359,11 @@ def rank_reversed(rows: Iterable[Vector], ncols: int) -> int:
     return count
 
 
-def integer_nullspace(rows: list[Row], ncols: int) -> list[list[Scalar]]:
-    """Canonical nullspace basis of nonzero Gaussian-integer rows, which may
-    be updated in place: the RREF of the vectors L e_f - sum r_p[f] e_p (L/L_p
-    scaling each r_p to the common lead L), one per free column f of a
-    free-pivot reduced form of the rows."""
+def _kernel(rows: list[Row], ncols: int) -> dict[int, Row]:
+    """Canonical nullspace of nonzero Gaussian-integer rows, which may be
+    updated in place, as the kept rows of its RREF: the RREF of the vectors
+    L e_f - sum r_p[f] e_p (L/L_p scaling each r_p to the common lead L), one
+    per free column f of a free-pivot reduced form of the rows."""
     kept = _eliminate(rows, ncols, free=True)
     users: dict[int, list[int]] = {}
     for p, row in kept.items():
@@ -385,7 +385,12 @@ def integer_nullspace(rows: list[Row], ncols: int) -> list[list[Scalar]]:
             if free in pim:
                 im[p] = -k * pim[free]
         basis.append((re, im))
-    return _dense(_eliminate(basis, ncols), ncols)[0]
+    return _eliminate(basis, ncols)
+
+
+def integer_nullspace(rows: list[Row], ncols: int) -> list[list[Scalar]]:
+    """The :func:`_kernel` of the rows as dense scalar rows."""
+    return _dense(_kernel(rows, ncols), ncols)[0]
 
 
 def solve(a_rows: Iterable[Vector], b: Vector, ncols: int) -> Optional[list[Scalar]]:
@@ -409,59 +414,96 @@ def invert(m: Matrix) -> Optional[list[list[Scalar]]]:
     return [row[n:] for row in red]
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace given by an RREF basis; the canonical form of a span."""
+def _residue(row: Row, rows: dict[int, Row]) -> Row:
+    """A new row, a positive multiple of ``row`` less the combination of
+    ``rows`` {pivot: row} that clears all their pivots (:func:`_reduce`).
+    Each of ``rows`` is zero left of its pivot, so clearing it adds columns
+    only to its right: the pivots the row holds are visited leftmost first
+    from a heap, which takes each pivot a reduction adds when it appears."""
+    re, im = dict(row[0]), dict(row[1])
+    heap = [c for c in _columns(re, im) if c in rows]
+    heapify(heap)
+    queued = set(heap)
+    while heap:
+        p = heappop(heap)
+        if p in re or p in im:
+            pivot_row = rows[p]
+            re, im = _reduce(re, im, ((p, pivot_row),))
+            for c in _columns(*pivot_row):
+                if c in rows and c not in queued:
+                    queued.add(c)
+                    heappush(heap, c)
+    return re, im
 
-    ambient_dim: int
-    basis: tuple[tuple[Scalar, ...], ...]
+
+class Subspace:
+    """A subspace of Q(i)^ambient_dim, kept once as its RREF in Gaussian
+    integers: {pivot: row} in pivot order, as a leftmost-pivot
+    :func:`_eliminate` keeps them.  A row is primitive, L times its RREF row
+    for a positive integer L at its pivot, so equal subspaces have equal
+    rows.  :attr:`basis`, the RREF of ``Scalar`` rows, is made when first
+    read.  ``Subspace(ambient_dim, basis)`` takes a basis in RREF."""
+
+    def __init__(self, ambient_dim: int, basis: Matrix) -> None:
+        self.ambient_dim = ambient_dim
+        # a lead 1 clears to the row's denominator, at the least column of re
+        self._kept = {min(re): (re, im) for re, im in map(_cleared, basis)}
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
-        rows, _ = rref(vectors, ambient_dim)
-        return cls(ambient_dim, freeze_matrix(rows))
+        return cls.from_reduced(ambient_dim, _eliminate(_integer_rows(vectors), ambient_dim))
 
     @classmethod
     def from_reduced(cls, ambient_dim: int, kept: dict[int, Row]) -> "Subspace":
-        """The span of the kept rows of a leftmost-pivot :func:`_eliminate`,
-        which are its RREF already; only they become scalars."""
-        return cls(ambient_dim, freeze_matrix(_dense(kept, ambient_dim)[0]))
+        """The span of the kept rows of a leftmost-pivot :func:`_eliminate`
+        or of :func:`_kernel`, its RREF already, stored as they are."""
+        space = cls.__new__(cls)
+        space.ambient_dim = ambient_dim
+        space._kept = dict(sorted(kept.items()))
+        return space
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         """The whole space; its RREF basis is the identity."""
-        return cls(ambient_dim, freeze_matrix(identity_matrix(ambient_dim)))
+        return cls.from_reduced(ambient_dim, {j: ({j: 1}, {}) for j in range(ambient_dim)})
 
     @cached_property
-    def _rows(self) -> list[tuple[int, Row]]:
-        """The basis as (pivot, Gaussian-integer row); a lead 1 clears to the
-        row's denominator, and the pivot is the least column of ``re``."""
-        rows = [_cleared(row) for row in self.basis]
-        return [(min(re), (re, im)) for re, im in rows]
+    def basis(self) -> tuple[tuple[Scalar, ...], ...]:
+        return freeze_matrix(_dense(self._kept, self.ambient_dim)[0])
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._kept)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self._kept == other._kept
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
+
+    def _holds(self, row: Row) -> bool:
+        """Whether the Gaussian-integer row lies in the span."""
+        return not any(_residue(row, self._kept))
 
     def contains(self, vector: Vector) -> bool:
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector of length {len(vector)} in ambient dim {self.ambient_dim}")
-        re, im, _ = _reduce(*_cleared(vector), self._rows)
-        return not (re or im)
+        return self._holds(_cleared(vector))
 
     def complement_rows(self, space: "Subspace") -> list[list[Scalar]]:
         """Rows extending this basis to one of the sum with ``space``: the
         basis vectors of ``space``, in order, reduced against this basis and
         the rows found so far, kept when nonzero and scaled to lead 1.  Each
         is zero on every earlier pivot, so it joins the basis as it stands."""
-        work = list(self._rows)
+        rows = dict(self._kept)
         out = []
-        for _, (re, im) in space._rows:
-            re, im, _ = _reduce(dict(re), dict(im), work)
+        for row in space._kept.values():
+            re, im = _residue(row, rows)
             if re or im:
                 lead = min(_columns(re, im))
-                row = _lead_real(re, im, lead)
+                rows[lead] = row = _lead_real(re, im, lead)
                 out.append(_scalars(row, row[0][lead], self.ambient_dim))
-                work.append((lead, row))
         return out

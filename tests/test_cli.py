@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import plesken
+from plesken import cli
 from plesken.cli import main
 from plesken.cohomology import BilinearForm, form_from_json
 from plesken.extensions import (
@@ -529,6 +530,46 @@ def test_console_entry_point(tmp_path):
     assert result.returncode == 0
     assert json.loads(result.stdout)["order"] == 5
 
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    # a valid call, a usage error, --help and a golden case, one after another
+    # in one process, each give the stdout, stderr and exit code they give
+    # alone in a fresh interpreter, from one parser
+    path = tmp_path / "heis3.json"
+    path.write_text(json.dumps({"dim": 3, "labels": ["X", "Y", "Z"],
+                                "brackets": [{"i": 0, "j": 1, "c": ["0", "0", "1"]}]}))
+    calls = [["group", "make", "--preset", "cyclic", "--n", "5", "--json"],
+             ["group", "bogus"],
+             ["--help"],
+             ["cohomology", "h2", "-L", str(path)]]
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(plesken.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir, COLUMNS="80")
+    alone = [subprocess.run([sys.executable, "-m", "plesken", *argv], capture_output=True,
+                            text=True, env=env, cwd=str(tmp_path))
+             for argv in calls]
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_PARSER", [])
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv, expected in zip(calls, alone):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (expected.returncode, expected.stdout, expected.stderr)
+    assert [p.returncode for p in alone] == [0, 2, 0, 0]
+    with open(os.path.join(os.path.dirname(__file__), "golden", "h2_heis3.txt"),
+              encoding="utf-8") as handle:
+        assert alone[3].stdout == handle.read()
+    assert built == [1]
 
 
 def _h2_into_a_closed_pipe(tmp_path, *flags, read=0, **environ):

@@ -630,6 +630,44 @@ def test_h2_elimination_makes_no_scalar_arithmetic(monkeypatch):
     assert callers.count("plesken.cohomology") > 0
 
 
+@pytest.mark.parametrize("name", ["heis27", "abelian24"])
+def test_h2_clears_only_the_coboundaries(name, monkeypatch):
+    # h2 keeps Z^2, B^2 and the representatives as Gaussian-integer rows: the
+    # only scalar rows it clears are the n coboundaries spanning B^2, and
+    # linalg forms no Scalar sum, difference or product
+    if name == "heis27":
+        algebra = plesken_algebra(preset("heisenberg_p", 3))[0]
+        dims = (18, 8, 10)
+    else:
+        algebra = from_structure_constants(24, {})
+        dims = (276, 0, 276)
+    n = algebra.dim
+    generators = [coboundary(algebra, LinearFunctional(tuple(ONE if k == i else ZERO
+                                                             for k in range(n)))).flatten()
+                  for i in range(n)]
+    cleared, callers = [], []
+    original_cleared = linalg._cleared
+
+    def counted_cleared(row):
+        cleared.append(list(row))
+        return original_cleared(row)
+
+    monkeypatch.setattr(linalg, "_cleared", counted_cleared)
+    for method in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__", "__rtruediv__", "__neg__"):
+        original = Scalar.__dict__[method]
+
+        def counted(self, *other, _original=original):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return _original(self, *other)
+
+        monkeypatch.setattr(Scalar, method, counted)
+    result = h2(algebra)
+    assert (result.z2.dim, result.b2.dim, result.dimension) == dims
+    assert cleared == generators
+    assert "plesken.linalg" not in callers
+
+
 def test_z2_basis_makes_no_scalar_before_its_basis(monkeypatch):
     # from the bracket table to the kernel the rows are Gaussian integers: no
     # Scalar arithmetic from any module, and Scalars are made only for the

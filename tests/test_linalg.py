@@ -242,10 +242,30 @@ def _hard_matrix(rng, rows, cols, big):
     return m
 
 
+def _unit(n, *entries):
+    """The row of length n with the given (column, scalar) entries."""
+    row = [ZERO] * n
+    for j, x in entries:
+        row[j] = x
+    return row
+
+
 @pytest.mark.parametrize("big", [False, True])
-def test_integer_core_matches_dense_oracles(big):
+def test_integer_core_matches_dense_oracles(big, monkeypatch):
     rng = random.Random(f"integer-core-{big}")
     invertible = 0
+    # the whole space makes no Scalar until its basis is read
+    made = []
+    make, init = Scalar.__dict__["_make"].__func__, Scalar.__init__
+    with monkeypatch.context() as patch:
+        patch.setattr(Scalar, "_make", classmethod(
+            lambda cls, *args: made.append(args) or make(cls, *args)))
+        patch.setattr(Scalar, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+        full = linalg.Subspace.full(6)
+        assert full.dim == 6 and full.complement_rows(full) == []
+        assert "basis" not in vars(full) and made == []
+    assert full.basis == linalg.freeze_matrix(linalg.identity_matrix(6))
+    assert "basis" in vars(full)
     for _ in range(25):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         m = _hard_matrix(rng, rows, cols, big)
@@ -265,6 +285,10 @@ def test_integer_core_matches_dense_oracles(big):
             assert inverse == dense_invert(m[:cols])
             invertible += inverse is not None
         space = linalg.Subspace.from_spanning(cols, m)
+        given = linalg.Subspace(cols, red)
+        assert given == linalg.Subspace.from_spanning(cols, red) == space
+        assert given.basis == space.basis == linalg.freeze_matrix(red)
+        assert hash(given) == hash(space)
         inside = [_gaussian(rng, big) * y for y in red[0]] if red else x
         for v in (x, inside):
             assert space.contains(v) == (len(dense_rref(list(m) + [v], cols)[1]) == len(pivots))
@@ -273,6 +297,24 @@ def test_integer_core_matches_dense_oracles(big):
             assert space.complement_rows(extra) == dense_complement_rows(
                 [list(r) for r in space.basis], [list(r) for r in extra.basis])
     assert invertible
+    # clearing the base row at pivot 2 from e1 + e2 adds column 4, the pivot
+    # of the row found before it, which must then be cleared too
+    base = [_unit(5, (0, ONE), (4, ONE)), _unit(5, (2, ONE), (4, ONE))]
+    space = [_unit(5, (0, ONE)), _unit(5, (1, ONE), (2, ONE))]
+    found = linalg.Subspace(5, base).complement_rows(linalg.Subspace(5, space))
+    assert found == dense_complement_rows(base, space) == [_unit(5, (4, ONE)), _unit(5, (1, ONE))]
+    # complex leads and zeros that are not the singleton, on both sides
+    for z in NONSINGLETON_ZEROS:
+        m = [[TWO_MINUS_I, z, I, z], [z, ONE + I, z, Scalar(3, 2)], [z, z, z, z]]
+        extra = [[I, ONE, z, z], [z, z, -I, Scalar(Fraction(3, 5), Fraction(-7, 2))],
+                 [z, Scalar(2, 1), z, I]]
+        space = linalg.Subspace.from_spanning(4, m)
+        other = linalg.Subspace.from_spanning(4, extra)
+        assert [list(r) for r in space.basis] == dense_rref(m, 4)[0]
+        assert space.complement_rows(other) == dense_complement_rows(
+            dense_rref(m, 4)[0], dense_rref(extra, 4)[0])
+        assert space.contains([z, z, z, z]) and space.contains(m[0])
+        assert not space.contains([z, z, z, I])
 
 
 def test_integer_core_on_zeros_that_are_not_the_singleton():

@@ -38,6 +38,14 @@ kernel of L's constraints is the fallback when the series reaches 0 (abelian,
 nilpotent and other solvable L) or stops at a perfect P whose Killing form
 is degenerate (sl2 + C^2, the Takiff algebras g + g_ad).
 
+A form is immutable (a frozen dataclass over a tuple of immutable scalars),
+and so is an algebra's bracket table, which
+:attr:`~plesken.liealg.LieAlgebra.integer_terms` already caches.  So
+:func:`is_cocycle` keeps its verdict on the form, with a strong reference to
+the algebra it was checked over, and returns it again for that same algebra
+object: :func:`are_cohomologous` re-checks both of its inputs, which in an
+extension's life are mostly forms checked before.
+
 Sign convention, used consistently by the extension and representation
 modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
 
@@ -47,6 +55,7 @@ modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
 from typing import Optional, Sequence
 
@@ -284,14 +293,21 @@ def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
                ) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """True iff all residuals vanish; otherwise the first violating triple.
 
-    Each residual is summed in Gaussian integers, E D times its true value."""
+    Each residual is summed in Gaussian integers, E D times its true value.
+    The verdict is kept on the form with the algebra it was checked over, and
+    a repeat call over that same algebra object returns it unchecked."""
     flat = _flat_over(algebra, alpha)
-    if not algebra.integer_terms.terms:
-        return True, None
-    re_rows, im_rows = _cleared_rows(algebra, flat)
-    for i, j, k, _, _ in _cyclic_sums(algebra, re_rows, im_rows):
-        return False, (i, j, k)
-    return True, None
+    memo = alpha.__dict__.get("_cocycle_verdict")
+    if memo is not None and memo[0] is algebra:
+        return memo[1]
+    verdict = True, None
+    if algebra.integer_terms.terms:
+        re_rows, im_rows = _cleared_rows(algebra, flat)
+        for i, j, k, _, _ in _cyclic_sums(algebra, re_rows, im_rows):
+            verdict = False, (i, j, k)
+            break
+    alpha.__dict__["_cocycle_verdict"] = algebra, verdict
+    return verdict
 
 
 def _constraint_rows(algebra: LieAlgebra) -> list[linalg.Row]:
@@ -471,7 +487,7 @@ def form_to_json(form: BilinearForm) -> dict:
     """``upper[i]`` holds the entries (i, i+1), ..., (i, n-1) of the form."""
     n = form.dim
     text = ["0" if x is ZERO else str(x) for x in form.flat]
-    starts = [pair_index(n, i, i + 1) for i in range(n - 1)] + [len(text)]
+    starts = list(accumulate(range(n - 1, 0, -1), initial=0))
     return {"dim": n, "upper": [text[a:b] for a, b in zip(starts, starts[1:])]}
 
 

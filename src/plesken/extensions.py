@@ -15,10 +15,13 @@ cohomology of the extracted cocycles and realized by an explicit commuting
 isomorphism, never by a generic isomorphism search.
 
 The maps f, g, s and phi are multiplied on one sparse kernel: a matrix is
-read as the nonzero entries (r, x) of each column, and every product and
-check is a sum of x * column into its nonzero entries {r: value}, so the
-cost follows the nonzeros rather than (n+1)^2 per vector.  The checks that
-read the bracket sum cleared columns against the Gaussian-integer
+read as the nonzero entries (r, x) of each nonzero column, and every product
+and check is a sum of x * column into its nonzero entries {r: value}, so the
+cost follows the nonzeros rather than (n+1)^2 per vector.  Each map is read
+into columns once: an extension caches the columns of its stored g and s
+beside the terms of f, a section found or given is read once for both the
+check g s = I and the extraction, and phi once for all of its checks.  The
+checks that read the bracket sum cleared columns against the Gaussian-integer
 :attr:`~plesken.liealg.LieAlgebra.integer_terms`.
 """
 
@@ -55,6 +58,16 @@ class CentralExtension:
     def injection_terms(self) -> tuple[tuple[int, Scalar], ...]:
         """Nonzero entries (t, f_t) of the injection vector."""
         return tuple((t, x) for t, x in enumerate(self.injection_f) if x)
+
+    @cached_property
+    def projection_columns(self) -> dict[int, list[tuple[int, Scalar]]]:
+        """:func:`_columns` of the projection g."""
+        return _columns(self.projection_g)
+
+    @cached_property
+    def section_columns(self) -> Optional[dict[int, list[tuple[int, Scalar]]]]:
+        """:func:`_columns` of the stored section s, None without one."""
+        return None if self.section_s is None else _columns(self.section_s)
 
 
 def extension_from_cocycle(base: LieAlgebra, alpha: BilinearForm) -> CentralExtension:
@@ -103,13 +116,13 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
     f_terms = ext.injection_terms
     if not f_terms:
         failures.append("injection vector is zero")
+    g_cols = ext.projection_columns
     # g is a homomorphism on all total basis pairs
-    for i, j, defect in _homomorphism_defects(g, total, ext.base):
+    for i, j, defect in _homomorphism_defects(g_cols, total, ext.base):
         if defect:
             failures.append(f"projection is not a homomorphism at ({i},{j})")
     # exactness: g f = 0 and rank g = n, so ker g = span f
-    g_cols = _columns(g, n + 1)
-    if _combination((x, g_cols[t]) for t, x in f_terms):
+    if _combination((x, g_cols.get(t, ())) for t, x in f_terms):
         failures.append("g(f) is nonzero; image of f is not in ker g")
     if linalg.rank(g, n + 1) != n:
         failures.append("projection is not surjective")
@@ -120,18 +133,19 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
         if linalg._combine((a, b, terms.get((t, j), ()))
                            for (t, _), a, b in zip(f_terms, f_re, f_im)):
             failures.append(f"kernel line is not central: [f, x_{j}] != 0")
-    if s is not None and not _is_right_inverse(g, s, n):
+    if s is not None and not _is_right_inverse(ext, s, ext.section_columns):
         failures.append("stored section does not satisfy g s = I")
     return failures
 
 
-def _columns(m: Matrix, ncols: int) -> list[list[tuple[int, Scalar]]]:
-    """The nonzero entries (r, x) of each column of a row-major matrix."""
-    cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(ncols)]
+def _columns(m: Matrix) -> dict[int, list[tuple[int, Scalar]]]:
+    """{c: the nonzero entries (r, x) of column c} over the nonzero columns
+    of a row-major matrix; a zero column is read as ``()``."""
+    cols: dict[int, list[tuple[int, Scalar]]] = {}
     for r, row in enumerate(m):
         for c, x in enumerate(row):
             if x:
-                cols[c].append((r, x))
+                cols.setdefault(c, []).append((r, x))
     return cols
 
 
@@ -146,35 +160,37 @@ def _combination(terms) -> dict[int, Scalar]:
     return {r: v for r, v in acc.items() if v}
 
 
-def _is_right_inverse(g: Matrix, s: Matrix, n: int) -> bool:
-    """g s = I_n for an n-column s, column by column."""
+def _is_right_inverse(ext: CentralExtension, s: Matrix, s_cols) -> bool:
+    """g s = I_n for an n-column s with columns ``s_cols``, column by column;
+    every row of g must have ``len(s)`` entries."""
+    n, g = ext.base.dim, ext.projection_g
     if any(len(row) != n for row in s) or any(len(row) != len(s) for row in g):
         return False
-    g_cols = _columns(g, len(s))
-    return all(_combination((x, g_cols[t]) for t, x in col) == {c: ONE}
-               for c, col in enumerate(_columns(s, n)))
+    g_cols = ext.projection_columns
+    return all(_combination((x, g_cols.get(t, ())) for t, x in s_cols.get(c, ()))
+               == {c: ONE} for c in range(n))
 
 
-def _homomorphism_defects(m: Matrix, source: LieAlgebra, target: LieAlgebra):
+def _homomorphism_defects(cols, source: LieAlgebra, target: LieAlgebra):
     """(i, j, [M e_i, M e_j] - M [e_i, e_j]) for i < j, M mapping source to
-    target, each defect as its nonzero entries {r: value}; M is a homomorphism
-    exactly when every defect is empty.  M is cleared once to D M, and
-    D^2 E F times a defect, E and F the denominators of the source and target
-    terms, is summed in Gaussian integers: E (D M)_ai (D M)_bj (F c_ab) over
-    a, b minus D F (E c_ijk) (D M) e_k over k."""
-    cols = _columns(m, source.dim)
-    den, re, im = clear([x for col in cols for _, x in col])
+    target given by its :func:`_columns`, each defect as its nonzero entries
+    {r: value}; M is a homomorphism exactly when every defect is empty.  M is
+    cleared once to D M, and D^2 E F times a defect, E and F the denominators
+    of the source and target terms, is summed in Gaussian integers:
+    E (D M)_ai (D M)_bj (F c_ab) over a, b minus D F (E c_ijk) (D M) e_k over k."""
+    den, re, im = clear([x for col in cols.values() for _, x in col])
     parts = iter(zip(re, im))
-    cols = [[(r, *next(parts)) for r, _ in col] for col in cols]
+    cols = {c: [(r, *next(parts)) for r, _ in col] for c, col in cols.items()}
     e, _, source_terms = source.integer_terms
     f, _, target_terms = target.integer_terms
     total, shift = den * den * e * f, -den * f
     for i in range(source.dim):
+        col_i = cols.get(i, ())
         for j in range(i + 1, source.dim):
             pairs = [(e * (a * c - b * d), e * (a * d + b * c), target_terms[x, y])
-                     for x, a, b in cols[i] for y, c, d in cols[j]
+                     for x, a, b in col_i for y, c, d in cols.get(j, ())
                      if (x, y) in target_terms]
-            pairs += [(shift * a, shift * b, cols[k])
+            pairs += [(shift * a, shift * b, cols.get(k, ()))
                       for k, a, b in source_terms.get((i, j), ())]
             yield i, j, {r: Scalar._make(u, v, total)
                          for r, (u, v) in linalg._combine(pairs).items()}
@@ -223,11 +239,17 @@ def _kernel_coefficient(ext: CentralExtension, vector: dict[int, Scalar]) -> Sca
 def cocycle_from_extension(ext: CentralExtension,
                            section: Matrix) -> BilinearForm:
     """alpha(x_i, x_j) = [s x_i, s x_j] - s [x_i, x_j], read off the kernel line."""
+    cols = ext.section_columns if section is ext.section_s else _columns(section)
+    return _cocycle(ext, section, cols)
+
+
+def _cocycle(ext: CentralExtension, section: Matrix, cols) -> BilinearForm:
+    """:func:`cocycle_from_extension` for a section given with its columns."""
     n = ext.base.dim
-    if not _is_right_inverse(ext.projection_g, section, n):
+    if not _is_right_inverse(ext, section, cols):
         raise NoSection("given map is not a section: g s != I")
     entries = {(i, j): _kernel_coefficient(ext, defect)
-               for i, j, defect in _homomorphism_defects(section, ext.base, ext.total)}
+               for i, j, defect in _homomorphism_defects(cols, ext.base, ext.total)}
     alpha = BilinearForm.from_entries(n, entries)
     ok, witness = is_cocycle(ext.base, alpha)
     if not ok:
@@ -249,22 +271,24 @@ def equivalence_map(ext1: CentralExtension,
         raise BaseMismatch("extensions are not over the same base algebra")
     s1 = find_section(ext1)
     s2 = find_section(ext2)
-    alpha = cocycle_from_extension(ext1, s1)
-    beta = cocycle_from_extension(ext2, s2)
+    s1_cols, s2_cols = _columns(s1), _columns(s2)
+    alpha = _cocycle(ext1, s1, s1_cols)
+    beta = _cocycle(ext2, s2, s2_cols)
     sigma = are_cohomologous(base, alpha, beta)
     if sigma is None:
         return None
     n = base.dim
     # column k of phi is s2 y + (kappa1(e_k - s1 y) + sigma(y)) f2, y = g1 e_k
-    s1_cols, s2_cols = _columns(s1, n), _columns(s2, n)
+    g1_cols = ext1.projection_columns
     f2 = ext2.injection_terms
     phi_cols = []
-    for k, y in enumerate(_columns(ext1.projection_g, n + 1)):
+    for k in range(n + 1):
+        y = g1_cols.get(k, ())
         residue = _combination([(ONE, ((k, ONE),))]
-                               + [(-x, s1_cols[c]) for c, x in y])
+                               + [(-x, s1_cols.get(c, ())) for c, x in y])
         shift = sum((sigma.vector[c] * x for c, x in y),
                     _kernel_coefficient(ext1, residue))
-        phi_cols.append(_combination([(x, s2_cols[c]) for c, x in y]
+        phi_cols.append(_combination([(x, s2_cols.get(c, ())) for c, x in y]
                                      + [(shift, f2)]))
     return [[col.get(r, ZERO) for col in phi_cols] for r in range(n + 1)]
 
@@ -276,16 +300,16 @@ def verify_equivalence_map(ext1: CentralExtension, ext2: CentralExtension,
     n1 = ext1.total.dim
     if len(phi) != n1 or any(len(row) != n1 for row in phi):
         return [f"phi must be {n1} x {n1}"]
-    for i, j, defect in _homomorphism_defects(phi, ext1.total, ext2.total):
+    phi_cols = _columns(phi)
+    for i, j, defect in _homomorphism_defects(phi_cols, ext1.total, ext2.total):
         if defect:
             failures.append(f"phi is not a homomorphism at ({i},{j})")
-    phi_cols = _columns(phi, n1)
-    if (_combination((x, phi_cols[t]) for t, x in ext1.injection_terms)
+    if (_combination((x, phi_cols.get(t, ())) for t, x in ext1.injection_terms)
             != dict(ext2.injection_terms)):
         failures.append("phi does not carry the first injection to the second")
-    g2_cols = _columns(ext2.projection_g, n1)
-    if any(_combination((x, g2_cols[t]) for t, x in col) != dict(g1_col)
-           for col, g1_col in zip(phi_cols, _columns(ext1.projection_g, n1))):
+    g1_cols, g2_cols = ext1.projection_columns, ext2.projection_columns
+    if any(_combination((x, g2_cols.get(t, ())) for t, x in phi_cols.get(k, ()))
+           != dict(g1_cols.get(k, ())) for k in range(n1)):
         failures.append("g2 phi differs from g1")
     if linalg.rank(phi, n1) != n1:
         failures.append("phi is not invertible")
@@ -312,7 +336,7 @@ def is_split(ext: CentralExtension) -> SplitResult:
     """
     base = ext.base
     section = find_section(ext)
-    alpha = cocycle_from_extension(ext, section)
+    alpha = _cocycle(ext, section, _columns(section))
     sigma = are_cohomologous(base, alpha, BilinearForm.zero(base.dim))
     if sigma is None:
         return SplitResult(split=False, section=None)
@@ -320,7 +344,7 @@ def is_split(ext: CentralExtension) -> SplitResult:
     f = ext.injection_f
     witness = [[section[r][j] - sigma.vector[j] * f[r] for j in range(n)]
                for r in range(n + 1)]
-    for i, j, defect in _homomorphism_defects(witness, base, ext.total):
+    for i, j, defect in _homomorphism_defects(_columns(witness), base, ext.total):
         if defect:
             raise DefectNotInKernel(
                 "split witness failed the homomorphism check; "

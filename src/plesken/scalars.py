@@ -197,6 +197,8 @@ class Scalar:
 def clear(values: Sequence[Scalar]) -> tuple[int, list[int], list[int]]:
     """(D, re, im): the least common denominator D of the scalars and the
     real and imaginary parts of D times each, in order; D is 1 for none."""
+    if all(x.d == 1 for x in values):
+        return 1, [x.a for x in values], [x.b for x in values]
     den = lcm(*{x.d for x in values})
     return den, [x.a * (den // x.d) for x in values], [x.b * (den // x.d) for x in values]
 

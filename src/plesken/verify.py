@@ -10,12 +10,20 @@ checks are exact; there are no tolerances to tune.
 :func:`run_all` returns a deterministic, JSON-ready report; the CLI command
 ``verify all`` renders it.  The pytest acceptance module drives the same
 functions one criterion per test.
+
+The seeded data is drawn as integers: a rational is a numerator and a
+denominator, made into a ``Scalar`` with no ``Fraction`` between, and a
+random cocycle sums the Gaussian-integer kept rows of Z^2 over one common
+denominator, one ``Scalar`` per nonzero entry.  Each draw makes the same rng
+calls in the same order, and gives the same value, as the ``Fraction``
+formulas and dense sums it replaced.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from . import linalg
@@ -185,13 +193,21 @@ def _rng_for(seed: int, criterion: int) -> random.Random:
     return random.Random(f"{seed}:{criterion}")
 
 
+def _draw_rational(rng: random.Random) -> tuple[int, int]:
+    """Numerator and positive denominator of a seeded rational, drawn in
+    that order."""
+    return rng.randint(-9, 9), rng.randint(1, 4)
+
+
 def random_rational(rng: random.Random) -> Scalar:
-    return S(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    p, q = _draw_rational(rng)
+    return Scalar._make(p, 0, q)
 
 
 def random_scalar(rng: random.Random) -> Scalar:
-    return S(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-             Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    a, d = _draw_rational(rng)
+    b, e = rng.randint(-3, 3), rng.randint(1, 2)
+    return Scalar._make(a * e, b * d, d * e)
 
 
 def random_vector(rng: random.Random, n: int) -> list[Scalar]:
@@ -202,12 +218,24 @@ def random_functional(rng: random.Random, n: int) -> LinearFunctional:
     return LinearFunctional.of([random_rational(rng) for _ in range(n)])
 
 
-def random_cocycle(rng: random.Random, algebra: LieAlgebra, z2) -> BilinearForm:
-    flat = linalg.zeros(z2.ambient_dim)
-    for row in z2.basis:
-        coeff = random_rational(rng)
-        if coeff:
-            flat = [a + coeff * b for a, b in zip(flat, row)]
+def random_cocycle(rng: random.Random, algebra: LieAlgebra,
+                   z2: linalg.Subspace) -> BilinearForm:
+    """The sum of p/q times each basis vector of z2, one draw per vector in
+    order.  Basis vector k is kept row k of z2 over its lead L, so the sum is
+    taken in Gaussian integers over the common denominator of the q L."""
+    terms = []
+    for pivot, (re, im) in z2._kept.items():
+        p, q = _draw_rational(rng)
+        if p:
+            terms.append((p, q * re[pivot], re, im))
+    den = lcm(*(d for _, d, _, _ in terms))
+    sums = linalg._combine(
+        (p * (den // d), 0,
+         [(j, re.get(j, 0), im.get(j, 0)) for j in linalg._columns(re, im)])
+        for p, d, re, im in terms)
+    flat = [ZERO] * z2.ambient_dim
+    for j, (x, y) in sums.items():
+        flat[j] = Scalar._make(x, y, den)
     return BilinearForm.from_flat(algebra.dim, flat)
 
 

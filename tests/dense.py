@@ -16,7 +16,9 @@ Gaussian-integer rows of the library as ``Scalar`` rows, for the dense
 Gauss-Jordan oracles :func:`dense_rref` and :func:`dense_nullspace` and for
 :func:`~plesken.linalg.rank_reversed`.  :func:`dense_hat_coordinates` scans
 every basis pair of a Plesken basis, where the library reads only the nonzero
-coefficients of the element.
+coefficients of the element.  The seeded draws of :mod:`plesken.verify` are
+restated through ``Fraction`` and, for a cocycle, as a dense sum of ``Scalar``
+basis rows, where the library draws integers and sums Gaussian-integer rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from plesken import linalg
-from plesken.cohomology import BilinearForm, are_cohomologous, pair_index
+from plesken.cohomology import BilinearForm, LinearFunctional, are_cohomologous, pair_index
 from plesken.errors import BaseMismatch
 from plesken.extensions import _kernel_coefficient, cocycle_from_extension, find_section
 from plesken.scalars import ONE, ZERO, I, Scalar
@@ -260,6 +262,36 @@ def dense_rows(rows, ncols, den=1):
     dense ``Scalar`` rows."""
     return [[Scalar(Fraction(re.get(t, 0), den), Fraction(im.get(t, 0), den))
              if t in re or t in im else ZERO for t in range(ncols)] for re, im in rows]
+
+
+# -- seeded draws ---------------------------------------------------------------------
+
+
+def random_rational(rng):
+    return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+
+def random_scalar(rng):
+    return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+
+def random_vector(rng, n):
+    return [random_scalar(rng) for _ in range(n)]
+
+
+def random_functional(rng, n):
+    return LinearFunctional.of([random_rational(rng) for _ in range(n)])
+
+
+def random_cocycle(rng, algebra, z2):
+    """A seeded rational times each dense basis row of z2, summed in ``Scalar``s."""
+    flat = [ZERO] * z2.ambient_dim
+    for row in z2.basis:
+        coeff = random_rational(rng)
+        if coeff:
+            flat = vec_add(flat, vec_scale(coeff, row))
+    return BilinearForm.from_flat(algebra.dim, flat)
 
 
 # -- dense Gauss-Jordan ---------------------------------------------------------------

@@ -77,6 +77,7 @@ CASES = [
     # delta has the wrong sign, so the witness fails where it is nonzero
     ("rep_verify_equiv_failing",
      "rep verify-equiv -r1 {rep} -r2 {twisted} --f {f_shear} --delta {sigma} -L {heis3}"),
+    ("verify_all", "verify all --max-group-order 24 --seed 7"),
 ]
 
 # (case, argv): verbs that exit 1 with a domain error

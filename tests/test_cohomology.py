@@ -19,7 +19,7 @@ from dense import (
     scalar_cocycle_terms,
     scalar_residual,
 )
-from plesken import cli, errors, linalg
+from plesken import cli, cohomology, errors, linalg
 from plesken.cohomology import (
     BilinearForm,
     LinearFunctional,
@@ -804,3 +804,33 @@ def test_form_json_roundtrip_by_dim(n):
     assert doc["upper"] == [[str(m[i][j]) for j in range(i + 1, n)] for i in range(n - 1)]
     assert form_from_json(json.loads(json.dumps(doc))) == form
     assert form.flatten() == [m[i][j] for i in range(n) for j in range(i + 1, n)]
+
+
+def test_is_cocycle_keeps_each_algebras_own_verdict(monkeypatch):
+    # the form alpha(x2, x3) = 1 fails the triple (0, 1, 3) when [x0, x1] = x2
+    # and is a cocycle when [x0, x2] = x1
+    failing = from_structure_constants(4, {(0, 1): [0, 0, 1, 0]})
+    holding = from_structure_constants(4, {(0, 2): [0, 1, 0, 0]})
+    expected = {id(failing): (False, (0, 1, 3)), id(holding): (True, None)}
+    walks = []
+    original = cohomology._cyclic_sums
+
+    def counted(algebra, *args):
+        walks.append(algebra)
+        return original(algebra, *args)
+
+    monkeypatch.setattr(cohomology, "_cyclic_sums", counted)
+    for first, second in ((failing, holding), (holding, failing)):
+        alpha = BilinearForm.from_entries(4, {(2, 3): ONE})
+        for algebra, walked in ((first, True), (first, False), (second, True),
+                                (first, True), (first, False), (second, True)):
+            del walks[:]
+            assert is_cocycle(algebra, alpha) == expected[id(algebra)]
+            assert walks == ([algebra] if walked else [])
+        # an equal algebra that is another object is checked afresh
+        twin = from_structure_constants(4, {(0, 2): [0, 1, 0, 0]})
+        del walks[:]
+        assert is_cocycle(twin, alpha) == (True, None) and walks == [twin]
+        # the dimension check comes before the stored verdict
+        with pytest.raises(errors.DimensionMismatch):
+            is_cocycle(from_structure_constants(3, {}), alpha)

@@ -10,7 +10,7 @@ import pytest
 
 import dense
 from dense import column, dense_bracket, mat_eq, mat_mul, mat_vec
-from plesken import errors, linalg
+from plesken import errors, extensions, linalg
 from plesken.cli import main
 from plesken.cohomology import (
     BilinearForm,
@@ -489,3 +489,31 @@ def test_wide_extension_verbs_are_fast(verb, exts, digest, wide_extensions, caps
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert elapsed < 3.0
+
+
+@pytest.mark.parametrize("name", ORACLE_BASES)
+def test_each_map_is_read_into_columns_once(name, fixture_set, monkeypatch):
+    reads = []
+    original = extensions._columns
+
+    def counted(m):
+        reads.append(m)
+        return original(m)
+
+    monkeypatch.setattr(extensions, "_columns", counted)
+    for ext1, ext2 in _oracle_pairs(fixture_set, name):
+        del reads[:]
+        cocycle_from_extension(ext1, ext1.section_s)
+        cocycle_from_extension(ext2, find_section(ext2))
+        phi = equivalence_map(ext1, ext2)
+        if phi is not None:
+            assert verify_equivalence_map(ext1, ext2, phi) == []
+        is_split(ext1)
+        is_split(ext2)
+        assert verify_central_extension(ext1) == verify_central_extension(ext2) == []
+        # every matrix read (reads keeps each alive, so ids are distinct) is
+        # read once, the stored maps and phi among them
+        assert len({id(m) for m in reads}) == len(reads)
+        stored = [m for ext in (ext1, ext2) for m in (ext.projection_g, ext.section_s)]
+        assert [sum(m is s for m in reads) for s in stored] == [1, 1, 1, 1]
+        assert phi is None or sum(m is phi for m in reads) == 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -172,3 +173,29 @@ def test_clear_gives_the_least_common_denominator(values):
     assert all(any((den // p) % x.d for x in values)
                for p in range(2, den + 1) if den % p == 0)
     assert clear([]) == (1, [], [])
+
+
+def lcm_clear(values):
+    """:func:`clear` by its formula, with no case for integer scalars."""
+    den = lcm(*{x.d for x in values})
+    return den, [x.a * (den // x.d) for x in values], [x.b * (den // x.d) for x in values]
+
+
+def test_clear_of_integers_matches_the_lcm_formula():
+    rng = random.Random(19)
+
+    def draw(d):
+        return Scalar._make(rng.randint(-20, 20), rng.randint(-5, 5) * (rng.random() < 0.5),
+                            rng.choice(d))
+
+    cases = [[], [ZERO], [ONE, -I], [Scalar(Fraction(1, 2))], [ONE, Scalar(Fraction(1, 2))]]
+    for _ in range(400):
+        size = rng.randint(0, 8)
+        cases.append([draw([1]) for _ in range(size)])
+        cases.append([draw([1, 1, 1, 2, 3, 6]) for _ in range(size)])
+    assert any(all(x.d == 1 for x in c) and c for c in cases)
+    assert any(any(x.d == 1 for x in c) and any(x.d > 1 for x in c) for c in cases)
+    for values in cases:
+        got = clear(values)
+        assert got == lcm_clear(values)
+        assert all(type(v) is int for part in got[1:] for v in part)

@@ -8,6 +8,13 @@ as exact strings, so identical inputs give byte-identical output.
 
 Exit codes: 0 success, 1 domain error (one machine-parsable line), 2 usage,
 141 when a write to stdout fails because its reader has closed it.
+
+The module imports only the algebra core (``liealg``, ``cohomology`` and what
+they import); each handler imports the rest of what its verb calls.  So a
+process loads ``groups`` for ``group make`` and ``algebra plesken``,
+``extensions`` for the ``extension`` verbs, ``projreps`` for the ``rep`` verbs
+and every module for ``verify all``, and ``--help`` or a usage error loads the
+core alone.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+# the algebra core, which every verb but ``group make`` runs
 from .cohomology import (
     BilinearForm,
     _pairs,
@@ -27,18 +35,7 @@ from .cohomology import (
     functional_from_json,
     h2,
 )
-from .errors import BadDocument, DimensionMismatch, DomainError
-from .extensions import (
-    cocycle_from_extension,
-    equivalence_map,
-    extension_from_cocycle,
-    extension_from_json,
-    extension_to_json,
-    find_section,
-    is_split,
-    verify_equivalence_map,
-)
-from .groups import _json_int, group_from_json, group_to_json, preset, self_inverse_count
+from .errors import BadDocument, DimensionMismatch, DomainError, _json_int
 from .liealg import (
     _json_matrix,
     algebra_from_json,
@@ -49,16 +46,6 @@ from .liealg import (
     is_semisimple,
     plesken_algebra,
 )
-from .projreps import (
-    _shift_diagonal,
-    cocycle_from_rep,
-    projective_rep,
-    rep_from_json,
-    rep_to_json,
-    twist,
-    verify_projective_equivalence,
-)
-from .verify import run_all
 
 
 def _dump(doc) -> str:
@@ -137,6 +124,7 @@ def _form_lines(form: BilinearForm) -> list[str]:
 def _load_rep(path: str, algebra=None):
     """Load a representation document; without an algebra, matrices are
     wrapped over a zero-bracket stand-in and any stored cocycle is ignored."""
+    from .projreps import rep_from_json
     if algebra is None:
         return _load(path, lambda doc: rep_from_json(
             from_structure_constants(_json_int(doc, "dim"), {}), {**doc, "alpha": None}))
@@ -147,6 +135,7 @@ def _load_rep(path: str, algebra=None):
 
 
 def _cmd_group_make(args) -> int:
+    from .groups import group_to_json, preset, self_inverse_count
     group = preset(args.preset, args.n)
     doc = group_to_json(group)
     if args.output:
@@ -161,6 +150,7 @@ def _cmd_group_make(args) -> int:
 
 
 def _cmd_algebra_plesken(args) -> int:
+    from .groups import group_from_json
     group = _load(args.group, group_from_json)
     algebra, _ = plesken_algebra(group)
     doc = algebra_to_json(algebra)
@@ -201,6 +191,7 @@ def _cmd_cohomology_h2(args) -> int:
 
 
 def _cmd_extension_build(args) -> int:
+    from .extensions import extension_from_cocycle, extension_to_json
     algebra = _load(args.algebra, algebra_from_json)
     alpha = _load(args.alpha, form_from_json)
     ext = extension_from_cocycle(algebra, alpha)
@@ -215,6 +206,7 @@ def _cmd_extension_build(args) -> int:
 
 
 def _cmd_extension_cocycle(args) -> int:
+    from .extensions import cocycle_from_extension, extension_from_json, find_section
     ext = _load(args.extension, extension_from_json)
     alpha = cocycle_from_extension(ext, find_section(ext))
     doc = form_to_json(alpha)
@@ -225,6 +217,7 @@ def _cmd_extension_cocycle(args) -> int:
 
 
 def _cmd_extension_equiv(args) -> int:
+    from .extensions import equivalence_map, extension_from_json, verify_equivalence_map
     ext1 = _load(args.e1, extension_from_json)
     ext2 = _load(args.e2, extension_from_json)
     phi = equivalence_map(ext1, ext2)
@@ -245,6 +238,7 @@ def _cmd_extension_equiv(args) -> int:
 
 
 def _cmd_extension_split(args) -> int:
+    from .extensions import extension_from_json, is_split
     ext = _load(args.extension, extension_from_json)
     result = is_split(ext)
     doc = {"split": result.split,
@@ -260,6 +254,7 @@ def _cmd_extension_split(args) -> int:
 
 
 def _cmd_rep_cocycle(args) -> int:
+    from .projreps import cocycle_from_rep
     algebra = _load(args.algebra, algebra_from_json)
     rep = _load_rep(args.rep, algebra)
     alpha = cocycle_from_rep(rep)
@@ -271,6 +266,7 @@ def _cmd_rep_cocycle(args) -> int:
 
 
 def _cmd_rep_verify_equiv(args) -> int:
+    from .projreps import verify_projective_equivalence
     algebra = _load(args.algebra, algebra_from_json) if args.algebra else None
     rep1 = _load_rep(args.r1, algebra)
     rep2 = _load_rep(args.r2, algebra)
@@ -291,6 +287,7 @@ def _cmd_rep_verify_equiv(args) -> int:
 
 
 def _cmd_rep_twist(args) -> int:
+    from .projreps import _shift_diagonal, projective_rep, rep_to_json, twist
     sigma = _load(args.sigma, functional_from_json)
     if args.algebra:
         algebra = _load(args.algebra, algebra_from_json)
@@ -315,6 +312,7 @@ def _cmd_rep_twist(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    from .verify import run_all
     report = run_all(max_group_order=args.max_group_order, seed=args.seed)
     if args.json:
         _write(_dump(report))

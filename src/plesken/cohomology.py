@@ -65,8 +65,8 @@ from .errors import (
     IndexOutOfRange,
     InternalInclusionViolation,
     NotACocycle,
+    _json_int,
 )
-from .groups import _json_int
 from .liealg import (
     LieAlgebra,
     _cyclic_sums,

@@ -1,4 +1,5 @@
-"""Domain error hierarchy shared by all modules.
+"""Domain error hierarchy shared by all modules, and the JSON shape checks
+every document reader uses.
 
 Every error carries a stable machine-readable ``code`` (its class name) and a
 JSON-serializable ``witness`` identifying the offending data, so the CLI can
@@ -59,3 +60,21 @@ class NotEquivalent(DomainError): pass
 
 # cli
 class BadDocument(DomainError): pass
+
+
+# JSON shape checks: the CLI reports the TypeError they raise as a BadDocument
+def _json_int(doc: dict, key: str) -> int:
+    """``doc[key]`` when it is a JSON integer; a float, bool or string raises
+    ``TypeError`` rather than being truncated or coerced."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} {value!r} is not an integer")
+    return value
+
+
+def _json_array(value, name: str) -> list:
+    """``value`` when it is a JSON array; a string, which would be read one
+    character at a time, or any other value raises ``TypeError``."""
+    if type(value) is not list:
+        raise TypeError(f"{name} {value!r} is not an array")
+    return value

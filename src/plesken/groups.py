@@ -22,6 +22,8 @@ from .errors import (
     NotInvertibleModP,
     OrderLimitExceeded,
     UnknownPreset,
+    _json_array,
+    _json_int,
 )
 
 DEFAULT_ORDER_CAP = 10000
@@ -474,23 +476,6 @@ def group_to_json(group: FiniteGroup) -> dict:
     if group.labels is not None:
         doc["labels"] = list(group.labels)
     return doc
-
-
-def _json_int(doc: dict, key: str) -> int:
-    """``doc[key]`` when it is a JSON integer; a float, bool or string raises
-    ``TypeError`` rather than being truncated or coerced."""
-    value = doc[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} {value!r} is not an integer")
-    return value
-
-
-def _json_array(value, name: str) -> list:
-    """``value`` when it is a JSON array; a string, which would be read one
-    character at a time, or any other value raises ``TypeError``."""
-    if type(value) is not list:
-        raise TypeError(f"{name} {value!r} is not an array")
-    return value
 
 
 def group_from_json(doc: dict) -> FiniteGroup:

@@ -36,13 +36,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .errors import BadParameter, DimensionMismatch, JacobiViolation
-from .groups import FiniteGroup, _json_array, _json_int
+from .errors import BadParameter, DimensionMismatch, JacobiViolation, _json_array, _json_int
 from .linalg import Subspace, Vector
 from .scalars import ONE, ZERO, Scalar, clear
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,9 @@ from .errors import (
     NotAHomomorphism,
     NotEquivalent,
     SingularF,
+    _json_array,
+    _json_int,
 )
-from .groups import _json_array, _json_int
 from .liealg import LieAlgebra, _json_matrix
 from .linalg import Matrix, _digit, _digits, _slots, _width
 from .scalars import Scalar, clear

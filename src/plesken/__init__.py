@@ -19,7 +19,6 @@ _EXPORTS = {
     "groups": (
         "FiniteGroup",
         "from_cayley_table",
-        "from_matrix_generators_mod_p",
         "from_permutation_generators",
         "group_from_json",
         "group_to_json",
@@ -51,11 +50,9 @@ _EXPORTS = {
         "are_cohomologous",
         "b2_basis",
         "coboundary",
-        "cocycle_residual",
         "form_from_json",
         "form_to_json",
         "functional_from_json",
-        "functional_to_json",
         "h2",
         "is_cocycle",
         "z2_basis",
@@ -83,7 +80,6 @@ _EXPORTS = {
         "rep_from_json",
         "rep_to_json",
         "twist",
-        "validate_alpha_rep",
         "verify_projective_equivalence",
     ),
     "errors": (),

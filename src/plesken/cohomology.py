@@ -138,9 +138,6 @@ class BilinearForm:
             return self.flat[pair_index(self.dim, i, j)]
         return -self.flat[pair_index(self.dim, j, i)]
 
-    def flatten(self) -> list[Scalar]:
-        return list(self.flat)
-
     def value(self, u: Vector, v: Vector) -> Scalar:
         """alpha(u, v) by bilinear extension."""
         if len(u) != self.dim or len(v) != self.dim:
@@ -239,13 +236,6 @@ def _signed_index(n: int, m: int, t: int) -> tuple[int, int]:
     return (pair_index(n, m, t), 1) if m < t else (pair_index(n, t, m), -1)
 
 
-def _flat_over(algebra: LieAlgebra, alpha: BilinearForm) -> tuple[Scalar, ...]:
-    if alpha.dim != algebra.dim:
-        raise DimensionMismatch(
-            f"form of dim {alpha.dim} over algebra of dim {algebra.dim}")
-    return alpha.flat
-
-
 def _cleared_rows(algebra: LieAlgebra, flat: Vector) -> tuple[list, Optional[list]]:
     """Signed rows D alpha(x_m, x_t) = re_rows[m][t] + i im_rows[m][t], D the
     common denominator of the entries read, for the rows m of
@@ -271,24 +261,6 @@ def _cleared_rows(algebra: LieAlgebra, flat: Vector) -> tuple[list, Optional[lis
     return re_rows, im_rows
 
 
-def cocycle_residual(algebra: LieAlgebra, alpha: BilinearForm,
-                     i: int, j: int, k: int) -> Scalar:
-    """alpha([x_i,x_j],x_k) + alpha([x_j,x_k],x_i) + alpha([x_k,x_i],x_j)."""
-    n = algebra.dim
-    for idx in (i, j, k):
-        if not 0 <= idx < n:
-            raise IndexOutOfRange(f"index {idx} out of range for dim {n}")
-    _flat_over(algebra, alpha)
-    den, _, terms = algebra.integer_terms
-    acc = ZERO
-    for ts, t in _rotations(terms, i, j, k):
-        for m, cr, ci in ts:
-            x = alpha.entry(m, t)
-            if x:
-                acc = acc + Scalar._make(cr, ci, den) * x
-    return acc
-
-
 def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
                ) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """True iff all residuals vanish; otherwise the first violating triple.
@@ -296,13 +268,15 @@ def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
     Each residual is summed in Gaussian integers, E D times its true value.
     The verdict is kept on the form with the algebra it was checked over, and
     a repeat call over that same algebra object returns it unchecked."""
-    flat = _flat_over(algebra, alpha)
+    if alpha.dim != algebra.dim:
+        raise DimensionMismatch(
+            f"form of dim {alpha.dim} over algebra of dim {algebra.dim}")
     memo = alpha.__dict__.get("_cocycle_verdict")
     if memo is not None and memo[0] is algebra:
         return memo[1]
     verdict = True, None
     if algebra.integer_terms.terms:
-        re_rows, im_rows = _cleared_rows(algebra, flat)
+        re_rows, im_rows = _cleared_rows(algebra, alpha.flat)
         for i, j, k, _, _ in _cyclic_sums(algebra, re_rows, im_rows):
             verdict = False, (i, j, k)
             break
@@ -354,7 +328,7 @@ def b2_basis(algebra: LieAlgebra) -> Subspace:
     """Coboundary space: the span of the flattened :func:`coboundary` of each
     basis functional, that is the image of sigma -> (x,y) -> -sigma([x,y])."""
     n = algebra.dim
-    generators = [coboundary(algebra, LinearFunctional(tuple(row))).flatten()
+    generators = [coboundary(algebra, LinearFunctional(tuple(row))).flat
                   for row in linalg.identity_matrix(n)]
     return Subspace.from_spanning(flat_dim(n), generators)
 
@@ -498,10 +472,6 @@ def form_from_json(doc: dict) -> BilinearForm:
     if [len(r) for r in rows] != expected:
         raise DimensionMismatch(f"upper-triangle shape does not match dim {dim}")
     return BilinearForm(dim, tuple(x for row in rows for x in row))
-
-
-def functional_to_json(sigma: LinearFunctional) -> dict:
-    return {"v": [str(x) for x in sigma.vector]}
 
 
 def functional_from_json(doc: dict) -> LinearFunctional:

@@ -29,7 +29,6 @@ class NoIdentity(DomainError): pass
 class MissingInverse(DomainError): pass
 class NotAssociative(DomainError): pass
 class OrderLimitExceeded(DomainError): pass
-class NotInvertibleModP(DomainError): pass
 class UnknownPreset(DomainError): pass
 class BadParameter(DomainError): pass
 

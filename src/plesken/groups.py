@@ -8,7 +8,6 @@ always a genuine group.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -19,7 +18,6 @@ from .errors import (
     NoIdentity,
     NotAssociative,
     NotClosed,
-    NotInvertibleModP,
     OrderLimitExceeded,
     UnknownPreset,
     _json_array,
@@ -47,12 +45,6 @@ class FiniteGroup:
     identity: int
     inverse: tuple[int, ...]
     labels: Optional[tuple[str, ...]] = None
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     def label(self, a: int) -> str:
         if self.labels is None:
@@ -268,56 +260,17 @@ def _cycle_notation(perm: tuple) -> str:
     return "".join(parts) if parts else "e"
 
 
-def from_matrix_generators_mod_p(generators: Sequence[Sequence[Sequence[int]]],
-                                 p: int) -> FiniteGroup:
-    """Multiplicative closure of k x k integer matrices mod p."""
-    if p < 2:
-        raise BadParameter(f"modulus must be at least 2, got {p}")
-    if not generators:
-        raise BadParameter("at least one generator required")
-    k = len(generators[0])
-    gens = []
-    for g in generators:
-        mat = tuple(tuple(int(x) % p for x in row) for row in g)
-        if len(mat) != k or any(len(row) != k for row in mat):
-            raise BadParameter("generators must be square matrices of equal size")
-        if math.gcd(_det_int(mat) % p, p) != 1:
-            raise NotInvertibleModP(
-                f"generator is singular mod {p}", witness=[list(r) for r in mat])
-        gens.append(mat)
-
-    def mul(a: tuple, b: tuple) -> tuple:
-        return tuple(
-            tuple(sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(k))
-            for i in range(k))
-
-    ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-    def label_of(mat: tuple) -> str:
-        return "[" + ",".join("[" + ",".join(str(x) for x in row) + "]"
-                              for row in mat) + "]"
-
-    return _closure(gens, mul, ident, label_of)
-
-
-def _det_int(mat: tuple) -> int:
-    # cofactor expansion; generator matrices are tiny
-    k = len(mat)
-    if k == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(k):
-        minor = tuple(row[:j] + row[j + 1:] for row in mat[1:])
-        term = mat[0][j] * _det_int(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 def preset(name: str, parameter: int = 0) -> FiniteGroup:
     """Named families: cyclic, dihedral, symmetric, quaternion8,
-    heisenberg_p, elementary_abelian_p2."""
+    heisenberg_p, elementary_abelian_p2.  A group of more than
+    :data:`DEFAULT_ORDER_CAP` elements is refused from its parameter alone,
+    before any primality test or table is made."""
     if name not in PRESET_NAMES:
         raise UnknownPreset(f"unknown preset {name!r}", witness=name)
+    if _order(name, parameter) > DEFAULT_ORDER_CAP:
+        raise OrderLimitExceeded(
+            f"{name} with parameter {parameter} has more than "
+            f"{DEFAULT_ORDER_CAP} elements", witness=DEFAULT_ORDER_CAP)
     if name == "cyclic":
         return _cyclic(parameter)
     if name == "dihedral":
@@ -329,6 +282,25 @@ def preset(name: str, parameter: int = 0) -> FiniteGroup:
     if name == "heisenberg_p":
         return _heisenberg(parameter)
     return _elementary_abelian_p2(parameter)
+
+
+def _order(name: str, n: int) -> int:
+    """The order of the preset group with parameter n, or 0 when n < 1,
+    which the family's own function then refuses.  The factorial of
+    symmetric stops growing once it passes the cap."""
+    if name == "quaternion8":
+        return 8
+    if n < 1:
+        return 0
+    if name == "symmetric":
+        order = 1
+        for k in range(2, n + 1):
+            order *= k
+            if order > DEFAULT_ORDER_CAP:
+                break
+        return order
+    return {"cyclic": n, "dihedral": 2 * n, "heisenberg_p": n ** 3,
+            "elementary_abelian_p2": n * n}[name]
 
 
 def _power_label(base: str, k: int) -> str:
@@ -375,8 +347,6 @@ def _dihedral(n: int) -> FiniteGroup:
 def _symmetric(m: int) -> FiniteGroup:
     if m < 1:
         raise BadParameter(f"symmetric degree must be positive, got {m}")
-    if math.factorial(m) > DEFAULT_ORDER_CAP:
-        raise BadParameter(f"symmetric group of degree {m} exceeds the order cap")
     perms = sorted(itertools.permutations(range(m)))
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
@@ -432,8 +402,6 @@ def _heisenberg(p: int) -> FiniteGroup:
     # upper unitriangular 3x3 matrices over Z/pZ, encoded as (a, b, c) with
     # entries (1,2)=a, (1,3)=b, (2,3)=c; order p^3
     _check_prime(p)
-    if p ** 3 > DEFAULT_ORDER_CAP:
-        raise BadParameter(f"heisenberg group of order {p ** 3} exceeds the order cap")
     # (a, b, c) has index a p^2 + b p + c, and (a, b, c)(a', b', c') is
     # (a + a', b + b' + a c', c + c'): a row is p blocks, block a' picking
     # the same (b', c') positions from the indices with first entry a + a'

@@ -457,14 +457,9 @@ def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
 
 
 def ad_matrix(algebra: LieAlgebra, i: int) -> list[list[Scalar]]:
-    """Matrix of ad x_i: column j holds the coordinates of [x_i, x_j], read
-    from the stored terms."""
-    n = algebra.dim
-    mat = linalg.zero_matrix(n, n)
-    for j in range(n):
-        for k, c in algebra.brackets.get((min(i, j), max(i, j)), ()):
-            mat[k][j] = c if i < j else -c
-    return mat
+    """Matrix of ad x_i: column j is :meth:`LieAlgebra.structure` (i, j)."""
+    columns = [algebra.structure(i, j) for j in range(algebra.dim)]
+    return [list(row) for row in zip(*columns)]
 
 
 def _killing_columns(algebra: LieAlgebra) -> dict[int, list[tuple[int, int, int]]]:

@@ -5,21 +5,22 @@ row-major sequences of such rows.  The one exact elimination path,
 :func:`_eliminate`, runs in Gaussian integers on sparse rows (:data:`Row`).
 A scalar row is cleared once to Gaussian-integer numerators over its own
 denominator; :func:`_kernel` takes such rows directly, as
-:func:`~plesken.cohomology.z2_basis` builds them.  Rows are taken fewest
-nonzeros first against the rows kept so far, which each carry a positive
-integer pivot, with their integer content divided out, and no imaginary
-product is formed between two real rows.  A column -> kept-rows index names
-the kept rows that may hold a new pivot, so only those are cleared.  The
-pivot rule is the one difference between the two uses: :func:`rref`,
-:func:`solve`, :func:`invert` and :meth:`Subspace.from_spanning` take the
-leftmost column, so the kept rows are the RREF, which is unique whatever
-order produced it; :func:`rank` and the kernels take the column with the
-fewest kept rows in the index, which clears less, and :func:`_kernel` then
-puts the kernel in its canonical RREF.  Every caller passes the column
-count, and the elimination stops as soon as every column holds a pivot: each
-row left would reduce to zero, so a tall matrix of full column rank (the
-brackets spanning [L, L] of a semisimple L, the center's rows) costs only
-the rows taken before that.  Only the final rows become scalars, and a
+:func:`~plesken.cohomology.z2_basis` and :func:`~plesken.liealg.center`
+build them.  Rows are taken fewest nonzeros first against the rows kept so
+far, which each carry a positive integer pivot, with their integer content
+divided out, and no imaginary product is formed between two real rows.  A
+column -> kept-rows index names the kept rows that may hold a new pivot, so
+only those are cleared.  The pivot rule is the one difference between the
+two uses: :func:`rref`, :func:`solve`, :func:`invert` and
+:meth:`Subspace.from_spanning` take the leftmost column, so the kept rows
+are the RREF, which is unique whatever order produced it; :func:`rank` and
+the kernels take the column with the fewest kept rows in the index, which
+clears less, and :func:`_kernel` then puts the kernel in its canonical
+RREF.  Every caller passes the column count, and the elimination stops as
+soon as every column holds a pivot: each row left would reduce to zero, so
+a tall matrix of full column rank (the brackets spanning [L, L] of a
+semisimple L, the center's rows) costs only the rows taken before that.
+Only the final rows become scalars, and a
 :class:`Subspace` does not even do that: it keeps the kept rows of its RREF
 as the elimination leaves them, :meth:`Subspace.contains` and
 :meth:`Subspace.complement_rows` reduce on them, visiting only the pivots a
@@ -388,11 +389,6 @@ def _kernel(rows: list[Row], ncols: int) -> dict[int, Row]:
     return _eliminate(basis, ncols)
 
 
-def integer_nullspace(rows: list[Row], ncols: int) -> list[list[Scalar]]:
-    """The :func:`_kernel` of the rows as dense scalar rows."""
-    return _dense(_kernel(rows, ncols), ncols)[0]
-
-
 def solve(a_rows: Iterable[Vector], b: Vector, ncols: int) -> Optional[list[Scalar]]:
     """Canonical solution of A x = b (free variables zero), or None."""
     aug = [list(row) + [bi] for row, bi in zip(a_rows, b)]
@@ -442,12 +438,8 @@ class Subspace:
     :func:`_eliminate` keeps them.  A row is primitive, L times its RREF row
     for a positive integer L at its pivot, so equal subspaces have equal
     rows.  :attr:`basis`, the RREF of ``Scalar`` rows, is made when first
-    read.  ``Subspace(ambient_dim, basis)`` takes a basis in RREF."""
-
-    def __init__(self, ambient_dim: int, basis: Matrix) -> None:
-        self.ambient_dim = ambient_dim
-        # a lead 1 clears to the row's denominator, at the least column of re
-        self._kept = {min(re): (re, im) for re, im in map(_cleared, basis)}
+    read.  :meth:`from_spanning`, :meth:`from_reduced` and :meth:`full`
+    build one."""
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":

@@ -240,12 +240,13 @@ def _pack_rep(matrices: Sequence[Matrix], algebra: LieAlgebra) -> _Packed:
                    tuple(_pack(x, w) for x in cleared))
 
 
-def _defect_numerators(packed: _Packed, algebra: LieAlgebra,
-                       i: int, j: int) -> tuple[int, int, int]:
-    """[Phi(x_i), Phi(x_j)] - Phi([x_i, x_j]) as packed real and imaginary
-    numerators over one denominator: E [N_i, N_j] - D sum (E c_k) N_k over
-    D^2 E, E the denominator of the bracket terms."""
-    den, w, _, _, mats = packed
+def _defect(packed: _Packed, algebra: LieAlgebra, i: int, j: int) -> Outcome:
+    """The outcome of [Phi(x_i), Phi(x_j)] - Phi([x_i, x_j]), formed as packed
+    real and imaginary numerators E [N_i, N_j] - D sum (E c_k) N_k over
+    D^2 E, E the denominator of the bracket terms.  It is scalar iff each
+    part equals its slot-0 digit times the packed identity; only a failing
+    defect is unpacked, to find its first entry off that form."""
+    den, w, d, identity, mats = packed
     a, b = mats[i], mats[j]
     (re, im), (re2, im2) = _times(a, b, w), _times(b, a, w)
     re, im = re - re2, im - im2
@@ -258,17 +259,9 @@ def _defect_numerators(packed: _Packed, algebra: LieAlgebra,
         x_re, x_im = x.re.whole, x.im.whole if x.im is not None else 0
         re -= den * (ca * x_re - cb * x_im)
         im -= den * (ca * x_im + cb * x_re)
-    return re, im, den * den * e
-
-
-def _defect(packed: _Packed, algebra: LieAlgebra, i: int, j: int) -> Outcome:
-    """The outcome of the defect of pair (i, j).  It is scalar iff each part
-    equals its slot-0 digit times the packed identity; only a failing defect
-    is unpacked, to find its first entry off that form."""
-    re, im, total = _defect_numerators(packed, algebra, i, j)
-    w, d = packed.width, packed.degree
+    total = den * den * e
     c, ci = _digit(re, w), _digit(im, w)
-    if re == c * packed.identity and im == ci * packed.identity:
+    if re == c * identity and im == ci * identity:
         return Scalar._make(c, ci, total)
     for r, rows in enumerate(zip(_unpack(re, d, w), _unpack(im, d, w))):
         for s, (x, y) in enumerate(zip(*rows)):
@@ -322,23 +315,6 @@ def cocycle_from_rep(rep: ProjectiveRep) -> BilinearForm:
         raise NotACocycle("extracted defect form fails the cocycle condition",
                           witness=list(witness))
     return alpha
-
-
-def validate_alpha_rep(algebra: LieAlgebra, matrices, alpha: BilinearForm
-                       ) -> list[tuple[int, int, tuple]]:
-    """Failures of [Phi(x_i),Phi(x_j)] = alpha(i,j) I + Phi([x_i,x_j]);
-    each failure carries (i, j, residual matrix)."""
-    rep = projective_rep(algebra, matrices)
-    packed = rep._packed
-    failures = []
-    for i, j in _failing_pairs(rep, alpha):
-        re, im, total = _defect_numerators(packed, algebra, i, j)
-        d, w = packed.degree, packed.width
-        defect = [[Scalar._make(x, y, total) for x, y in zip(*rows)]
-                  for rows in zip(_unpack(re, d, w), _unpack(im, d, w))]
-        residual = _shift_diagonal(defect, alpha.entry(i, j))
-        failures.append((i, j, linalg.freeze_matrix(residual)))
-    return failures
 
 
 def lift_linear(algebra: LieAlgebra, matrices: Sequence[Matrix]) -> ProjectiveRep:

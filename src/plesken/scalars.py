@@ -73,12 +73,6 @@ class Scalar:
     def im(self) -> Fraction:
         return Fraction(self.b, self.d)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def conjugate(self) -> "Scalar":
-        return Scalar._make(self.a, -self.b, self.d)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: object) -> "Scalar":

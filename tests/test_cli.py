@@ -531,6 +531,23 @@ def test_console_entry_point(tmp_path):
     assert json.loads(result.stdout)["order"] == 5
 
 
+@pytest.mark.parametrize("name,n", [("heisenberg_p", "2305843009213693951"),
+                                    ("cyclic", "10001")])
+def test_group_make_past_the_order_cap_exits_1_at_once(tmp_path, name, n):
+    # 2^61 - 1 is prime: testing it by trial division would not finish
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(plesken.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    result = subprocess.run(
+        [sys.executable, "-m", "plesken", "group", "make", "--json",
+         "--preset", name, "--n", n],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=10)
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "OrderLimitExceeded"
+    assert "Traceback" not in result.stdout + result.stderr
+
+
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
     # a valid call, a usage error, --help and a golden case, one after another

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from plesken import errors
+from plesken import errors, groups
 from plesken.groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
@@ -15,7 +15,6 @@ from plesken.groups import (
     _magma_generators,
     _two_sided_inverse,
     from_cayley_table,
-    from_matrix_generators_mod_p,
     from_permutation_generators,
     group_from_json,
     group_to_json,
@@ -118,35 +117,6 @@ def test_permutation_order_cap():
     assert exc.value.witness == DEFAULT_ORDER_CAP == 10000
 
 
-def test_matrix_generators_single_entry():
-    gen = [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
-    g = from_matrix_generators_mod_p([gen], 3)
-    assert g.order == 3
-    check_axioms(g)
-
-
-def test_matrix_generators_example_group_order9():
-    b = [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
-    c = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
-    g = from_matrix_generators_mod_p([b, c], 3)
-    assert g.order == 9
-    assert g.is_abelian()
-    check_axioms(g)
-
-
-def test_matrix_generators_full_heisenberg():
-    a = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
-    c = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
-    g = from_matrix_generators_mod_p([a, c], 3)
-    assert g.order == 27
-    assert not g.is_abelian()
-
-
-def test_matrix_generators_singular_rejected():
-    with pytest.raises(errors.NotInvertibleModP):
-        from_matrix_generators_mod_p([[[1, 1], [1, 1]]], 3)
-
-
 @pytest.mark.parametrize("name,param,order,selfinv", [
     ("cyclic", 5, 5, 1),
     ("cyclic", 4, 4, 2),
@@ -160,6 +130,7 @@ def test_matrix_generators_singular_rejected():
 def test_presets(name, param, order, selfinv):
     g = preset(name, param)
     assert g.order == order
+    assert g.is_abelian() == (name in ("cyclic", "elementary_abelian_p2"))
     check_axioms(g)
     # oracle: enumerate elements with g*g = identity
     brute = sum(1 for i in range(g.order) if g.table[i][i] == g.identity)
@@ -173,6 +144,38 @@ def test_preset_errors():
         preset("cyclic", 0)
     with pytest.raises(errors.BadParameter):
         preset("heisenberg_p", 4)
+
+
+# a parameter of each preset, and the order of the group it gives
+PRESET_ORDERS = {"cyclic": (11, 11), "dihedral": (6, 12), "symmetric": (4, 24),
+            "quaternion8": (0, 8), "heisenberg_p": (3, 27),
+            "elementary_abelian_p2": (5, 25)}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_ORDERS))
+def test_every_preset_obeys_the_order_cap(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("no primality test or table past the cap")
+
+    parameter, order = PRESET_ORDERS[name]
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", order)
+    assert preset(name, parameter).order == order
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", order - 1)
+    monkeypatch.setattr(groups, "_check_prime", refuse)
+    monkeypatch.setattr(groups, "from_cayley_table", refuse)
+    with pytest.raises(errors.OrderLimitExceeded) as exc:
+        preset(name, parameter)
+    assert exc.value.witness == order - 1
+
+
+def test_order_cap_is_read_from_the_parameter_alone():
+    # 2^61 - 1 is prime: a trial-division test would not finish, nor would
+    # (10^18)! or any of the tables
+    for name, parameter in (("heisenberg_p", 2 ** 61 - 1), ("elementary_abelian_p2", 2 ** 61 - 1),
+                            ("symmetric", 10 ** 18), ("cyclic", 10 ** 40)):
+        with pytest.raises(errors.OrderLimitExceeded) as exc:
+            preset(name, parameter)
+        assert exc.value.witness == DEFAULT_ORDER_CAP
 
 
 def test_self_inverse_trivial():

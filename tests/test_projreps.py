@@ -32,7 +32,6 @@ from plesken.projreps import (
     rep_from_json,
     rep_to_json,
     twist,
-    validate_alpha_rep,
     verify_projective_equivalence,
 )
 from plesken.scalars import ONE, ZERO, Scalar
@@ -85,33 +84,32 @@ def test_cocycle_heis_rep(heis_rep):
     assert cocycle_from_rep(heis_rep) == BilinearForm.from_entries(3, {(0, 1): ONE})
 
 
-def test_validate_alpha_rep_accepts_extracted(heis_rep, heis3):
+def test_projective_rep_accepts_extracted_cocycle(heis_rep, heis3):
     alpha = cocycle_from_rep(heis_rep)
-    assert validate_alpha_rep(heis3, heis_rep.matrices, alpha) == []
+    assert projective_rep(heis3, heis_rep.matrices, cocycle=alpha).cocycle == alpha
 
 
-def test_validate_alpha_rep_reports_mismatch(abelian2):
+def test_projective_rep_rejects_mismatched_cocycle(abelian2):
     matrices = [
         [[ZERO, ONE], [ZERO, ZERO]],
         [[ZERO, ZERO], [ZERO, ZERO]],
     ]
+    # the defect is 0, not alpha(0,1) I
     alpha = BilinearForm.from_entries(2, {(0, 1): ONE})
-    failures = validate_alpha_rep(abelian2, matrices, alpha)
-    assert len(failures) == 1
-    i, j, residual = failures[0]
-    assert (i, j) == (0, 1)
-    # defect is 0, so the residual is -alpha(0,1) I
-    assert residual == ((S(-1), ZERO), (ZERO, S(-1)))
+    with pytest.raises(errors.BadParameter) as exc:
+        projective_rep(abelian2, matrices, cocycle=alpha)
+    assert exc.value.witness == [0, 1]
 
 
-def test_validate_alpha_rep_e12_e23():
+def test_projective_rep_rejects_e12_e23():
     algebra = from_structure_constants(2, {})
     e12 = [[ZERO, ONE, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]
     e23 = [[ZERO, ZERO, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]]
-    failures = validate_alpha_rep(algebra, [e12, e23], BilinearForm.zero(2))
-    assert len(failures) == 1
-    i, j, residual = failures[0]
-    assert residual[0][2] == ONE  # the commutator is E13, never scalar
+    with pytest.raises(errors.BadParameter) as exc:
+        projective_rep(algebra, [e12, e23], cocycle=BilinearForm.zero(2))
+    assert exc.value.witness == [0, 1]
+    # the commutator is E13, never scalar
+    assert projective_rep(algebra, [e12, e23]).defects == ((0, 2, "1"),)
 
 
 def test_lift_linear_zero_map(heis3):
@@ -274,8 +272,7 @@ def _pairs_of(rep):
 
 
 def _check_against_oracle(rep, rng):
-    """Defects, DefectNotScalar, BadParameter and the residuals of
-    validate_alpha_rep all agree with the oracle."""
+    """Defects, DefectNotScalar and BadParameter all agree with the oracle."""
     pairs = _pairs_of(rep)
     defects = {p: _oracle_defect(rep, *p) for p in pairs}
     outcomes = tuple(_oracle_outcome(defects[p]) for p in pairs)
@@ -297,10 +294,6 @@ def _check_against_oracle(rep, rng):
         flat[k] = flat[k] + S(1, Fraction(-1, 2))
     alpha = BilinearForm(n, tuple(flat))
     failing = [p for p, o, a in zip(pairs, outcomes, flat) if o != a]
-    expected = [(i, j, linalg.freeze_matrix(
-        [[x - alpha.entry(i, j) if r == s else x for s, x in enumerate(row)]
-         for r, row in enumerate(defects[(i, j)])])) for i, j in failing]
-    assert validate_alpha_rep(rep.algebra, rep.matrices, alpha) == expected
     if failing:
         with pytest.raises(errors.BadParameter) as exc:
             projective_rep(rep.algebra, rep.matrices, cocycle=alpha)

@@ -24,7 +24,7 @@ import io
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 # the algebra core, which every verb but ``group make`` runs
 from .cohomology import (
@@ -440,7 +440,7 @@ EXIT_CLOSED_PIPE = 141
 _PARSER: list[argparse.ArgumentParser] = []
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     if not _PARSER:
         _PARSER.append(build_parser())
     args = _PARSER[0].parse_args(argv)

@@ -38,8 +38,8 @@ kernel of L's constraints is the fallback when the series reaches 0 (abelian,
 nilpotent and other solvable L) or stops at a perfect P whose Killing form
 is degenerate (sl2 + C^2, the Takiff algebras g + g_ad).
 
-A form is immutable (a frozen dataclass over a tuple of immutable scalars),
-and so is an algebra's bracket table, which
+A form is immutable (a :class:`~plesken.errors.Record` over a tuple of
+immutable scalars), and so is an algebra's bracket table, which
 :attr:`~plesken.liealg.LieAlgebra.integer_terms` already caches.  So
 :func:`is_cocycle` keeps its verdict on the form, with a strong reference to
 the algebra it was checked over, and returns it again for that same algebra
@@ -54,10 +54,9 @@ modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate
 from math import lcm
-from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -65,6 +64,7 @@ from .errors import (
     IndexOutOfRange,
     InternalInclusionViolation,
     NotACocycle,
+    Record,
     _json_int,
 )
 from .liealg import (
@@ -98,8 +98,7 @@ def _pairs(n: int):
     return ((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-@dataclass(frozen=True, eq=False)
-class BilinearForm:
+class BilinearForm(Record, eq=True, hashable=False):
     """Alternating bilinear form stored by its strict upper triangle.
 
     ``flat`` holds entry (i, j), i < j, at :func:`pair_index` (i, j); alternation
@@ -165,14 +164,8 @@ class BilinearForm:
     def is_zero(self) -> bool:
         return not any(self.flat)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BilinearForm):
-            return NotImplemented
-        return self.dim == other.dim and self.flat == other.flat
 
-
-@dataclass(frozen=True, eq=False)
-class LinearFunctional:
+class LinearFunctional(Record, eq=True, hashable=False):
     """Linear map into scalars, given by its values on the basis."""
 
     vector: tuple[Scalar, ...]
@@ -196,14 +189,8 @@ class LinearFunctional:
                 acc = acc + s * x
         return acc
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearFunctional):
-            return NotImplemented
-        return self.vector == other.vector
 
-
-@dataclass(frozen=True)
-class H2Result:
+class H2Result(Record, eq=True):
     """dim H^2 with a canonical set of class representatives."""
 
     dimension: int
@@ -236,7 +223,7 @@ def _signed_index(n: int, m: int, t: int) -> tuple[int, int]:
     return (pair_index(n, m, t), 1) if m < t else (pair_index(n, t, m), -1)
 
 
-def _cleared_rows(algebra: LieAlgebra, flat: Vector) -> tuple[list, Optional[list]]:
+def _cleared_rows(algebra: LieAlgebra, flat: Vector) -> tuple[list, list | None]:
     """Signed rows D alpha(x_m, x_t) = re_rows[m][t] + i im_rows[m][t], D the
     common denominator of the entries read, for the rows m of
     :func:`~plesken.liealg._read_rows` only, so a zero-bracket algebra reads
@@ -262,7 +249,7 @@ def _cleared_rows(algebra: LieAlgebra, flat: Vector) -> tuple[list, Optional[lis
 
 
 def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
-               ) -> tuple[bool, Optional[tuple[int, int, int]]]:
+               ) -> tuple[bool, tuple[int, int, int] | None]:
     """True iff all residuals vanish; otherwise the first violating triple.
 
     Each residual is summed in Gaussian integers, E D times its true value.
@@ -346,7 +333,7 @@ def _wedge(n: int, phi, psi) -> list[tuple[int, int, int]]:
     return [(idx, x, y) for idx, (x, y) in sums.items()]
 
 
-def _split_z2(algebra: LieAlgebra, b2: Subspace) -> Optional[Subspace]:
+def _split_z2(algebra: LieAlgebra, b2: Subspace) -> Subspace | None:
     """Z^2(L) = B^2(L) + pi_R^* Z^2(R) when L = P + R with P semisimple (see
     the module docstring), or None when :func:`~plesken.liealg._split_ideal`
     finds no such P.  R is read as L/P at the columns J off the pivots of P's
@@ -426,7 +413,7 @@ def h2(algebra: LieAlgebra) -> H2Result:
 
 
 def are_cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
-                     beta: BilinearForm) -> Optional[LinearFunctional]:
+                     beta: BilinearForm) -> LinearFunctional | None:
     """Return sigma with alpha(x,y) - beta(x,y) = -sigma([x,y]), or None.
 
     Both inputs must be cocycles.  The solution is the RREF-canonical one

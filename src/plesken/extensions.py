@@ -27,9 +27,7 @@ checks that read the bracket sum cleared columns against the Gaussian-integer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from . import linalg
 from .cohomology import BilinearForm, _pairs, are_cohomologous, is_cocycle
@@ -38,21 +36,21 @@ from .errors import (
     DefectNotInKernel,
     NoSection,
     NotACocycle,
+    Record,
 )
 from .liealg import LieAlgebra, _json_matrix, _json_scalars, algebra_from_json, algebra_to_json
 from .linalg import Matrix
 from .scalars import ONE, ZERO, Scalar, clear
 
 
-@dataclass(frozen=True, eq=False)
-class CentralExtension:
+class CentralExtension(Record):
     """Total algebra e with injection f, projection g, optional section s."""
 
     total: LieAlgebra
     base: LieAlgebra
     injection_f: tuple[Scalar, ...]
     projection_g: tuple[tuple[Scalar, ...], ...]
-    section_s: Optional[tuple[tuple[Scalar, ...], ...]] = None
+    section_s: tuple[tuple[Scalar, ...], ...] | None = None
 
     @cached_property
     def injection_terms(self) -> tuple[tuple[int, Scalar], ...]:
@@ -65,7 +63,7 @@ class CentralExtension:
         return _columns(self.projection_g)
 
     @cached_property
-    def section_columns(self) -> Optional[dict[int, list[tuple[int, Scalar]]]]:
+    def section_columns(self) -> dict[int, list[tuple[int, Scalar]]] | None:
         """:func:`_columns` of the stored section s, None without one."""
         return None if self.section_s is None else _columns(self.section_s)
 
@@ -260,7 +258,7 @@ def _cocycle(ext: CentralExtension, section: Matrix, cols) -> BilinearForm:
 
 
 def equivalence_map(ext1: CentralExtension,
-                    ext2: CentralExtension) -> Optional[list[list[Scalar]]]:
+                    ext2: CentralExtension) -> list[list[Scalar]] | None:
     """Commuting isomorphism between two extensions of the same base, or None.
 
     Extracts both cocycles through canonical sections; when they are
@@ -316,12 +314,11 @@ def verify_equivalence_map(ext1: CentralExtension, ext2: CentralExtension,
     return failures
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(Record, eq=True):
     """Split decision with a verified homomorphic section when split."""
 
     split: bool
-    section: Optional[tuple[tuple[Scalar, ...], ...]]
+    section: tuple[tuple[Scalar, ...], ...] | None
 
     def __bool__(self) -> bool:
         return self.split

@@ -8,9 +8,8 @@ always a genuine group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import itemgetter
-from typing import Optional, Sequence
 
 from .errors import (
     BadParameter,
@@ -19,6 +18,7 @@ from .errors import (
     NotAssociative,
     NotClosed,
     OrderLimitExceeded,
+    Record,
     UnknownPreset,
     _json_array,
     _json_int,
@@ -36,15 +36,14 @@ PRESET_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record, eq=True):
     """Immutable finite group: multiplication table plus derived maps."""
 
     order: int
     table: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
+    labels: tuple[str, ...] | None = None
 
     def label(self, a: int) -> str:
         if self.labels is None:
@@ -60,7 +59,7 @@ class FiniteGroup:
 
 
 def from_cayley_table(table: Sequence[Sequence[int]],
-                      labels: Optional[Sequence[str]] = None) -> FiniteGroup:
+                      labels: Sequence[str] | None = None) -> FiniteGroup:
     """Validate a multiplication table and derive identity and inverses.
 
     Entries must be ``int`` (a float, bool or string is a ``TypeError``,
@@ -175,7 +174,7 @@ def _associates_through(rows: list[tuple[int, ...]], s: int) -> bool:
     return all(rows[row_x[s]] == s_then(row_x) for row_x in rows)
 
 
-def _first_nonassociative(rows: list[tuple[int, ...]]) -> Optional[tuple[int, int, int]]:
+def _first_nonassociative(rows: list[tuple[int, ...]]) -> tuple[int, int, int] | None:
     """Lexicographically first (i, j, k) with (i j) k != i (j k), if any."""
     for i, row_i in enumerate(rows):
         for j, row_j in enumerate(rows):

@@ -34,21 +34,22 @@ made once per basis, never a scan of all n pairs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .errors import BadParameter, DimensionMismatch, JacobiViolation, _json_array, _json_int
+from .errors import (BadParameter, DimensionMismatch, JacobiViolation, Record, _json_array,
+                     _json_int)
 from .linalg import Subspace, Vector
 from .scalars import ONE, ZERO, Scalar, clear
 
+TYPE_CHECKING = False  # true to a type checker; ``typing`` is never imported
 if TYPE_CHECKING:
     from .groups import FiniteGroup
 
 
-@dataclass(frozen=True)
-class PleskenBasis:
+class PleskenBasis(Record, eq=True):
     """Inverse pairs (g, g^-1), one per basis vector g_hat, g the smaller index."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -59,8 +60,7 @@ class PleskenBasis:
         return {g: k for k, pair in enumerate(self.pairs) for g in pair}
 
 
-@dataclass(frozen=True, eq=False)
-class GroupAlgebraElement:
+class GroupAlgebraElement(Record, eq=True, hashable=False):
     """Sparse group-algebra element: element index -> nonzero coefficient."""
 
     coefficients: dict[int, Scalar]
@@ -68,28 +68,20 @@ class GroupAlgebraElement:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.coefficients == other.coefficients
 
-
-class IntegerTerms(NamedTuple):
+class IntegerTerms(namedtuple("IntegerTerms", "den real terms")):
     """The nonzero structure constants as Gaussian integers: ``terms[(a, b)]``
     holds (k, E Re c, E Im c) for each nonzero c = c(a,b)_k, in increasing k,
     E the common denominator ``den`` of all structure constants; ``real`` is
     true when no structure constant has an imaginary part."""
 
-    den: int
-    real: bool
-    terms: dict[tuple[int, int], tuple[tuple[int, int, int], ...]]
+    __slots__ = ()
 
 
 Terms = tuple[tuple[int, Scalar], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class LieAlgebra:
+class LieAlgebra(Record, eq=True, hashable=False):
     """Finite-dimensional Lie algebra with exact structure constants:
     ``brackets[(i, j)]``, i < j, holds the nonzero terms (k, c) of
     [x_i, x_j] in increasing k; a pair with a zero bracket has no entry."""
@@ -97,8 +89,7 @@ class LieAlgebra:
     dim: int
     brackets: dict[tuple[int, int], Terms]
     basis_labels: tuple[str, ...]
-    provenance: Optional[tuple[FiniteGroup, PleskenBasis]] = field(
-        default=None, compare=False)
+    provenance: tuple[FiniteGroup, PleskenBasis] | None = None
 
     def structure(self, i: int, j: int) -> tuple[Scalar, ...]:
         """Bracket [x_i, x_j] as a dense coordinate vector, any index order:
@@ -121,11 +112,9 @@ class LieAlgebra:
             terms[(j, i)] = tuple([(k, -a, -b) for k, a, b in forward])
         return IntegerTerms(den, not any(im), terms)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LieAlgebra):
-            return NotImplemented
-        return (self.dim == other.dim and self.brackets == other.brackets
-                and self.basis_labels == other.basis_labels)
+    def _key(self) -> tuple:
+        # an algebra read back from JSON equals the one built from its group
+        return self.dim, self.brackets, self.basis_labels
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -153,7 +142,7 @@ def _normalize_table(dim: int, table) -> dict[tuple[int, int], Terms]:
 
 
 def from_structure_constants(dim: int, table,
-                             labels: Optional[Sequence[str]] = None) -> LieAlgebra:
+                             labels: Sequence[str] | None = None) -> LieAlgebra:
     """Build an algebra from a bracket table, refusing non-Jacobi data.
 
     ``table`` maps (i, j) with i < j to length-``dim`` coefficient vectors;
@@ -239,7 +228,7 @@ def _read_rows(algebra: LieAlgebra) -> list:
     return rows
 
 
-def _cyclic_sums(algebra: LieAlgebra, re_rows: list, im_rows: Optional[list]):
+def _cyclic_sums(algebra: LieAlgebra, re_rows: list, im_rows: list | None):
     """(i, j, k, re, im) for each linked triple, in order, whose cyclic sum of
     c f(x_m, x_t) (see :func:`_rotations`) is nonzero, over the Gaussian-integer
     terms c of :attr:`LieAlgebra.integer_terms` and f(x_m, x_t) =
@@ -427,7 +416,7 @@ def center(algebra: LieAlgebra) -> Subspace:
 
 
 def _derived_rows(algebra: LieAlgebra,
-                  basis: Optional[list[linalg.Row]] = None) -> dict[int, linalg.Row]:
+                  basis: list[linalg.Row] | None = None) -> dict[int, linalg.Row]:
     """[V, V] as its RREF, the kept rows {pivot: row} of a leftmost-pivot
     elimination, V the span of ``basis`` (Gaussian-integer rows) or all of L
     when it is None.  The rows eliminated are the brackets [u, v] of the pairs

@@ -38,11 +38,11 @@ representation matrices on the Gaussian-integer kernel of
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import lshift
-from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
 from .scalars import ONE, ZERO, Scalar
@@ -389,7 +389,7 @@ def _kernel(rows: list[Row], ncols: int) -> dict[int, Row]:
     return _eliminate(basis, ncols)
 
 
-def solve(a_rows: Iterable[Vector], b: Vector, ncols: int) -> Optional[list[Scalar]]:
+def solve(a_rows: Iterable[Vector], b: Vector, ncols: int) -> list[Scalar] | None:
     """Canonical solution of A x = b (free variables zero), or None."""
     aug = [list(row) + [bi] for row, bi in zip(a_rows, b)]
     red, pivots = rref(aug, ncols + 1)
@@ -401,7 +401,7 @@ def solve(a_rows: Iterable[Vector], b: Vector, ncols: int) -> Optional[list[Scal
     return x
 
 
-def invert(m: Matrix) -> Optional[list[list[Scalar]]]:
+def invert(m: Matrix) -> list[list[Scalar]] | None:
     n = len(m)
     aug = [list(row) + ident_row for row, ident_row in zip(m, identity_matrix(n))]
     red, pivots = rref(aug, 2 * n)

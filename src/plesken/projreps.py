@@ -41,11 +41,11 @@ integers, f packed once, one comparison per part and basis vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import islice
 from operator import mul
-from typing import NamedTuple, Optional, Sequence, Union
 
 from . import linalg
 from .cohomology import (
@@ -64,6 +64,7 @@ from .errors import (
     NotACocycle,
     NotAHomomorphism,
     NotEquivalent,
+    Record,
     SingularF,
     _json_array,
     _json_int,
@@ -75,17 +76,16 @@ from .scalars import Scalar, clear
 
 # A defect's outcome: alpha(i, j) when the defect is alpha(i, j) I, else its
 # first entry off that form as (r, s, the entry's text).
-Outcome = Union[Scalar, tuple[int, int, str]]
+Outcome = Scalar | tuple[int, int, str]
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectiveRep:
+class ProjectiveRep(Record):
     """Linear map into d x d matrices with its defect cocycle."""
 
     algebra: LieAlgebra
     degree: int
     matrices: tuple[tuple[tuple[Scalar, ...], ...], ...]
-    cocycle: Optional[BilinearForm] = None
+    cocycle: BilinearForm | None = None
 
     @cached_property
     def defects(self) -> tuple[Outcome, ...]:
@@ -112,7 +112,7 @@ def _failing_pairs(rep: ProjectiveRep, alpha: BilinearForm):
 
 
 def projective_rep(algebra: LieAlgebra, matrices: Sequence[Matrix],
-                   cocycle: Optional[BilinearForm] = None) -> ProjectiveRep:
+                   cocycle: BilinearForm | None = None) -> ProjectiveRep:
     """Bundle matrices into a representation, validating shapes and, when a
     cocycle is supplied, the defining identity."""
     n = algebra.dim
@@ -161,22 +161,19 @@ def _magnitude(cleared: Sequence[_Cleared]) -> int:
     return max(max(map(abs, row)) for pair in cleared for part in pair for row in part)
 
 
-class _Part(NamedTuple):
+class _Part(namedtuple("_Part", "entries rows whole")):
     """One integer part X of a d x d matrix, as its rows of entries and packed
     with slot width w: ``rows[k]`` is row k, sum_c X_kc 2^(w c), and
     ``whole`` holds every entry, (r, c) in slot r d + c."""
 
-    entries: tuple[tuple[int, ...], ...]
-    rows: tuple[int, ...]
-    whole: int
+    __slots__ = ()
 
 
-class _Gaussian(NamedTuple):
-    """A packed Gaussian-integer matrix; ``im`` is None when it is zero, so
-    products with it are skipped."""
+class _Gaussian(namedtuple("_Gaussian", "re im")):
+    """A packed Gaussian-integer matrix, its real and imaginary :class:`_Part`;
+    ``im`` is None when it is zero, so products with it are skipped."""
 
-    re: _Part
-    im: Optional[_Part]
+    __slots__ = ()
 
 
 def _part(entries: tuple[tuple[int, ...], ...], w: int) -> _Part:
@@ -213,16 +210,12 @@ def _unpack(v: int, d: int, w: int) -> list[list[int]]:
     return [digits[r * d:(r + 1) * d] for r in range(d)]
 
 
-class _Packed(NamedTuple):
+class _Packed(namedtuple("_Packed", "den width degree identity mats")):
     """The images D Phi(x_k) of a representation over one common denominator
     D, packed with one slot width w wide enough for every defect numerator;
     ``identity`` is the d x d identity matrix packed, sum_r 2^(w r (d + 1))."""
 
-    den: int
-    width: int
-    degree: int
-    identity: int
-    mats: tuple[_Gaussian, ...]
+    __slots__ = ()
 
 
 def _pack_rep(matrices: Sequence[Matrix], algebra: LieAlgebra) -> _Packed:
@@ -341,8 +334,7 @@ def twist(rep: ProjectiveRep, sigma: LinearFunctional) -> ProjectiveRep:
                          matrices=_freeze(new_matrices), cocycle=shifted)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record, eq=True):
     """Outcome of a projective-equivalence check against a witness (f, delta)."""
 
     failures: tuple[tuple[int, tuple], ...]

@@ -16,12 +16,12 @@ never mutated; ``"0"`` is tested before the memo and is always :data:`ZERO`.
 from __future__ import annotations
 
 import re as _re
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Sequence, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 _TERM_RE = _re.compile(r"[+-][^+-]*")
 _RAT_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")

@@ -22,9 +22,9 @@ formulas and dense sums it replaced.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional
 
 from . import linalg
 from .cohomology import (
@@ -156,7 +156,7 @@ def rep_fixtures() -> list[tuple[str, ProjectiveRep]]:
 class FixtureSet:
     """Shared fixture groups and algebras with memoized cohomology."""
 
-    def __init__(self, max_group_order: Optional[int] = None) -> None:
+    def __init__(self, max_group_order: int | None = None) -> None:
         self.max_group_order = max_group_order
         self.groups: list[tuple[str, FiniteGroup]] = []
         for name, build in GROUP_BUILDERS:

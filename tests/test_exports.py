@@ -2,10 +2,13 @@
 library, and every public method of a public class, is referenced by some
 other code of the library, or is named in :data:`DOCUMENTED`.
 
-A reference is a name or an attribute read anywhere in a module of
-``plesken`` other than ``__init__.py``, whose table of exports is not a use.
-Methods are matched by attribute name alone, so a method shares its
-references with every other attribute of that name.
+A reference is read anywhere in a module of ``plesken`` other than
+``__init__.py``, whose table of exports is not a use.  A function or class is
+referenced by a bare name or an attribute of that name.  A method is
+referenced only by an attribute ``x.name`` whose receiver ``x`` is not an
+imported module, so ``operator.mul`` or a parameter ``mul`` is no use of a
+method ``mul``; a method still shares its references with every other
+attribute of that name.
 """
 
 from __future__ import annotations
@@ -33,23 +36,61 @@ def _public_definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}"
 
 
-def _uncalled() -> list[str]:
-    defined, used = [], set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+def _modules(tree: ast.Module) -> set[str]:
+    """The names a module binds to imported modules: ``import m``, ``import m
+    as n`` and ``from . import m``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module is None):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def _uncalled(sources: list[tuple[str, str]]) -> list[str]:
+    """The public definitions of ``sources``, (file name, text) pairs, that
+    have no reference."""
+    defined, names, methods = [], set(), set()
+    for filename, text in sources:
+        tree = ast.parse(text)
         defined += _public_definitions(tree)
-        if path.name != "__init__.py":
+        if filename != "__init__.py":
+            modules = _modules(tree)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    used.add(node.id)
+                    names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-    return [name for name in defined if name.rsplit(".", 1)[-1] not in used]
+                    names.add(node.attr)
+                    if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                        methods.add(node.attr)
+    return [name for name in defined
+            if (name.split(".")[1] not in methods if "." in name else name not in names)]
 
 
 def test_every_public_name_has_a_caller_or_is_documented():
     # a name that gains a caller leaves DOCUMENTED too, so the tuple stays exact
-    assert sorted(_uncalled()) == sorted(DOCUMENTED)
+    sources = [(path.name, path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))]
+    assert sorted(_uncalled(sources)) == sorted(DOCUMENTED)
+
+
+def test_a_module_attribute_or_a_bare_name_is_no_use_of_a_method():
+    source = """
+import operator
+from . import linalg
+
+class Group:
+    def mul(self): ...
+    def rank(self): ...
+    def label(self): ...
+
+def _product(mul, group):
+    return Group, operator.mul, mul, linalg.rank, rank, group.label()
+"""
+    assert _uncalled([("groups.py", source)]) == ["Group.mul", "Group.rank"]
+    # the table of exports in __init__.py is no use either
+    assert _uncalled([("groups.py", source), ("__init__.py", "Group.mul\nGroup.rank\n")]) \
+        == ["Group.mul", "Group.rank"]
 
 
 def test_readme_names_each_documented_api():

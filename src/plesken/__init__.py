@@ -8,7 +8,7 @@ imports, and is then kept in this namespace, so ``from plesken import X`` and
 ``plesken.X`` load only what X needs.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -91,14 +91,15 @@ __all__ = [*_HOME, "errors"]
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        # a submodule that holds exported names, ``errors`` among them
-        return importlib.import_module(f"{__name__}.{name}")
-    module = _HOME.get(name)
+    # a submodule holding exported names (``errors`` among them) or a name from
+    # one, loaded by ``__import__`` as ``import`` does, which ``-X importtime`` times
+    module = name if name in _EXPORTS else _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if module != name:
+        value = globals()[name] = getattr(value, name)
     return value
 
 

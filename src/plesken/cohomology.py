@@ -182,13 +182,6 @@ class LinearFunctional(Record, eq=True, hashable=False):
     def dim(self) -> int:
         return len(self.vector)
 
-    def value(self, u: Vector) -> Scalar:
-        acc = ZERO
-        for s, x in zip(self.vector, u):
-            if s and x:
-                acc = acc + s * x
-        return acc
-
 
 class H2Result(Record, eq=True):
     """dim H^2 with a canonical set of class representatives."""
@@ -424,11 +417,9 @@ def are_cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
         ok, witness = is_cocycle(algebra, form)
         if not ok:
             raise NotACocycle(f"{name} form is not a cocycle", witness=list(witness))
-    rows = []
-    rhs = []
-    for i, j in sorted(algebra.brackets):
-        rows.append(algebra.structure(i, j))
-        rhs.append(beta.entry(i, j) - alpha.entry(i, j))
+    pairs = sorted(algebra.brackets)
+    rows = [algebra.structure(i, j) for i, j in pairs]
+    rhs = [beta.entry(i, j) - alpha.entry(i, j) for i, j in pairs]
     # pairs with zero bracket force nothing; alpha and beta must already agree
     for pair, a, b in zip(_pairs(n), alpha.flat, beta.flat):
         if a != b and pair not in algebra.brackets:
@@ -436,9 +427,7 @@ def are_cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
     if not rows:
         return LinearFunctional.zero(n)
     solution = linalg.solve(rows, rhs, n)
-    if solution is None:
-        return None
-    return LinearFunctional(tuple(solution))
+    return None if solution is None else LinearFunctional(tuple(solution))
 
 
 # -- serialization ---------------------------------------------------------------

@@ -77,6 +77,13 @@ def _json_array(value, name: str) -> list:
     return value
 
 
+def _json_strings(value, name: str) -> None:
+    """``TypeError`` unless ``value`` is a JSON array of strings."""
+    for item in _json_array(value, name):
+        if type(item) is not str:
+            raise TypeError(f"{name} entry {item!r} is not a string")
+
+
 class Record:
     """An immutable record: its fields are the names annotated in its class
     body, in order, each defaulting to a value assigned there.  A subclass gets

@@ -22,7 +22,9 @@ into columns once: an extension caches the columns of its stored g and s
 beside the terms of f, a section found or given is read once for both the
 check g s = I and the extraction, and phi once for all of its checks.  The
 checks that read the bracket sum cleared columns against the Gaussian-integer
-:attr:`~plesken.liealg.LieAlgebra.integer_terms`.
+:attr:`~plesken.liealg.LieAlgebra.integer_terms` through the one bracket of
+term lists, :func:`~plesken.liealg._bracket_pairs`.  A section is found by
+the one exact solve of :mod:`plesken.linalg`, applied to g s = I.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .errors import (
     NotACocycle,
     Record,
 )
-from .liealg import LieAlgebra, _json_matrix, _json_scalars, algebra_from_json, algebra_to_json
+from .liealg import (LieAlgebra, _bracket_pairs, _json_matrix, _json_scalars, algebra_from_json,
+                     algebra_to_json)
 from .linalg import Matrix
 from .scalars import ONE, ZERO, Scalar, clear
 
@@ -127,9 +130,9 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
     # centrality of the kernel line; [f, f] = 0 needs no check of its own
     terms = total.integer_terms.terms
     _, f_re, f_im = clear([x for _, x in f_terms])
+    f_cleared = [(t, a, b) for (t, _), a, b in zip(f_terms, f_re, f_im)]
     for j in range(n + 1):
-        if linalg._combine((a, b, terms.get((t, j), ()))
-                           for (t, _), a, b in zip(f_terms, f_re, f_im)):
+        if linalg._combine(_bracket_pairs(terms, f_cleared, ((j, 1, 0),))):
             failures.append(f"kernel line is not central: [f, x_{j}] != 0")
     if s is not None and not _is_right_inverse(ext, s, ext.section_columns):
         failures.append("stored section does not satisfy g s = I")
@@ -175,19 +178,18 @@ def _homomorphism_defects(cols, source: LieAlgebra, target: LieAlgebra):
     {r: value}; M is a homomorphism exactly when every defect is empty.  M is
     cleared once to D M, and D^2 E F times a defect, E and F the denominators
     of the source and target terms, is summed in Gaussian integers:
-    E (D M)_ai (D M)_bj (F c_ab) over a, b minus D F (E c_ijk) (D M) e_k over k."""
+    [E (D M) e_i, (D M) e_j] over the terms F c minus D F (E c_ijk) (D M) e_k."""
     den, re, im = clear([x for col in cols.values() for _, x in col])
     parts = iter(zip(re, im))
     cols = {c: [(r, *next(parts)) for r, _ in col] for c, col in cols.items()}
     e, _, source_terms = source.integer_terms
     f, _, target_terms = target.integer_terms
+    left = {c: [(r, e * a, e * b) for r, a, b in col] for c, col in cols.items()}
     total, shift = den * den * e * f, -den * f
     for i in range(source.dim):
-        col_i = cols.get(i, ())
+        left_i = left.get(i, ())
         for j in range(i + 1, source.dim):
-            pairs = [(e * (a * c - b * d), e * (a * d + b * c), target_terms[x, y])
-                     for x, a, b in col_i for y, c, d in cols.get(j, ())
-                     if (x, y) in target_terms]
+            pairs = _bracket_pairs(target_terms, left_i, cols.get(j, ()))
             pairs += [(shift * a, shift * b, cols.get(k, ()))
                       for k, a, b in source_terms.get((i, j), ())]
             yield i, j, {r: Scalar._make(u, v, total)
@@ -195,25 +197,14 @@ def _homomorphism_defects(cols, source: LieAlgebra, target: LieAlgebra):
 
 
 def find_section(ext: CentralExtension) -> list[list[Scalar]]:
-    """Deterministic linear right-inverse of the projection.
-
-    Solves g s = I for every column at once from one RREF of [g | I]: column j
-    of s is the RREF-canonical solution of g x = e_j (free variables zero),
-    the one a separate solve would give; for extensions built from a cocycle
-    this reproduces s(x) = (x, 0).
-    """
+    """Deterministic linear right-inverse of the projection: the canonical
+    solution of g s = I (free variables zero) by :func:`linalg._solve_columns`,
+    whose column j a separate solve of g x = e_j would give too; for an
+    extension built from a cocycle it is s(x) = (x, 0)."""
     n = ext.base.dim
-    m = n + 1
-    red, pivots = linalg.rref(
-        [list(row) + e_j for row, e_j in zip(ext.projection_g, linalg.identity_matrix(n))],
-        m + n)
-    section = [[ZERO] * n for _ in range(m)]
-    for row, pc in zip(red, pivots):
-        if pc >= m:
-            # a pivot right of g: g x = e_j has no solution for j = pc - m
-            raise NoSection(f"projection has no right inverse at column {pc - m}",
-                            witness=pc - m)
-        section[pc] = row[m:]
+    section = linalg._solve_columns(ext.projection_g, linalg.identity_matrix(n), n + 1, n)
+    if isinstance(section, int):
+        raise NoSection(f"projection has no right inverse at column {section}", witness=section)
     return section
 
 

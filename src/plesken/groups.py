@@ -20,8 +20,8 @@ from .errors import (
     OrderLimitExceeded,
     Record,
     UnknownPreset,
-    _json_array,
     _json_int,
+    _json_strings,
 )
 
 DEFAULT_ORDER_CAP = 10000
@@ -453,7 +453,7 @@ def group_from_json(doc: dict) -> FiniteGroup:
             _json_int(doc, key)
     labels = doc.get("labels")
     if labels is not None:
-        _json_array(labels, "labels")
+        _json_strings(labels, "labels")
     group = from_cayley_table(doc["table"], labels)
     if "identity" in doc and doc["identity"] != group.identity:
         raise BadParameter(

@@ -40,7 +40,7 @@ from functools import cached_property
 
 from . import linalg
 from .errors import (BadParameter, DimensionMismatch, JacobiViolation, Record, _json_array,
-                     _json_int)
+                     _json_int, _json_strings)
 from .linalg import Subspace, Vector
 from .scalars import ONE, ZERO, Scalar, clear
 
@@ -175,11 +175,16 @@ def bracket(algebra: LieAlgebra, u: Vector, v: Vector) -> list[Scalar]:
     us, vs = [i for i, x in enumerate(u) if x], [j for j, y in enumerate(v) if y]
     du, ure, uim = clear([u[i] for i in us])
     dv, vre, vim = clear([v[j] for j in vs])
-    pairs = [(a * c - b * d, a * d + b * c, terms[i, j])
-             for i, a, b in zip(us, ure, uim) for j, c, d in zip(vs, vre, vim)
-             if (i, j) in terms]
-    sums, total = linalg._combine(pairs), du * dv * den
-    return [Scalar._make(*sums[k], total) if k in sums else ZERO for k in range(n)]
+    sums = linalg._combine(_bracket_pairs(terms, zip(us, ure, uim), [*zip(vs, vre, vim)]))
+    return [Scalar._make(*sums[k], du * dv * den) if k in sums else ZERO for k in range(n)]
+
+
+def _bracket_pairs(terms, u, v):
+    """(Re, Im, terms[i, j]) per product of a term (i, a, b) of u and (j, c, d)
+    of v with [x_i, x_j] in ``terms``, the table of :attr:`LieAlgebra.integer_terms`
+    over E: :func:`linalg._combine` sums them into E [u, v]."""
+    return [(a * c - b * d, a * d + b * c, terms[i, j])
+            for i, a, b in u for j, c, d in v if (i, j) in terms]
 
 
 def _linked_triples(algebra: LieAlgebra):
@@ -432,8 +437,7 @@ def _derived_rows(algebra: LieAlgebra,
         rows = []
         for s, u in enumerate(vectors):
             for v in vectors[s + 1:]:
-                sums = linalg._combine((a * c - b * d, a * d + b * c, terms[i, j])
-                                       for i, a, b in u for j, c, d in v if (i, j) in terms)
+                sums = linalg._combine(_bracket_pairs(terms, u, v))
                 if sums:
                     rows.append(linalg._sums_row(sums))
     return linalg._eliminate(rows, algebra.dim)
@@ -581,5 +585,5 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
         table[(i, j)] = _json_scalars(entry["c"], "c")
     labels = doc.get("labels")
     if labels is not None:
-        _json_array(labels, "labels")
+        _json_strings(labels, "labels")
     return from_structure_constants(dim, table, labels)

@@ -11,9 +11,11 @@ far, which each carry a positive integer pivot, with their integer content
 divided out, and no imaginary product is formed between two real rows.  A
 column -> kept-rows index names the kept rows that may hold a new pivot, so
 only those are cleared.  The pivot rule is the one difference between the
-two uses: :func:`rref`, :func:`solve`, :func:`invert` and
-:meth:`Subspace.from_spanning` take the leftmost column, so the kept rows
-are the RREF, which is unique whatever order produced it; :func:`rank` and
+two uses: :func:`rref` and :meth:`Subspace.from_spanning` take the leftmost
+column, so the kept rows are the RREF, which is unique whatever order
+produced it.  The one exact solve, :func:`_solve_columns`, reads A X = B
+off the RREF of [A | B]; :func:`solve`, :func:`invert` and
+:func:`~plesken.extensions.find_section` call it.  :func:`rank` and
 the kernels take the column with the fewest kept rows in the index, which
 clears less, and :func:`_kernel` then puts the kernel in its canonical
 RREF.  Every caller passes the column count, and the elimination stops as
@@ -389,25 +391,29 @@ def _kernel(rows: list[Row], ncols: int) -> dict[int, Row]:
     return _eliminate(basis, ncols)
 
 
-def solve(a_rows: Iterable[Vector], b: Vector, ncols: int) -> list[Scalar] | None:
-    """Canonical solution of A x = b (free variables zero), or None."""
-    aug = [list(row) + [bi] for row, bi in zip(a_rows, b)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = zeros(ncols)
+def _solve_columns(a_rows: Iterable[Vector], b_rows: Iterable[Vector], ncols: int,
+                   width: int) -> list[list[Scalar]] | int:
+    """The canonical X with A X = B (free variables zero), ``ncols`` rows of
+    ``width`` entries, from the RREF of [A | B]; or, when there is none, the
+    first column of B outside the span of A's, where that RREF first pivots."""
+    red, pivots = rref([[*a, *b] for a, b in zip(a_rows, b_rows)], ncols + width)
+    x = [[ZERO] * width for _ in range(ncols)]
     for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
+        if pc >= ncols:
+            return pc - ncols
+        x[pc] = row[ncols:]
     return x
 
 
+def solve(a_rows: Iterable[Vector], b: Vector, ncols: int) -> list[Scalar] | None:
+    """Canonical solution of A x = b (free variables zero), or None."""
+    x = _solve_columns(a_rows, ([bi] for bi in b), ncols, 1)
+    return None if isinstance(x, int) else [xi for xi, in x]
+
+
 def invert(m: Matrix) -> list[list[Scalar]] | None:
-    n = len(m)
-    aug = [list(row) + ident_row for row, ident_row in zip(m, identity_matrix(n))]
-    red, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)) or len(pivots) != n:
-        return None
-    return [row[n:] for row in red]
+    x = _solve_columns(m, identity_matrix(len(m)), len(m), len(m))
+    return None if isinstance(x, int) else x
 
 
 def _residue(row: Row, rows: dict[int, Row]) -> Row:

@@ -44,6 +44,11 @@ def vec_scale(c, u):
     return [c * a for a in u]
 
 
+def functional_value(sigma, u):
+    """sigma(u) for a :class:`~plesken.cohomology.LinearFunctional` sigma."""
+    return sum((s * x for s, x in zip(sigma.vector, u)), ZERO)
+
+
 def vec_eq(u, v):
     return len(u) == len(v) and all(a == b for a, b in zip(u, v))
 
@@ -177,7 +182,7 @@ def equivalence_map(ext1, ext2):
         y = mat_vec(ext1.projection_g, ek)
         residue = vec_sub(ek, mat_vec(s1, y))
         c = _kernel_coefficient(ext1, {t: x for t, x in enumerate(residue) if x})
-        shift = c + sigma.value(y)
+        shift = c + functional_value(sigma, y)
         phi_cols.append(vec_add(mat_vec(s2, y), vec_scale(shift, ext2.injection_f)))
     return [[phi_cols[k][r] for k in range(n + 1)] for r in range(n + 1)]
 

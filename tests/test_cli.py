@@ -376,6 +376,24 @@ def test_any_bytes_as_a_document_are_one_line(verb, tmp_path_factory, data):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def _assert_bad_document(tmp_path, capsys, verb, name, doc, message):
+    """``verb`` with ``doc`` as its document ``name`` exits 1 with a
+    ``BadDocument`` that holds ``message``, witness the document's path."""
+    paths = {}
+    for other in READER_DOCS:
+        paths[other] = str(tmp_path / f"{other}.json")
+        with open(paths[other], "w", encoding="utf-8") as handle:
+            json.dump(doc if other == name else READER_DOCS[other], handle)
+    argv = verb.format(**paths).split()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BadDocument: ") and err.count("\n") == 1
+    assert message in err
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "BadDocument", "witness": [paths[name]]}
+
+
 # readers take JSON integers only: a float is not truncated, a bool not coerced
 NON_INTEGER_FIELDS = [
     ("cohomology h2 -L {algebra}", "algebra",
@@ -395,19 +413,7 @@ NON_INTEGER_FIELDS = [
     "float-dim-and-index", "algebra-float-dim", "bool-index", "form-float-dim", "form-bool-dim",
     "rep-float-degree", "rep-float-dim", "rep-float-dim-no-algebra"])
 def test_non_integer_document_field_is_domain_error(tmp_path, capsys, verb, name, doc):
-    paths = {}
-    for other in READER_DOCS:
-        paths[other] = str(tmp_path / f"{other}.json")
-        with open(paths[other], "w", encoding="utf-8") as handle:
-            json.dump(doc if other == name else READER_DOCS[other], handle)
-    argv = verb.format(**paths).split()
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: BadDocument: ") and err.count("\n") == 1
-    assert "is not an integer" in err
-    code, out, err = run_cli(capsys, *argv, "--json")
-    assert code == 1
-    assert json.loads(out) == {"error": "BadDocument", "witness": [paths[name]]}
+    _assert_bad_document(tmp_path, capsys, verb, name, doc, "is not an integer")
 
 
 # a string where an array belongs is not read one character at a time
@@ -433,19 +439,23 @@ STRING_FOR_ARRAY = [
     "bracket-c", "algebra-labels", "group-labels", "upper-rows", "functional-v",
     "rep-matrix-rows", "extension-f", "extension-g-rows", "f-matrix-rows"])
 def test_string_for_an_array_is_domain_error(tmp_path, capsys, verb, name, doc):
-    paths = {}
-    for other in READER_DOCS:
-        paths[other] = str(tmp_path / f"{other}.json")
-        with open(paths[other], "w", encoding="utf-8") as handle:
-            json.dump(doc if other == name else READER_DOCS[other], handle)
-    argv = verb.format(**paths).split()
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: BadDocument: ") and err.count("\n") == 1
-    assert "is not an array" in err
-    code, out, err = run_cli(capsys, *argv, "--json")
-    assert code == 1
-    assert json.loads(out) == {"error": "BadDocument", "witness": [paths[name]]}
+    _assert_bad_document(tmp_path, capsys, verb, name, doc, "is not an array")
+
+
+# a label that is not a string is not coerced by str() into a name or a repr
+NON_STRING_LABELS = [
+    ("cohomology h2 -L {algebra}", "algebra", {"dim": 2, "labels": [1, {"x": 2}]}),
+    ("extension build -L {algebra} --alpha {alpha}", "algebra",
+     {"dim": 2, "labels": [1, {"x": 2}]}),
+    ("algebra plesken -g {group}", "group",
+     {**READER_DOCS["group"], "labels": [1, {"a": 1}, None]}),
+]
+
+
+@pytest.mark.parametrize("verb,name,doc", NON_STRING_LABELS, ids=[
+    "h2-algebra-labels", "build-algebra-labels", "group-labels"])
+def test_non_string_label_is_domain_error(tmp_path, capsys, verb, name, doc):
+    _assert_bad_document(tmp_path, capsys, verb, name, doc, "labels entry 1 is not a string")
 
 
 @pytest.mark.parametrize("entry,message,witness", [

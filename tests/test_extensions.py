@@ -100,6 +100,21 @@ def test_find_section_heis_fixture(heis_ext):
     assert mat_eq(gs, linalg.identity_matrix(2))
 
 
+@pytest.mark.parametrize("rows,witness", [
+    (((ONE, ZERO, ZERO), (ONE, ZERO, ZERO)), 0),
+    (((ONE, ZERO, ZERO), (ZERO, ZERO, ZERO)), 1),
+], ids=["equal-rows", "zero-row"])
+def test_find_section_names_the_first_unreachable_column(abelian2, rows, witness):
+    # a rank-1 projection over the plane: g x = e_j first fails at j = witness
+    total = from_structure_constants(3, {})
+    ext = CentralExtension(total=total, base=abelian2, injection_f=(ZERO, ZERO, ONE),
+                           projection_g=rows)
+    with pytest.raises(errors.NoSection) as caught:
+        find_section(ext)
+    assert str(caught.value) == f"projection has no right inverse at column {witness}"
+    assert caught.value.witness == witness
+
+
 def test_cocycle_roundtrip_exact(abelian2):
     alpha = BilinearForm.from_entries(2, {(0, 1): S(Fraction(7, 3))})
     ext = extension_from_cocycle(abelian2, alpha)

@@ -10,6 +10,9 @@ import pytest
 from dense import dense_nullspace, dense_rows, dense_rref, mat_eq, mat_mul, mat_vec
 from plesken import linalg
 from plesken.cohomology import _constraint_rows, flat_dim
+from plesken.errors import NoSection
+from plesken.extensions import CentralExtension, find_section
+from plesken.liealg import from_structure_constants
 from plesken.scalars import I, ONE, ZERO, Scalar
 
 
@@ -192,6 +195,19 @@ def dense_invert(m):
     return [row[n:] for row in red]
 
 
+def dense_right_inverse(g, ncols):
+    """The right inverse of g whose column j is :func:`dense_solve` of
+    g x = e_j, or the first j with no solution."""
+    n = len(g)
+    columns = []
+    for j in range(n):
+        x = dense_solve(g, [ONE if i == j else ZERO for i in range(n)], ncols)
+        if x is None:
+            return j
+        columns.append(x)
+    return [[x[r] for x in columns] for r in range(ncols)]
+
+
 def dense_reduce_against(v, rows, pivots):
     out = list(v)
     for row, pc in zip(rows, pivots):
@@ -254,6 +270,31 @@ def _unit(n, *entries):
     for j, x in entries:
         row[j] = x
     return row
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_find_section_matches_the_dense_right_inverse(big):
+    # find_section reads only the base dimension and g, so the algebras are abelian
+    rng = random.Random(f"find-section-{big}")
+    outcomes = set()
+    for trial in range(30):
+        n = rng.randint(1, 5)
+        if trial % 2:
+            g = _hard_matrix(rng, n, n + 1, big)
+        else:
+            g = [[_gaussian(rng, big) for _ in range(n + 1)] for _ in range(n)]
+        ext = CentralExtension(total=from_structure_constants(n + 1, {}),
+                               base=from_structure_constants(n, {}),
+                               injection_f=(ZERO,) * n + (ONE,), projection_g=g)
+        expected = dense_right_inverse(g, n + 1)
+        try:
+            got = find_section(ext)
+        except NoSection as err:
+            got = err.witness
+            assert str(err) == f"projection has no right inverse at column {got}"
+        assert got == expected
+        outcomes.add(isinstance(got, int))
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("big", [False, True])

@@ -38,9 +38,10 @@ with open(report, "w") as handle:
                        [m for m in {watched!r} if m in sys.modules])))
 """
 
-# ``random`` is for ``verify all`` alone; the package imports none of the rest,
-# which cost about a fifth of ``import plesken.cli``
-WATCHED = ("dataclasses", "inspect", "random", "typing")
+# ``random`` is for ``verify all`` alone; the package imports none of the rest:
+# ``dataclasses``, ``inspect`` and ``typing`` cost about a fifth of ``import
+# plesken.cli``, and ``importlib`` would hide the lazy loads from ``-X importtime``
+WATCHED = ("dataclasses", "importlib", "inspect", "random", "typing")
 
 CORE = ["plesken", "plesken.cli", "plesken.cohomology", "plesken.errors",
         "plesken.liealg", "plesken.linalg", "plesken.scalars"]
@@ -66,6 +67,19 @@ def _probe(tmp_path, argv: list) -> tuple:
 def test_cli_start_up_loads_only_the_core(tmp_path, argv, code):
     got, _, modules, watched = _probe(tmp_path, argv)
     assert (got, modules, watched) == (code, CORE, [])
+
+
+def test_importtime_reports_every_core_module(tmp_path):
+    # a submodule loaded on first attribute access goes through the import
+    # statement, so ``-X importtime`` lists it with the rest
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c",
+         f"import sys; sys.path.insert(0, {SRC!r}); import plesken.cli"],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path), check=True)
+    reported = [line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert sorted(m for m in reported if m.split(".")[0] == "plesken") == CORE
 
 
 # (golden case, the modules its verb family loads beyond the core)

@@ -14,17 +14,20 @@ Equivalence of two extensions over the same base is decided through
 cohomology of the extracted cocycles and realized by an explicit commuting
 isomorphism, never by a generic isomorphism search.
 
-The maps f, g, s and phi are multiplied on one sparse kernel: a matrix is
-read as the nonzero entries (r, x) of each nonzero column, and every product
-and check is a sum of x * column into its nonzero entries {r: value}, so the
-cost follows the nonzeros rather than (n+1)^2 per vector.  Each map is read
-into columns once: an extension caches the columns of its stored g and s
-beside the terms of f, a section found or given is read once for both the
-check g s = I and the extraction, and phi once for all of its checks.  The
-checks that read the bracket sum cleared columns against the Gaussian-integer
-:attr:`~plesken.liealg.LieAlgebra.integer_terms` through the one bracket of
-term lists, :func:`~plesken.liealg._bracket_pairs`.  A section is found by
-the one exact solve of :mod:`plesken.linalg`, applied to g s = I.
+The maps f, g, s and phi are multiplied on the one sparse kernel of the
+library, :func:`~plesken.linalg._combine`: a matrix M is read once by
+:func:`_cleared_columns` as its common denominator D and the Gaussian-integer
+terms (r, Re, Im) of each nonzero column of D M, and every product and check
+is one sum of (x + i y) * column, scaled so that it is empty exactly when the
+check holds; the cost follows the nonzeros rather than (n+1)^2 per vector.
+An extension caches this form of f, g and its stored s, a section found or
+given is read once for both the check g s = I and the extraction, and phi
+once for all of its checks.  The checks that read the bracket sum the columns
+against the Gaussian-integer :attr:`~plesken.liealg.LieAlgebra.integer_terms`
+through the one bracket of term lists, :func:`~plesken.liealg._bracket_pairs`.
+A defect stays integer sums: only a coefficient alpha(i, j), a witness string
+and the entries of phi become ``Scalar``.  A section is found by the one
+exact solve of :mod:`plesken.linalg`, applied to g s = I.
 """
 
 from __future__ import annotations
@@ -56,19 +59,20 @@ class CentralExtension(Record):
     section_s: tuple[tuple[Scalar, ...], ...] | None = None
 
     @cached_property
-    def injection_terms(self) -> tuple[tuple[int, Scalar], ...]:
-        """Nonzero entries (t, f_t) of the injection vector."""
-        return tuple((t, x) for t, x in enumerate(self.injection_f) if x)
+    def injection_terms(self) -> tuple[int, list[tuple[int, int, int]]]:
+        """(D, the terms (t, Re, Im) of D f) of the injection vector f."""
+        den, cols = _cleared_columns([[x] for x in self.injection_f])
+        return den, cols.get(0, [])
 
     @cached_property
-    def projection_columns(self) -> dict[int, list[tuple[int, Scalar]]]:
-        """:func:`_columns` of the projection g."""
-        return _columns(self.projection_g)
+    def projection_columns(self) -> tuple[int, dict[int, list[tuple[int, int, int]]]]:
+        """:func:`_cleared_columns` of the projection g."""
+        return _cleared_columns(self.projection_g)
 
     @cached_property
-    def section_columns(self) -> dict[int, list[tuple[int, Scalar]]] | None:
-        """:func:`_columns` of the stored section s, None without one."""
-        return None if self.section_s is None else _columns(self.section_s)
+    def section_columns(self) -> tuple[int, dict[int, list[tuple[int, int, int]]]] | None:
+        """:func:`_cleared_columns` of the stored section s, None without one."""
+        return None if self.section_s is None else _cleared_columns(self.section_s)
 
 
 def extension_from_cocycle(base: LieAlgebra, alpha: BilinearForm) -> CentralExtension:
@@ -114,74 +118,61 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
         failures.append(f"stored section is not {n + 1} x {n}")
     if failures:
         return failures
-    f_terms = ext.injection_terms
+    _, f_terms = ext.injection_terms
     if not f_terms:
         failures.append("injection vector is zero")
-    g_cols = ext.projection_columns
     # g is a homomorphism on all total basis pairs
-    for i, j, defect in _homomorphism_defects(g_cols, total, ext.base):
+    for i, j, defect, _ in _homomorphism_defects(ext.projection_columns, total, ext.base):
         if defect:
             failures.append(f"projection is not a homomorphism at ({i},{j})")
     # exactness: g f = 0 and rank g = n, so ker g = span f
-    if _combination((x, g_cols.get(t, ())) for t, x in f_terms):
+    g_cols = ext.projection_columns[1]
+    if linalg._combine((a, b, g_cols.get(t, ())) for t, a, b in f_terms):
         failures.append("g(f) is nonzero; image of f is not in ker g")
     if linalg.rank(g, n + 1) != n:
         failures.append("projection is not surjective")
     # centrality of the kernel line; [f, f] = 0 needs no check of its own
     terms = total.integer_terms.terms
-    _, f_re, f_im = clear([x for _, x in f_terms])
-    f_cleared = [(t, a, b) for (t, _), a, b in zip(f_terms, f_re, f_im)]
     for j in range(n + 1):
-        if linalg._combine(_bracket_pairs(terms, f_cleared, ((j, 1, 0),))):
+        if linalg._combine(_bracket_pairs(terms, f_terms, ((j, 1, 0),))):
             failures.append(f"kernel line is not central: [f, x_{j}] != 0")
     if s is not None and not _is_right_inverse(ext, s, ext.section_columns):
         failures.append("stored section does not satisfy g s = I")
     return failures
 
 
-def _columns(m: Matrix) -> dict[int, list[tuple[int, Scalar]]]:
-    """{c: the nonzero entries (r, x) of column c} over the nonzero columns
-    of a row-major matrix; a zero column is read as ``()``."""
-    cols: dict[int, list[tuple[int, Scalar]]] = {}
-    for r, row in enumerate(m):
-        for c, x in enumerate(row):
-            if x:
-                cols.setdefault(c, []).append((r, x))
-    return cols
+def _cleared_columns(m: Matrix) -> tuple[int, dict[int, list[tuple[int, int, int]]]]:
+    """(D, {c: the terms (r, Re, Im) of column c of D m}) over the nonzero
+    columns of a row-major matrix m, D the common denominator of its entries;
+    a zero column is read as ``()``."""
+    entries = [(r, c, x) for r, row in enumerate(m) for c, x in enumerate(row) if x]
+    den, re, im = clear([x for _, _, x in entries])
+    cols: dict[int, list[tuple[int, int, int]]] = {}
+    for (r, c, _), a, b in zip(entries, re, im):
+        cols.setdefault(c, []).append((r, a, b))
+    return den, cols
 
 
-def _combination(terms) -> dict[int, Scalar]:
-    """Sum of x * column over the pairs (x, column), each column given by its
-    nonzero entries (r, y), as the nonzero entries {r: value} of the sum."""
-    acc: dict[int, Scalar] = {}
-    for x, column in terms:
-        for r, y in column:
-            v = x * y
-            acc[r] = acc[r] + v if r in acc else v
-    return {r: v for r, v in acc.items() if v}
-
-
-def _is_right_inverse(ext: CentralExtension, s: Matrix, s_cols) -> bool:
-    """g s = I_n for an n-column s with columns ``s_cols``, column by column;
-    every row of g must have ``len(s)`` entries."""
+def _is_right_inverse(ext: CentralExtension, s: Matrix, s_cleared) -> bool:
+    """g s = I_n for an n-column s read as ``s_cleared``, column by column as
+    D_g g s - D_g D_s I = 0; every row of g must have ``len(s)`` entries."""
     n, g = ext.base.dim, ext.projection_g
     if any(len(row) != n for row in s) or any(len(row) != len(s) for row in g):
         return False
-    g_cols = ext.projection_columns
-    return all(_combination((x, g_cols.get(t, ())) for t, x in s_cols.get(c, ()))
-               == {c: ONE} for c in range(n))
+    (g_den, g_cols), (s_den, s_cols) = ext.projection_columns, s_cleared
+    return not any(linalg._combine([(a, b, g_cols.get(t, ())) for t, a, b in s_cols.get(c, ())]
+                                   + [(-g_den * s_den, 0, ((c, 1, 0),))]) for c in range(n))
 
 
-def _homomorphism_defects(cols, source: LieAlgebra, target: LieAlgebra):
-    """(i, j, [M e_i, M e_j] - M [e_i, e_j]) for i < j, M mapping source to
-    target given by its :func:`_columns`, each defect as its nonzero entries
-    {r: value}; M is a homomorphism exactly when every defect is empty.  M is
-    cleared once to D M, and D^2 E F times a defect, E and F the denominators
-    of the source and target terms, is summed in Gaussian integers:
-    [E (D M) e_i, (D M) e_j] over the terms F c minus D F (E c_ijk) (D M) e_k."""
-    den, re, im = clear([x for col in cols.values() for _, x in col])
-    parts = iter(zip(re, im))
-    cols = {c: [(r, *next(parts)) for r, _ in col] for c, col in cols.items()}
+def _homomorphism_defects(cleared, source: LieAlgebra, target: LieAlgebra):
+    """(i, j, sums, den) for i < j, M mapping source to target read as its
+    :func:`_cleared_columns` (D, D M), where the Gaussian-integer sums
+    {r: [Re, Im]} over ``den`` are the nonzero entries of the defect
+    [M e_i, M e_j] - M [e_i, e_j]; M is a homomorphism exactly when every sum
+    is empty.  With E and F the denominators of the source and target terms,
+    den is D^2 E F, and the sums are [E (D M) e_i, (D M) e_j] over the terms
+    F c minus D F (E c_ijk) (D M) e_k."""
+    den, cols = cleared
     e, _, source_terms = source.integer_terms
     f, _, target_terms = target.integer_terms
     left = {c: [(r, e * a, e * b) for r, a, b in col] for c, col in cols.items()}
@@ -192,8 +183,7 @@ def _homomorphism_defects(cols, source: LieAlgebra, target: LieAlgebra):
             pairs = _bracket_pairs(target_terms, left_i, cols.get(j, ()))
             pairs += [(shift * a, shift * b, cols.get(k, ()))
                       for k, a, b in source_terms.get((i, j), ())]
-            yield i, j, {r: Scalar._make(u, v, total)
-                         for r, (u, v) in linalg._combine(pairs).items()}
+            yield i, j, linalg._combine(pairs), total
 
 
 def find_section(ext: CentralExtension) -> list[list[Scalar]]:
@@ -208,37 +198,40 @@ def find_section(ext: CentralExtension) -> list[list[Scalar]]:
     return section
 
 
-def _kernel_coefficient(ext: CentralExtension, vector: dict[int, Scalar]) -> Scalar:
-    """Coefficient c with vector = c * injection_f, for a vector given by its
-    nonzero entries {t: value}; error when not a multiple."""
-    f_terms = ext.injection_terms
+def _kernel_coefficient(ext: CentralExtension, sums: dict[int, list[int]], den: int) -> Scalar:
+    """Coefficient c with w = c * injection_f, for the vector w of nonzero
+    entries {t: (Re + i Im) / den} given by the Gaussian-integer ``sums``;
+    error when not a multiple.  With a + i b the lead entry of D_f f and
+    u + i v that of den w, w is a multiple exactly when (a + i b) den w -
+    (u + i v) D_f f is zero, and then c = D_f (u + i v) / (den (a + i b))."""
+    f_den, f_terms = ext.injection_terms
     if not f_terms:
         raise DefectNotInKernel("injection vector is zero")
-    if not vector:
+    if not sums:
         return ZERO
-    lead, f_lead = f_terms[0]
-    c = vector.get(lead, ZERO) / f_lead
-    if vector != ({t: c * x for t, x in f_terms} if c else {}):
+    lead, a, b = f_terms[0]
+    u, v = sums.get(lead, (0, 0))
+    if linalg._combine([(a, b, [(t, x, y) for t, (x, y) in sums.items()]), (-u, -v, f_terms)]):
         raise DefectNotInKernel(
             "vector is not a scalar multiple of the injection",
-            witness=[str(vector.get(t, ZERO)) for t in range(len(ext.injection_f))])
-    return c
+            witness=[str(Scalar._make(*sums[t], den)) if t in sums else "0"
+                     for t in range(len(ext.injection_f))])
+    return Scalar._make(f_den * (u * a + v * b), f_den * (v * a - u * b), den * (a * a + b * b))
 
 
-def cocycle_from_extension(ext: CentralExtension,
-                           section: Matrix) -> BilinearForm:
+def cocycle_from_extension(ext: CentralExtension, section: Matrix) -> BilinearForm:
     """alpha(x_i, x_j) = [s x_i, s x_j] - s [x_i, x_j], read off the kernel line."""
-    cols = ext.section_columns if section is ext.section_s else _columns(section)
-    return _cocycle(ext, section, cols)
+    cleared = ext.section_columns if section is ext.section_s else _cleared_columns(section)
+    return _cocycle(ext, section, cleared)
 
 
-def _cocycle(ext: CentralExtension, section: Matrix, cols) -> BilinearForm:
-    """:func:`cocycle_from_extension` for a section given with its columns."""
+def _cocycle(ext: CentralExtension, section: Matrix, cleared) -> BilinearForm:
+    """:func:`cocycle_from_extension` for a section read as ``cleared``."""
     n = ext.base.dim
-    if not _is_right_inverse(ext, section, cols):
+    if not _is_right_inverse(ext, section, cleared):
         raise NoSection("given map is not a section: g s != I")
-    entries = {(i, j): _kernel_coefficient(ext, defect)
-               for i, j, defect in _homomorphism_defects(cols, ext.base, ext.total)}
+    entries = {(i, j): _kernel_coefficient(ext, sums, den)
+               for i, j, sums, den in _homomorphism_defects(cleared, ext.base, ext.total)}
     alpha = BilinearForm.from_entries(n, entries)
     ok, witness = is_cocycle(ext.base, alpha)
     if not ok:
@@ -258,27 +251,29 @@ def equivalence_map(ext1: CentralExtension,
     base = ext1.base
     if (base.dim != ext2.base.dim or base.brackets != ext2.base.brackets):
         raise BaseMismatch("extensions are not over the same base algebra")
-    s1 = find_section(ext1)
-    s2 = find_section(ext2)
-    s1_cols, s2_cols = _columns(s1), _columns(s2)
-    alpha = _cocycle(ext1, s1, s1_cols)
-    beta = _cocycle(ext2, s2, s2_cols)
-    sigma = are_cohomologous(base, alpha, beta)
+    s1, s2 = find_section(ext1), find_section(ext2)
+    read1, read2 = _cleared_columns(s1), _cleared_columns(s2)
+    sigma = are_cohomologous(base, _cocycle(ext1, s1, read1), _cocycle(ext2, s2, read2))
     if sigma is None:
         return None
     n = base.dim
-    # column k of phi is s2 y + (kappa1(e_k - s1 y) + sigma(y)) f2, y = g1 e_k
-    g1_cols = ext1.projection_columns
-    f2 = ext2.injection_terms
+    # column k of phi is s2 y + (kappa1(e_k - s1 y) + sigma(y)) f2, y = g1 e_k,
+    # where D_g1 y is column k of the cleared g1
+    (d1, s1_cols), (d2, s2_cols) = read1, read2
+    g1, (dg, g1_cols) = ext1.projection_g, ext1.projection_columns
+    f2, f2_terms = ext2.injection_f, ext2.injection_terms[1]
     phi_cols = []
     for k in range(n + 1):
         y = g1_cols.get(k, ())
-        residue = _combination([(ONE, ((k, ONE),))]
-                               + [(-x, s1_cols.get(c, ())) for c, x in y])
-        shift = sum((sigma.vector[c] * x for c, x in y),
-                    _kernel_coefficient(ext1, residue))
-        phi_cols.append(_combination([(x, s2_cols.get(c, ())) for c, x in y]
-                                     + [(shift, f2)]))
+        residue = linalg._combine([(dg * d1, 0, ((k, 1, 0),))]
+                                  + [(-a, -b, s1_cols.get(c, ())) for c, a, b in y])
+        shift = sum((sigma.vector[c] * g1[c][k] for c, _, _ in y),
+                    _kernel_coefficient(ext1, residue, dg * d1))
+        col = {r: Scalar._make(u, v, dg * d2) for r, (u, v)
+               in linalg._combine([(a, b, s2_cols.get(c, ())) for c, a, b in y]).items()}
+        for t, _, _ in f2_terms:
+            col[t] = col.get(t, ZERO) + shift * f2[t]
+        phi_cols.append(col)
     return [[col.get(r, ZERO) for col in phi_cols] for r in range(n + 1)]
 
 
@@ -289,16 +284,21 @@ def verify_equivalence_map(ext1: CentralExtension, ext2: CentralExtension,
     n1 = ext1.total.dim
     if len(phi) != n1 or any(len(row) != n1 for row in phi):
         return [f"phi must be {n1} x {n1}"]
-    phi_cols = _columns(phi)
-    for i, j, defect in _homomorphism_defects(phi_cols, ext1.total, ext2.total):
+    cleared = _cleared_columns(phi)
+    dp, phi_cols = cleared
+    for i, j, defect, _ in _homomorphism_defects(cleared, ext1.total, ext2.total):
         if defect:
             failures.append(f"phi is not a homomorphism at ({i},{j})")
-    if (_combination((x, phi_cols.get(t, ())) for t, x in ext1.injection_terms)
-            != dict(ext2.injection_terms)):
+    # D_f2 phi (D_f1 f1) - D_phi D_f1 (D_f2 f2) = 0 and, column by column,
+    # D_g1 g2 (D_phi phi) - D_g2 D_phi (D_g1 g1) = 0
+    (df1, f1), (df2, f2) = ext1.injection_terms, ext2.injection_terms
+    if linalg._combine([(df2 * a, df2 * b, phi_cols.get(t, ())) for t, a, b in f1]
+                       + [(-dp * df1, 0, f2)]):
         failures.append("phi does not carry the first injection to the second")
-    g1_cols, g2_cols = ext1.projection_columns, ext2.projection_columns
-    if any(_combination((x, g2_cols.get(t, ())) for t, x in phi_cols.get(k, ()))
-           != dict(g1_cols.get(k, ())) for k in range(n1)):
+    (dg1, g1_cols), (dg2, g2_cols) = ext1.projection_columns, ext2.projection_columns
+    if any(linalg._combine([(dg1 * a, dg1 * b, g2_cols.get(t, ()))
+                            for t, a, b in phi_cols.get(k, ())]
+                           + [(-dg2 * dp, 0, g1_cols.get(k, ()))]) for k in range(n1)):
         failures.append("g2 phi differs from g1")
     if linalg.rank(phi, n1) != n1:
         failures.append("phi is not invertible")
@@ -324,7 +324,7 @@ def is_split(ext: CentralExtension) -> SplitResult:
     """
     base = ext.base
     section = find_section(ext)
-    alpha = _cocycle(ext, section, _columns(section))
+    alpha = _cocycle(ext, section, _cleared_columns(section))
     sigma = are_cohomologous(base, alpha, BilinearForm.zero(base.dim))
     if sigma is None:
         return SplitResult(split=False, section=None)
@@ -332,7 +332,7 @@ def is_split(ext: CentralExtension) -> SplitResult:
     f = ext.injection_f
     witness = [[section[r][j] - sigma.vector[j] * f[r] for j in range(n)]
                for r in range(n + 1)]
-    for i, j, defect in _homomorphism_defects(_columns(witness), base, ext.total):
+    for i, j, defect, _ in _homomorphism_defects(_cleared_columns(witness), base, ext.total):
         if defect:
             raise DefectNotInKernel(
                 "split witness failed the homomorphism check; "

@@ -32,9 +32,9 @@ other path, :func:`rank_reversed`, is a deliberately different, dense
 independent cross-check; callers that need a verified rank run both and
 compare.
 
-There is no matrix product here: the structure maps of an extension are
-multiplied on the sparse-column kernel of :mod:`plesken.extensions`, and
-representation matrices on the Gaussian-integer kernel of
+There is no dense matrix product here: :func:`_combine` sums Gaussian-integer
+columns for the bracket and for the structure maps of an extension, and
+representation matrices are multiplied on the packed kernel of
 :mod:`plesken.projreps`.
 """
 
@@ -395,7 +395,13 @@ def _solve_columns(a_rows: Iterable[Vector], b_rows: Iterable[Vector], ncols: in
                    width: int) -> list[list[Scalar]] | int:
     """The canonical X with A X = B (free variables zero), ``ncols`` rows of
     ``width`` entries, from the RREF of [A | B]; or, when there is none, the
-    first column of B outside the span of A's, where that RREF first pivots."""
+    first column of B outside the span of A's, where that RREF first pivots.
+    A must have ``ncols`` columns and B ``width``, on equally many rows."""
+    a_rows, b_rows = list(a_rows), list(b_rows)
+    if (len(a_rows) != len(b_rows) or any(len(a) != ncols for a in a_rows)
+            or any(len(b) != width for b in b_rows)):
+        raise DimensionMismatch(f"A X = B needs A with {ncols} columns and B with {width}, "
+                                f"on equally many rows; got {len(a_rows)} and {len(b_rows)} rows")
     red, pivots = rref([[*a, *b] for a, b in zip(a_rows, b_rows)], ncols + width)
     x = [[ZERO] * width for _ in range(ncols)]
     for row, pc in zip(red, pivots):

@@ -4,7 +4,8 @@ The library multiplies matrices on Gaussian-integer kernels only: sparse
 columns for the structure maps of an extension and packed rows for
 representation matrices.  The plain row-by-column products below are the
 independent slow path the tests compare both against, together with dense
-restatements of the extension checks that read every entry of every map.
+restatements of the extension checks that read every entry of every map and
+of the kernel coefficient, r[lead] / f[lead] in ``Scalar``.
 Every oracle here reads the structure constants through the dense view
 ``structure`` (directly or through :func:`dense_bracket`), never the table the
 library derives from the stored terms.  The Jacobi and cocycle checks run
@@ -27,8 +28,8 @@ from fractions import Fraction
 
 from plesken import linalg
 from plesken.cohomology import BilinearForm, LinearFunctional, are_cohomologous, pair_index
-from plesken.errors import BaseMismatch
-from plesken.extensions import _kernel_coefficient, cocycle_from_extension, find_section
+from plesken.errors import BaseMismatch, DefectNotInKernel
+from plesken.extensions import cocycle_from_extension, find_section
 from plesken.scalars import ONE, ZERO, I, Scalar
 
 
@@ -181,10 +182,22 @@ def equivalence_map(ext1, ext2):
     for ek in linalg.identity_matrix(n + 1):
         y = mat_vec(ext1.projection_g, ek)
         residue = vec_sub(ek, mat_vec(s1, y))
-        c = _kernel_coefficient(ext1, {t: x for t, x in enumerate(residue) if x})
-        shift = c + functional_value(sigma, y)
+        shift = kernel_coefficient(ext1.injection_f, residue) + functional_value(sigma, y)
         phi_cols.append(vec_add(mat_vec(s2, y), vec_scale(shift, ext2.injection_f)))
     return [[phi_cols[k][r] for k in range(n + 1)] for r in range(n + 1)]
+
+
+def kernel_coefficient(f, r):
+    """c with r = c f, read densely as r[lead] / f[lead] at the first nonzero
+    entry of f, with the errors of the library's kernel coefficient."""
+    lead = next((t for t, x in enumerate(f) if x), None)
+    if lead is None:
+        raise DefectNotInKernel("injection vector is zero")
+    c = r[lead] / f[lead]
+    if not vec_eq(r, vec_scale(c, f)):
+        raise DefectNotInKernel("vector is not a scalar multiple of the injection",
+                                witness=[str(x) for x in r])
+    return c
 
 
 def verify_equivalence_map(ext1, ext2, phi):

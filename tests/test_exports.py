@@ -9,8 +9,9 @@ referenced only by an attribute ``x.name`` whose receiver ``x`` is not an
 imported module, so ``operator.mul`` or a parameter ``mul`` is no use of a
 method ``mul``; a method still shares its references with every other
 attribute of that name, so :data:`SHARED` pins the method names that several
-public classes define, and :data:`SHADOWED` lists the documented methods
-that another attribute of the same name hides from the guard.
+public classes define, :data:`FIELDS` the method names that are also fields
+of a record or a namedtuple, and :data:`SHADOWED` lists the documented
+methods that another attribute of the same name hides from the guard.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ SHADOWED = ("Scalar.im",)
 # public method names defined by more than one public class; a reference to
 # any of them counts for all, so a new one is checked by hand before it joins
 SHARED = ("dim", "is_zero", "zero")
+# public method names that equal an annotated field of a ``Record`` subclass
+# or a namedtuple field; a read of the field counts as a call of the method,
+# so a new one is checked by hand before it joins
+FIELDS = ("algebra", "dim", "im", "re")
 
 
 def _public_definitions(tree: ast.Module):
@@ -44,6 +49,18 @@ def _public_definitions(tree: ast.Module):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield f"{node.name}.{item.name}"
+
+
+def _fields(tree: ast.Module):
+    """The annotated fields of the classes deriving from ``Record`` and the
+    fields named in a ``namedtuple("Name", "field ...")`` call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "Record" for base in node.bases):
+            yield from (item.target.id for item in node.body if isinstance(item, ast.AnnAssign))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "namedtuple"):
+            yield from node.args[1].value.replace(",", " ").split()
 
 
 def _modules(tree: ast.Module) -> set[str]:
@@ -99,6 +116,15 @@ def test_method_names_shared_by_public_classes_are_pinned():
                 cls, method = name.split(".")
                 owners.setdefault(method, set()).add(cls)
     assert sorted(m for m, classes in owners.items() if len(classes) > 1) == sorted(SHARED)
+
+
+def test_method_names_that_are_also_fields_are_pinned():
+    trees = [ast.parse(text) for _, text in _sources()]
+    fields = {name for tree in trees for name in _fields(tree)}
+    methods = {name.split(".")[1] for tree in trees
+               for name in _public_definitions(tree) if "." in name}
+    assert {"den", "terms", "total", "split"} <= fields
+    assert sorted(methods & fields) == sorted(FIELDS)
 
 
 def test_a_module_attribute_or_a_bare_name_is_no_use_of_a_method():

@@ -168,27 +168,57 @@ def test_kernel_coefficient_of_an_empty_defect_is_zero_without_division(
         monkeypatch, abelian2):
     total = from_structure_constants(4, {(0, 1): [0, 0, 1, 1]})
     g = ((ONE, ZERO, ZERO, ZERO), (ZERO, ONE, ZERO, ZERO))
+    lead = S(Fraction(2, 3), 1)
     ext = CentralExtension(total=total, base=abelian2,
-                           injection_f=(ZERO, ZERO, S(Fraction(2, 3), 1), ZERO),
-                           projection_g=g)
-    divisions = []
-    original = Scalar.__truediv__
-
-    def counted(self, other):
-        divisions.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(Scalar, "__truediv__", counted)
-    assert _kernel_coefficient(ext, {}) == ZERO
-    assert divisions == []
-    assert _kernel_coefficient(ext, {2: S(2)}) == S(2) / S(Fraction(2, 3), 1)
+                           injection_f=(ZERO, ZERO, lead, ZERO), projection_g=g)
+    c_real, c_complex = S(2) / lead, S(Fraction(3, 2), Fraction(1, 2)) / lead
+    calls = _count_scalar_products(monkeypatch)
+    assert _kernel_coefficient(ext, {}, 1) == ZERO
+    # the defect 2 e_2 over 1, and (3 + i) e_2 over 2
+    assert _kernel_coefficient(ext, {2: [2, 0]}, 1) == c_real
+    assert _kernel_coefficient(ext, {2: [3, 1]}, 2) == c_complex
+    # (2 e_2 + e_3) / 3 is no multiple of f; its witness keeps the denominator
     with pytest.raises(errors.DefectNotInKernel) as exc:
-        _kernel_coefficient(ext, {3: ONE})
+        _kernel_coefficient(ext, {2: [2, 0], 3: [1, 0]}, 3)
+    assert exc.value.witness == ["0", "0", "2/3", "1/3"]
+    with pytest.raises(errors.DefectNotInKernel) as exc:
+        _kernel_coefficient(ext, {3: [1, 0]}, 1)
     assert exc.value.witness == ["0", "0", "0", "1"]
+    assert calls == []
     zero_f = CentralExtension(total=total, base=abelian2,
                               injection_f=(ZERO,) * 4, projection_g=g)
     with pytest.raises(errors.DefectNotInKernel, match="injection vector is zero"):
-        _kernel_coefficient(zero_f, {})
+        _kernel_coefficient(zero_f, {}, 1)
+
+
+def _count_scalar_products(monkeypatch) -> list[str]:
+    """The names of the ``Scalar`` products and quotients taken from now on."""
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__"):
+        def counted(self, other, name=name, original=getattr(Scalar, name)):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    return calls
+
+
+def test_extension_checks_and_extraction_take_no_scalar_product(fixture_set, monkeypatch):
+    # f, g, s and phi are multiplied in Gaussian integers: on rebased
+    # extensions over L(Heis27), with denominators and i in every map, only
+    # equivalence_map itself (not counted here) forms Scalar products
+    pairs = _oracle_pairs(fixture_set, "L(Heis27)")
+    phis = [equivalence_map(ext1, ext2) for ext1, ext2 in pairs]
+    assert phis[0] is not None
+    calls = _count_scalar_products(monkeypatch)
+    for (ext1, ext2), phi in zip(pairs, phis):
+        for ext in (ext1, ext2):
+            assert verify_central_extension(ext) == []
+            assert cocycle_from_extension(ext, ext.section_s) is not None
+            assert cocycle_from_extension(ext, find_section(ext)) is not None
+        if phi is not None:
+            assert verify_equivalence_map(ext1, ext2, phi) == []
+    assert calls == []
 
 
 def test_split_direct_sum_witness(abelian2):
@@ -509,13 +539,13 @@ def test_wide_extension_verbs_are_fast(verb, exts, digest, wide_extensions, caps
 @pytest.mark.parametrize("name", ORACLE_BASES)
 def test_each_map_is_read_into_columns_once(name, fixture_set, monkeypatch):
     reads = []
-    original = extensions._columns
+    original = extensions._cleared_columns
 
     def counted(m):
         reads.append(m)
         return original(m)
 
-    monkeypatch.setattr(extensions, "_columns", counted)
+    monkeypatch.setattr(extensions, "_cleared_columns", counted)
     for ext1, ext2 in _oracle_pairs(fixture_set, name):
         del reads[:]
         cocycle_from_extension(ext1, ext1.section_s)

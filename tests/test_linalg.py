@@ -10,7 +10,7 @@ import pytest
 from dense import dense_nullspace, dense_rows, dense_rref, mat_eq, mat_mul, mat_vec
 from plesken import linalg
 from plesken.cohomology import _constraint_rows, flat_dim
-from plesken.errors import NoSection
+from plesken.errors import DimensionMismatch, NoSection
 from plesken.extensions import CentralExtension, find_section
 from plesken.liealg import from_structure_constants
 from plesken.scalars import I, ONE, ZERO, Scalar
@@ -148,6 +148,19 @@ def test_invert_roundtrip_and_singular():
     inv = linalg.invert(m)
     assert mat_eq(mat_mul(m, inv), linalg.identity_matrix(2))
     assert linalg.invert(_mat([[1, 2], [2, 4]])) is None
+
+
+@pytest.mark.parametrize("call", [
+    # non-square matrices, which the RREF of [m | I] would misread
+    lambda: linalg.invert(_mat([[1], [2]])),
+    lambda: linalg.invert(_mat([[1, 2, 3], [4, 5, 6]])),
+    # a row of A shorter than ncols, and a b with more rows than A
+    lambda: linalg.solve(_mat([[1]]), [ONE], 2),
+    lambda: linalg.solve(_mat([[1, 0]]), [ONE, Scalar(2)], 2),
+], ids=["invert-2x1", "invert-2x3", "solve-short-row", "solve-long-b"])
+def test_solve_and_invert_check_shapes(call):
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 def test_rank_agrees_with_reversed_ordering():

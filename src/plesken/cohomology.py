@@ -38,14 +38,6 @@ kernel of L's constraints is the fallback when the series reaches 0 (abelian,
 nilpotent and other solvable L) or stops at a perfect P whose Killing form
 is degenerate (sl2 + C^2, the Takiff algebras g + g_ad).
 
-A form is immutable (a :class:`~plesken.errors.Record` over a tuple of
-immutable scalars), and so is an algebra's bracket table, which
-:attr:`~plesken.liealg.LieAlgebra.integer_terms` already caches.  So
-:func:`is_cocycle` keeps its verdict on the form, with a strong reference to
-the algebra it was checked over, and returns it again for that same algebra
-object: :func:`are_cohomologous` re-checks both of its inputs, which in an
-extension's life are mostly forms checked before.
-
 Sign convention, used consistently by the extension and representation
 modules: :func:`are_cohomologous` (alpha, beta) returns sigma with
 
@@ -245,23 +237,15 @@ def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
                ) -> tuple[bool, tuple[int, int, int] | None]:
     """True iff all residuals vanish; otherwise the first violating triple.
 
-    Each residual is summed in Gaussian integers, E D times its true value.
-    The verdict is kept on the form with the algebra it was checked over, and
-    a repeat call over that same algebra object returns it unchecked."""
+    Each residual is summed in Gaussian integers, E D times its true value."""
     if alpha.dim != algebra.dim:
         raise DimensionMismatch(
             f"form of dim {alpha.dim} over algebra of dim {algebra.dim}")
-    memo = alpha.__dict__.get("_cocycle_verdict")
-    if memo is not None and memo[0] is algebra:
-        return memo[1]
-    verdict = True, None
     if algebra.integer_terms.terms:
         re_rows, im_rows = _cleared_rows(algebra, alpha.flat)
         for i, j, k, _, _ in _cyclic_sums(algebra, re_rows, im_rows):
-            verdict = False, (i, j, k)
-            break
-    alpha.__dict__["_cocycle_verdict"] = algebra, verdict
-    return verdict
+            return False, (i, j, k)
+    return True, None
 
 
 def _constraint_rows(algebra: LieAlgebra) -> list[linalg.Row]:
@@ -409,14 +393,21 @@ def are_cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
                      beta: BilinearForm) -> LinearFunctional | None:
     """Return sigma with alpha(x,y) - beta(x,y) = -sigma([x,y]), or None.
 
-    Both inputs must be cocycles.  The solution is the RREF-canonical one
-    (free coordinates zero), so equal inputs give the zero functional.
+    Both inputs must be cocycles, and are checked here.  The solution is the
+    RREF-canonical one (free coordinates zero), so equal inputs give the zero
+    functional.
     """
-    n = algebra.dim
     for name, form in (("first", alpha), ("second", beta)):
         ok, witness = is_cocycle(algebra, form)
         if not ok:
             raise NotACocycle(f"{name} form is not a cocycle", witness=list(witness))
+    return _cohomologous(algebra, alpha, beta)
+
+
+def _cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
+                  beta: BilinearForm) -> LinearFunctional | None:
+    """:func:`are_cohomologous` for two cocycles the caller has certified."""
+    n = algebra.dim
     pairs = sorted(algebra.brackets)
     rows = [algebra.structure(i, j) for i, j in pairs]
     rhs = [beta.entry(i, j) - alpha.entry(i, j) for i, j in pairs]

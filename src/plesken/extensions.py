@@ -20,14 +20,16 @@ library, :func:`~plesken.linalg._combine`: a matrix M is read once by
 terms (r, Re, Im) of each nonzero column of D M, and every product and check
 is one sum of (x + i y) * column, scaled so that it is empty exactly when the
 check holds; the cost follows the nonzeros rather than (n+1)^2 per vector.
-An extension caches this form of f, g and its stored s, a section found or
-given is read once for both the check g s = I and the extraction, and phi
-once for all of its checks.  The checks that read the bracket sum the columns
+An extension caches this form of f, g and its stored s, a section given is
+read once for both the check g s = I and the extraction, and phi once for all
+of its checks.  The checks that read the bracket sum the columns
 against the Gaussian-integer :attr:`~plesken.liealg.LieAlgebra.integer_terms`
 through the one bracket of term lists, :func:`~plesken.liealg._bracket_pairs`.
 A defect stays integer sums: only a coefficient alpha(i, j), a witness string
 and the entries of phi become ``Scalar``.  A section is found by the one
-exact solve of :mod:`plesken.linalg`, applied to g s = I.
+exact solve of :mod:`plesken.linalg`, applied to g s = I, so it is not
+checked again; every extracted cocycle is certified once, by :func:`_cocycle`,
+and compared by :func:`~plesken.cohomology._cohomologous` with no re-check.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .cohomology import BilinearForm, _pairs, are_cohomologous, is_cocycle
+from .cohomology import BilinearForm, _cohomologous, _pairs, is_cocycle
 from .errors import (
     BaseMismatch,
     DefectNotInKernel,
@@ -222,14 +224,15 @@ def _kernel_coefficient(ext: CentralExtension, sums: dict[int, list[int]], den: 
 def cocycle_from_extension(ext: CentralExtension, section: Matrix) -> BilinearForm:
     """alpha(x_i, x_j) = [s x_i, s x_j] - s [x_i, x_j], read off the kernel line."""
     cleared = ext.section_columns if section is ext.section_s else _cleared_columns(section)
-    return _cocycle(ext, section, cleared)
-
-
-def _cocycle(ext: CentralExtension, section: Matrix, cleared) -> BilinearForm:
-    """:func:`cocycle_from_extension` for a section read as ``cleared``."""
-    n = ext.base.dim
     if not _is_right_inverse(ext, section, cleared):
         raise NoSection("given map is not a section: g s != I")
+    return _cocycle(ext, cleared)
+
+
+def _cocycle(ext: CentralExtension, cleared) -> BilinearForm:
+    """The cocycle of a section with g s = I read as ``cleared``, certified
+    by :func:`~plesken.cohomology.is_cocycle`."""
+    n = ext.base.dim
     entries = {(i, j): _kernel_coefficient(ext, sums, den)
                for i, j, sums, den in _homomorphism_defects(cleared, ext.base, ext.total)}
     alpha = BilinearForm.from_entries(n, entries)
@@ -253,7 +256,7 @@ def equivalence_map(ext1: CentralExtension,
         raise BaseMismatch("extensions are not over the same base algebra")
     s1, s2 = find_section(ext1), find_section(ext2)
     read1, read2 = _cleared_columns(s1), _cleared_columns(s2)
-    sigma = are_cohomologous(base, _cocycle(ext1, s1, read1), _cocycle(ext2, s2, read2))
+    sigma = _cohomologous(base, _cocycle(ext1, read1), _cocycle(ext2, read2))
     if sigma is None:
         return None
     n = base.dim
@@ -324,8 +327,8 @@ def is_split(ext: CentralExtension) -> SplitResult:
     """
     base = ext.base
     section = find_section(ext)
-    alpha = _cocycle(ext, section, _cleared_columns(section))
-    sigma = are_cohomologous(base, alpha, BilinearForm.zero(base.dim))
+    alpha = _cocycle(ext, _cleared_columns(section))
+    sigma = _cohomologous(base, alpha, BilinearForm.zero(base.dim))
     if sigma is None:
         return SplitResult(split=False, section=None)
     n = base.dim

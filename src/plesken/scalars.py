@@ -24,7 +24,7 @@ from math import gcd, lcm
 Rational = int | Fraction
 
 _TERM_RE = _re.compile(r"[+-][^+-]*")
-_RAT_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RAT_RE = _re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class Scalar:
@@ -216,7 +216,7 @@ def _ratio_str(num: int, den: int) -> str:
 
 def _parse_rational(term: str, original: str) -> tuple[int, int]:
     """(numerator, positive denominator) of one rational term."""
-    m = _RAT_RE.match(term)
+    m = _RAT_RE.fullmatch(term)
     if m is None:
         raise ValueError(f"malformed scalar string {original!r}")
     num = int(m.group(1))

@@ -15,11 +15,13 @@ in Gaussian integers; :func:`scalar_cocycle_terms` and
 coefficients both are compared on.  :func:`dense_rows` spells out the sparse
 Gaussian-integer rows of the library as ``Scalar`` rows, for the dense
 Gauss-Jordan oracles :func:`dense_rref` and :func:`dense_nullspace` and for
-:func:`~plesken.linalg.rank_reversed`.  :func:`dense_hat_coordinates` scans
-every basis pair of a Plesken basis, where the library reads only the nonzero
-coefficients of the element.  The seeded draws of :mod:`plesken.verify` are
-restated through ``Fraction`` and, for a cocycle, as a dense sum of ``Scalar``
-basis rows, where the library draws integers and sums Gaussian-integer rows.
+:func:`~plesken.linalg.rank_reversed`.  :func:`equivalence_map` finds its
+sigma by :func:`dense_solve` over the structure constants of every basis
+pair.  :func:`dense_hat_coordinates` scans every basis pair of a Plesken
+basis, where the library reads only the nonzero coefficients of the element.
+The seeded draws of :mod:`plesken.verify` are restated through ``Fraction``
+and, for a cocycle, as a dense sum of ``Scalar`` basis rows, where the
+library draws integers and sums Gaussian-integer rows.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from plesken import linalg
-from plesken.cohomology import BilinearForm, LinearFunctional, are_cohomologous, pair_index
+from plesken.cohomology import BilinearForm, LinearFunctional, pair_index
 from plesken.errors import BaseMismatch, DefectNotInKernel
 from plesken.extensions import cocycle_from_extension, find_section
 from plesken.scalars import ONE, ZERO, I, Scalar
@@ -174,10 +176,14 @@ def equivalence_map(ext1, ext2):
     s2 = find_section(ext2)
     alpha = cocycle_from_extension(ext1, s1)
     beta = cocycle_from_extension(ext2, s2)
-    sigma = are_cohomologous(base, alpha, beta)
+    # sigma([x_i, x_j]) = beta(x_i, x_j) - alpha(x_i, x_j) over every pair
+    n = base.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    sigma = dense_solve([base.structure(i, j) for i, j in pairs],
+                        [beta.entry(i, j) - alpha.entry(i, j) for i, j in pairs], n)
     if sigma is None:
         return None
-    n = base.dim
+    sigma = LinearFunctional(tuple(sigma))
     phi_cols = []
     for ek in linalg.identity_matrix(n + 1):
         y = mat_vec(ext1.projection_g, ek)
@@ -346,6 +352,17 @@ def dense_rref(rows, ncols):
         if r == nrows:
             break
     return m[:r], pivots
+
+
+def dense_solve(rows, b, ncols):
+    """The solution of rows x = b with free variables zero, or None."""
+    red, pivots = dense_rref([list(r) + [x] for r, x in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols]
+    return x
 
 
 def dense_nullspace(rows, ncols):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import random
 import sys
 import time
@@ -797,10 +798,12 @@ def test_form_json_roundtrip_by_dim(n):
 
 def test_is_cocycle_keeps_each_algebras_own_verdict(monkeypatch):
     # the form alpha(x2, x3) = 1 fails the triple (0, 1, 3) when [x0, x1] = x2
-    # and is a cocycle when [x0, x2] = x1
+    # and is a cocycle when [x0, x2] = x1; no verdict is kept, so every call walks
     failing = from_structure_constants(4, {(0, 1): [0, 0, 1, 0]})
     holding = from_structure_constants(4, {(0, 2): [0, 1, 0, 0]})
-    expected = {id(failing): (False, (0, 1, 3)), id(holding): (True, None)}
+    twin = from_structure_constants(4, {(0, 2): [0, 1, 0, 0]})
+    expected = {id(failing): (False, (0, 1, 3)), id(holding): (True, None),
+                id(twin): (True, None)}
     walks = []
     original = cohomology._cyclic_sums
 
@@ -809,17 +812,23 @@ def test_is_cocycle_keeps_each_algebras_own_verdict(monkeypatch):
         return original(algebra, *args)
 
     monkeypatch.setattr(cohomology, "_cyclic_sums", counted)
-    for first, second in ((failing, holding), (holding, failing)):
-        alpha = BilinearForm.from_entries(4, {(2, 3): ONE})
-        for algebra, walked in ((first, True), (first, False), (second, True),
-                                (first, True), (first, False), (second, True)):
-            del walks[:]
-            assert is_cocycle(algebra, alpha) == expected[id(algebra)]
-            assert walks == ([algebra] if walked else [])
-        # an equal algebra that is another object is checked afresh
-        twin = from_structure_constants(4, {(0, 2): [0, 1, 0, 0]})
+    alpha = BilinearForm.from_entries(4, {(2, 3): ONE})
+    for algebra in (failing, failing, holding, failing, twin, holding):
         del walks[:]
-        assert is_cocycle(twin, alpha) == (True, None) and walks == [twin]
-        # the dimension check comes before the stored verdict
-        with pytest.raises(errors.DimensionMismatch):
-            is_cocycle(from_structure_constants(3, {}), alpha)
+        assert is_cocycle(algebra, alpha) == expected[id(algebra)]
+        assert walks == [algebra]
+    # the dimension check comes before any walk
+    del walks[:]
+    with pytest.raises(errors.DimensionMismatch):
+        is_cocycle(from_structure_constants(3, {}), alpha)
+    assert walks == []
+
+
+def test_is_cocycle_leaves_the_form_as_it_was(fixture_set):
+    # a form is a value: checking it stores nothing on it, so its pickle does
+    # not grow by the algebra it was checked over
+    algebra = fixture_set.algebra("L(Heis27)")
+    for alpha in (BilinearForm.zero(13), BilinearForm.from_entries(13, {(0, 1): ONE})):
+        fields, size = dict(vars(alpha)), len(pickle.dumps(alpha))
+        is_cocycle(algebra, alpha)
+        assert vars(alpha) == fields and len(pickle.dumps(alpha)) == size

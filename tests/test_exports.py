@@ -10,8 +10,9 @@ imported module, so ``operator.mul`` or a parameter ``mul`` is no use of a
 method ``mul``; a method still shares its references with every other
 attribute of that name, so :data:`SHARED` pins the method names that several
 public classes define, :data:`FIELDS` the method names that are also fields
-of a record or a namedtuple, and :data:`SHADOWED` lists the documented
-methods that another attribute of the same name hides from the guard.
+of a record or a namedtuple or attributes set by assignment, and
+:data:`SHADOWED` lists the documented methods that another attribute of the
+same name hides from the guard.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ SHADOWED = ("Scalar.im",)
 # public method names defined by more than one public class; a reference to
 # any of them counts for all, so a new one is checked by hand before it joins
 SHARED = ("dim", "is_zero", "zero")
-# public method names that equal an annotated field of a ``Record`` subclass
-# or a namedtuple field; a read of the field counts as a call of the method,
-# so a new one is checked by hand before it joins
+# public method names that equal an annotated field of a ``Record`` subclass,
+# a namedtuple field or an attribute set by assignment; a read of the field
+# counts as a call of the method, so a new one is checked by hand before it
+# joins
 FIELDS = ("algebra", "dim", "im", "re")
 
 
@@ -52,8 +54,9 @@ def _public_definitions(tree: ast.Module):
 
 
 def _fields(tree: ast.Module):
-    """The annotated fields of the classes deriving from ``Record`` and the
-    fields named in a ``namedtuple("Name", "field ...")`` call."""
+    """The annotated fields of the classes deriving from ``Record``, the
+    fields named in a ``namedtuple("Name", "field ...")`` call, and every
+    attribute set by assignment, ``x.name = ...``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and any(
                 isinstance(base, ast.Name) and base.id == "Record" for base in node.bases):
@@ -61,6 +64,8 @@ def _fields(tree: ast.Module):
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "namedtuple"):
             yield from node.args[1].value.replace(",", " ").split()
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
 
 
 def _modules(tree: ast.Module) -> set[str]:
@@ -124,6 +129,9 @@ def test_method_names_that_are_also_fields_are_pinned():
     methods = {name.split(".")[1] for tree in trees
                for name in _public_definitions(tree) if "." in name}
     assert {"den", "terms", "total", "split"} <= fields
+    # attributes set by assignment: an error's witness, a subspace's ambient
+    # dimension and a scalar's real numerator
+    assert {"witness", "ambient_dim", "a"} <= fields
     assert sorted(methods & fields) == sorted(FIELDS)
 
 

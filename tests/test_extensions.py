@@ -10,13 +10,14 @@ import pytest
 
 import dense
 from dense import column, dense_bracket, mat_eq, mat_mul, mat_vec
-from plesken import errors, extensions, linalg
+from plesken import cohomology, errors, extensions, linalg, plesken_algebra, preset
 from plesken.cli import main
 from plesken.cohomology import (
     BilinearForm,
     LinearFunctional,
     are_cohomologous,
     coboundary,
+    h2,
     z2_basis,
 )
 from plesken.extensions import (
@@ -562,3 +563,53 @@ def test_each_map_is_read_into_columns_once(name, fixture_set, monkeypatch):
         stored = [m for ext in (ext1, ext2) for m in (ext.projection_g, ext.section_s)]
         assert [sum(m is s for m in reads) for s in stored] == [1, 1, 1, 1]
         assert phi is None or sum(m is phi for m in reads) == 1
+
+
+def test_each_cocycle_and_section_is_checked_once(fixture_set, monkeypatch):
+    # equivalence_map and is_split walk each extracted cocycle once, in the
+    # extraction, and trust the section find_section solved for
+    name = "L(Heis27)"
+    algebra, z2 = fixture_set.algebra(name), fixture_set.h2_of(name).z2
+    rng = random.Random("checked-once")
+    ext1, ext2 = (extension_from_cocycle(algebra, random_cocycle(rng, algebra, z2))
+                  for _ in range(2))
+    calls = []
+    for module, attr in ((cohomology, "_cyclic_sums"), (extensions, "_is_right_inverse")):
+        def counted(*args, attr=attr, original=getattr(module, attr)):
+            calls.append(attr)
+            return original(*args)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    def checks(fn, *args):
+        del calls[:]
+        fn(*args)
+        return calls.count("_cyclic_sums"), calls.count("_is_right_inverse")
+
+    assert checks(equivalence_map, ext1, ext2) == (2, 0)
+    assert checks(is_split, ext1) == (1, 0)
+    # a section the caller gives is still checked
+    assert checks(cocycle_from_extension, ext1, ext1.section_s) == (1, 1)
+
+
+@pytest.mark.parametrize("name,p", [("symmetric", 5), ("heisenberg_p", 5)])
+def test_bijection_at_the_scale_h2_reaches(name, p):
+    # L(S5), dim 47, and L(Heis125), dim 62 with H^2 = 91: the round trip, an
+    # equivalent pair against the dense oracle, an inequivalent pair where
+    # H^2 is nonzero, and a split extension along a coboundary
+    algebra, _ = plesken_algebra(preset(name, p))
+    result = h2(algebra)
+    rng = random.Random(f"scale-{name}")
+    alpha = random_cocycle(rng, algebra, result.z2)
+    ext1 = extension_from_cocycle(algebra, alpha)
+    assert cocycle_from_extension(ext1, ext1.section_s) == alpha
+    sigma = random_functional(rng, algebra.dim)
+    ext2 = extension_from_cocycle(algebra, alpha.add(coboundary(algebra, sigma)))
+    phi = equivalence_map(ext1, ext2)
+    assert phi is not None and phi == dense.equivalence_map(ext1, ext2)
+    assert verify_equivalence_map(ext1, ext2, phi) == []
+    assert result.dimension == (91 if name == "heisenberg_p" else 0)
+    if result.dimension:
+        ext3 = extension_from_cocycle(algebra, alpha.add(result.representatives[0]))
+        assert equivalence_map(ext1, ext3) is None
+    assert is_split(extension_from_cocycle(algebra, coboundary(algebra, sigma))).split

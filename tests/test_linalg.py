@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from dense import dense_nullspace, dense_rows, dense_rref, mat_eq, mat_mul, mat_vec
+from dense import dense_nullspace, dense_rows, dense_rref, dense_solve, mat_eq, mat_mul, mat_vec
 from plesken import linalg
 from plesken.cohomology import _constraint_rows, flat_dim
 from plesken.errors import DimensionMismatch, NoSection
@@ -186,16 +186,6 @@ def test_rank_agrees_with_reversed_ordering():
 
 
 # -- the Gaussian-integer core against dense Scalar oracles ------------------------
-
-
-def dense_solve(rows, b, ncols):
-    red, pivots = dense_rref([list(r) + [x] for r, x in zip(rows, b)], ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
-    return x
 
 
 def dense_invert(m):

@@ -67,7 +67,9 @@ def test_parse_of_the_text_0_is_the_zero_singleton():
             Scalar.parse(bad)
 
 
-@pytest.mark.parametrize("bad", ["", "1//2", "2+*I", "x", "1/0", "3 4"])
+@pytest.mark.parametrize("bad", ["", "1//2", "2+*I", "x", "1/0", "3 4",
+                                 # non-ASCII digits, and a newline before a term
+                                 "\u0663", "\uff11/\uff12", "1\n+2*I", "3/4\n*I"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         Scalar.parse(bad)

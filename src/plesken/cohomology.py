@@ -13,11 +13,18 @@ Gaussian-integer terms of :attr:`~plesken.liealg.LieAlgebra.integer_terms`;
 :func:`~plesken.liealg._linked_triples`, as Jacobi does, over the entries
 alpha(x_m, x_t) it can read, m in the image of a bracket, cleared once by
 :func:`~plesken.scalars.clear` into signed integer rows
-(:func:`~plesken.liealg._cyclic_sums`), so no ``Scalar`` is multiplied.
+(:func:`~plesken.liealg._cyclic_sums`), so no ``Scalar`` is multiplied.  On
+an algebra certified Lie by
+:attr:`~plesken.liealg.LieAlgebra.lie_generators` it walks only the triples
+holding a generator, and every linked triple only to name the first failure.
 Z^2 is the kernel of the same terms: one sparse Gaussian-integer row per
 linked triple goes straight to :func:`~plesken.linalg._kernel`, and the
 :class:`~plesken.linalg.Subspace` keeps the kernel's integer RREF rows, so
-no dense row and no ``Scalar`` is made unless its basis is read.
+no dense row and no ``Scalar`` is made unless its basis is read.  Those rows
+are every linked triple's even on a certified algebra: the generator triples
+cut out the same kernel, but without the sparse rows of the other triples
+the free-pivot elimination fills in, and took longer on most basis orders of
+the Takiff algebras T(L(A5)) and T(L(S5)).
 
 :func:`h2` takes that kernel only when L has no semisimple ideal to split
 off.  Let P be the first term of the derived series, from [L, L] down, on
@@ -235,15 +242,25 @@ def _cleared_rows(algebra: LieAlgebra, flat: Vector) -> tuple[list, list | None]
 
 def is_cocycle(algebra: LieAlgebra, alpha: BilinearForm
                ) -> tuple[bool, tuple[int, int, int] | None]:
-    """True iff all residuals vanish; otherwise the first violating triple.
+    """True iff all residuals vanish; otherwise the first violating triple,
+    in lexicographic order.
 
-    Each residual is summed in Gaussian integers, E D times its true value."""
+    Each residual is summed in Gaussian integers, E D times its true value.
+    On an algebra certified Lie by
+    :attr:`~plesken.liealg.LieAlgebra.lie_generators` the linked triples
+    holding a generator carry the whole condition; every linked triple is
+    walked only on an algebra without that certificate, or to name the first
+    failure."""
     if alpha.dim != algebra.dim:
         raise DimensionMismatch(
             f"form of dim {alpha.dim} over algebra of dim {algebra.dim}")
     if algebra.integer_terms.terms:
         re_rows, im_rows = _cleared_rows(algebra, alpha.flat)
-        for i, j, k, _, _ in _cyclic_sums(algebra, re_rows, im_rows):
+        generators = algebra.lie_generators
+        if generators is not None and next(_cyclic_sums(
+                algebra, _linked_triples(algebra, generators), re_rows, im_rows), None) is None:
+            return True, None
+        for i, j, k, _, _ in _cyclic_sums(algebra, _linked_triples(algebra), re_rows, im_rows):
             return False, (i, j, k)
     return True, None
 

@@ -14,12 +14,19 @@ structural probes eliminate Gaussian-integer rows from it directly, and
 Cartan's criterion is one test, :func:`_killing_full_rank`, on L
 (:func:`is_semisimple`) or on a term of the derived series (:func:`_split_ideal`).
 Jacobi and the cocycle condition are cyclic sums over basis triples: both walk
-the one sequence of triples that can give a nonzero sum, :func:`_linked_triples`,
-through the one rotation rule :func:`_rotations`, and both are
-:func:`_cyclic_sums` over a table f(x_m, x_t) with a row only for each m in the
-image of a bracket.  For Jacobi an entry of that table is a bracket packed
-into one integer with w-bit slots, so a triple costs about nine products and
-one exact zero test (see :func:`verify_lie_axioms` for the width bound).
+triples that can give a nonzero sum, :func:`_linked_triples`, through the one
+rotation rule :func:`_rotations`, and both are :func:`_cyclic_sums` over a
+table f(x_m, x_t) with a row only for each m in the image of a bracket.  For
+Jacobi an entry of that table is a bracket packed into one integer with w-bit
+slots, so a triple costs about nine products and one exact zero test (see
+:func:`_jacobiators` for the width bound).  Like Light's test in
+:mod:`~plesken.groups`, both are certified on a generating set: from dim
+:data:`_CLOSURE_MIN_DIM` on, a greedy S whose ad_S-closure is L
+(:func:`_ad_generators`) makes Jacobi on the linked triples holding one of S
+the whole check (:attr:`LieAlgebra.lie_generators`), and on an algebra so
+certified the same triples carry the cocycle condition.  Every linked triple
+is walked only below that dimension, when 3 |S| reaches n, and to name the
+first failure once a check on the generators has failed.
 
 The Plesken algebra of a finite group G is the span of the elements
 g_hat = g - g^-1 inside the group algebra, closed under the commutator.  Its
@@ -112,6 +119,28 @@ class LieAlgebra(Record, eq=True, hashable=False):
             terms[(j, i)] = tuple([(k, -a, -b) for k, a, b in forward])
         return IntegerTerms(den, not any(im), terms)
 
+    @cached_property
+    def lie_generators(self) -> frozenset[int] | None:
+        """The set S of :func:`_ad_generators` when Jacobi holds on every
+        linked triple that holds one of S, which certifies the algebra Lie;
+        None when no S is built or Jacobi fails there.
+
+        Why that is exact: J, the Jacobiator of the antisymmetric bracket, is
+        alternating and trilinear, and zero on a triple that is not linked,
+        so the walk puts S inside D = {a : J(a, y, z) = 0 for all y, z}.  D
+        is a subspace, and a subalgebra: for a in D, ad a is a derivation, so
+        ad [a, b] = [ad a, ad b] is one whenever ad b is.  So D holds every
+        iterated bracket of S, which span the ad_S-closure, all of L, and
+        J = 0.  For a Lie L and a form alpha, S and the central z generate
+        L + C z with [x, y] + alpha(x, y) z the same way, so the cocycle
+        condition on these triples is the whole condition too (see
+        :func:`~plesken.cohomology.is_cocycle`).  Computed once per algebra."""
+        generators = _ad_generators(self)
+        if generators is None or next(_jacobiators(self, _linked_triples(self, generators)),
+                                      None) is not None:
+            return None
+        return generators
+
     def _key(self) -> tuple:
         # an algebra read back from JSON equals the one built from its group
         return self.dim, self.brackets, self.basis_labels
@@ -121,15 +150,26 @@ def _default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(dim))
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 0:
+        raise BadParameter(f"dimension must be non-negative, got {dim}")
+
+
+def _check_pair(dim: int, i: int, j: int, length: int) -> None:
+    """Refuse a bracket key outside 0 <= i < j < dim, then a vector whose
+    length is not ``dim``."""
+    if not (0 <= i < j < dim):
+        raise BadParameter(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
+    if length != dim:
+        raise BadParameter(f"bracket vector for ({i},{j}) has length {length}")
+
+
 def _normalize_table(dim: int, table) -> dict[tuple[int, int], Terms]:
     """The stored terms of a table of length-``dim`` vectors; a zero vector
     gives no entry."""
     brackets: dict[tuple[int, int], Terms] = {}
     for (i, j), vec in table.items():
-        if not (0 <= i < j < dim):
-            raise BadParameter(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-        if len(vec) != dim:
-            raise BadParameter(f"bracket vector for ({i},{j}) has length {len(vec)}")
+        _check_pair(dim, i, j, len(vec))
         terms = []
         for k, x in enumerate(vec):
             if x is not ZERO:
@@ -148,9 +188,14 @@ def from_structure_constants(dim: int, table,
     ``table`` maps (i, j) with i < j to length-``dim`` coefficient vectors;
     missing pairs mean zero bracket.
     """
-    if dim < 0:
-        raise BadParameter(f"dimension must be non-negative, got {dim}")
-    brackets = _normalize_table(dim, table)
+    _check_dim(dim)
+    return _checked(dim, _normalize_table(dim, table), labels)
+
+
+def _checked(dim: int, brackets: dict[tuple[int, int], Terms],
+             labels: Sequence[str] | None) -> LieAlgebra:
+    """The algebra of checked stored terms, refusing a label count other
+    than ``dim``, then non-Jacobi data with its first failing triple."""
     lab = tuple(labels) if labels is not None else _default_labels(dim)
     if len(lab) != dim:
         raise BadParameter(f"{len(lab)} labels for dimension {dim}")
@@ -187,26 +232,35 @@ def _bracket_pairs(terms, u, v):
             for i, a, b in u for j, c, d in v if (i, j) in terms]
 
 
-def _linked_triples(algebra: LieAlgebra):
+def _linked_triples(algebra: LieAlgebra, generators: frozenset[int] | None = None):
     """Basis triples i < j < k in lexicographic order with a nonzero pair
     bracket: all k > j when [x_i, x_j] is nonzero, else the k > j linked to i
     or j by one.  Any other triple has a zero cyclic sum, for Jacobi and the
-    cocycle condition alike."""
+    cocycle condition alike.  With ``generators`` (see
+    :func:`_ad_generators`), only the triples that hold one of them."""
     terms = algebra.integer_terms.terms
     n = algebra.dim
     linked: list[set[int]] = [set() for _ in range(n)]
     for a, b in terms:
         linked[a].add(b)
     hubs = [j for j in range(n) if linked[j]]
+    ordered = sorted(generators) if generators is not None else None
     for i in range(n):
         # with i unlinked only a linked j can link the triple
         for j in range(i + 1, n) if linked[i] else hubs[bisect_right(hubs, i):]:
-            if (i, j) in terms:
-                third = range(j + 1, n)
-            elif linked[i] or linked[j]:
-                third = sorted(k for k in linked[i] | linked[j] if k > j)
+            if ordered is None or i in generators or j in generators:
+                if (i, j) in terms:
+                    third = range(j + 1, n)
+                elif linked[i] or linked[j]:
+                    third = sorted(k for k in linked[i] | linked[j] if k > j)
+                else:
+                    continue
+            elif (i, j) in terms:
+                third = ordered[bisect_right(ordered, j):]
             else:
-                continue
+                # linked is symmetric: k is linked to i or j when i or j is to k
+                third = [k for k in ordered[bisect_right(ordered, j):]
+                         if i in linked[k] or j in linked[k]]
             for k in third:
                 yield i, j, k
 
@@ -233,8 +287,8 @@ def _read_rows(algebra: LieAlgebra) -> list:
     return rows
 
 
-def _cyclic_sums(algebra: LieAlgebra, re_rows: list, im_rows: list | None):
-    """(i, j, k, re, im) for each linked triple, in order, whose cyclic sum of
+def _cyclic_sums(algebra: LieAlgebra, triples, re_rows: list, im_rows: list | None):
+    """(i, j, k, re, im) for each of ``triples``, in order, whose cyclic sum of
     c f(x_m, x_t) (see :func:`_rotations`) is nonzero, over the Gaussian-integer
     terms c of :attr:`LieAlgebra.integer_terms` and f(x_m, x_t) =
     re_rows[m][t] + i im_rows[m][t], integers or packed integer vectors.
@@ -242,7 +296,7 @@ def _cyclic_sums(algebra: LieAlgebra, re_rows: list, im_rows: list | None):
     product is formed."""
     terms = algebra.integer_terms.terms
     if im_rows is None:
-        for i, j, k in _linked_triples(algebra):
+        for i, j, k in triples:
             re = 0
             for ts, t in _rotations(terms, i, j, k):
                 for m, c, _ in ts:
@@ -250,7 +304,7 @@ def _cyclic_sums(algebra: LieAlgebra, re_rows: list, im_rows: list | None):
             if re:
                 yield i, j, k, re, 0
         return
-    for i, j, k in _linked_triples(algebra):
+    for i, j, k in triples:
         re = im = 0
         for ts, t in _rotations(terms, i, j, k):
             for m, cr, ci in ts:
@@ -261,10 +315,9 @@ def _cyclic_sums(algebra: LieAlgebra, re_rows: list, im_rows: list | None):
             yield i, j, k, re, im
 
 
-def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Scalar, ...]]]:
-    """All basis triples violating Jacobi, in lexicographic order, each with
-    its residual [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j];
-    empty means the data is a Lie algebra.
+def _jacobiators(algebra: LieAlgebra, triples):
+    """(i, j, k, residual) for each of ``triples``, in order, whose Jacobiator
+    [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j] is nonzero.
 
     Each bracket [x_m, x_t] read is packed, per part, into one integer with
     its E-scaled coordinate s in the w-bit slot s (Kronecker substitution), so
@@ -276,8 +329,6 @@ def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Sc
     balanced base-2^w digits are unique, so the packed sum is zero exactly
     when the Jacobiator is.  Only a failing triple is unpacked to scalars."""
     den, real, terms = algebra.integer_terms
-    if not terms:
-        return []
     n = algebra.dim
     c = m = 0
     for pair in algebra.brackets:
@@ -295,9 +346,95 @@ def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Sc
             if table[b] is not None:
                 table[b][a] = -v
     e2 = den * den
-    return [(i, j, k, tuple(Scalar._make(x, y, e2) if x or y else ZERO
-                            for x, y in zip(linalg._digits(re, n, w), linalg._digits(im, n, w))))
-            for i, j, k, re, im in _cyclic_sums(algebra, re_rows, im_rows)]
+    for i, j, k, re, im in _cyclic_sums(algebra, triples, re_rows, im_rows):
+        yield i, j, k, tuple(Scalar._make(x, y, e2) if x or y else ZERO
+                             for x, y in zip(linalg._digits(re, n, w), linalg._digits(im, n, w)))
+
+
+# Below this dimension :func:`_ad_generators` builds no closure.  On relabelled
+# L(A5) and sums of Plesken algebras, the closure plus the Jacobi walk of the
+# triples holding a generator took 0.8-1.1 times the full walk at dim 22-29,
+# 0.8 at dim 33 and 0.3-0.55 at dim 44-47: below 30 the gain is a fraction of a
+# millisecond and may be a loss, on the algebras of dim <= 24 that h2 and the
+# extension verbs read most.
+_CLOSURE_MIN_DIM = 30
+
+
+def _ad_generators(algebra: LieAlgebra) -> frozenset[int] | None:
+    """A greedy set S of basis indices whose ad_S-closure, the least subspace
+    that holds every x_s and is mapped into itself by every ad x_s, is all
+    of L; None below :data:`_CLOSURE_MIN_DIM`, or once 3 |S| reaches n, where
+    the linked triples holding a generator, about |S| n^2 / 2, stop being
+    fewer than the n^3 / 6 of the full walk.  An index outside the image of
+    every bracket is in S, so those are counted before any bracket is taken.
+
+    Like :func:`~plesken.groups._magma_generators`: walk the basis in index
+    order; each x_g outside the closure so far joins S, first bracketed with
+    the vectors already reached, and the closure grows breadth-first: each
+    vector reached is bracketed with every x_s.  A bracket whose residue
+    against the closure's RREF rows is nonzero is reached as itself, with
+    its content divided out, never as the residue, whose coefficients grow
+    with each reduction.  The walk ends as soon as the RREF has n rows."""
+    n = algebra.dim
+    if n < _CLOSURE_MIN_DIM:
+        return None
+    terms = algebra.integer_terms.terms
+    image = {k for pair in algebra.brackets for k, _, _ in terms[pair]}
+    if 3 * (n - len(image)) >= n:
+        return None
+    kept: dict[int, linalg.Row] = {}  # the closure so far, as its RREF
+    reached: list[list[tuple[int, int, int]]] = []
+    generators: list[int] = []
+
+    def reach(re: dict[int, int], im: dict[int, int]) -> None:
+        cols = linalg._columns(re, im)
+        rre, rim = linalg._reduce(dict(re), dict(im), [(p, kept[p]) for p in cols if p in kept])
+        if rre or rim:
+            lead = min(linalg._columns(rre, rim))
+            row = linalg._lead_real(rre, rim, lead)
+            for p, (ore, oim) in kept.items():
+                if lead in ore or lead in oim:
+                    kept[p] = linalg._primitive(*linalg._reduce(ore, oim, ((lead, row),)))
+            kept[lead] = row
+            re, im = linalg._primitive(re, im)
+            reached.append([(k, re.get(k, 0), im.get(k, 0)) for k in cols])
+
+    def ad(s: int, w: list[tuple[int, int, int]]) -> None:
+        sums = linalg._combine(_bracket_pairs(terms, ((s, 1, 0),), w))
+        if sums:
+            reach(*linalg._sums_row(sums))
+
+    done = 0
+    for g in range(n):
+        if len(kept) == n:
+            break
+        if g in kept and len(linalg._columns(*kept[g])) == 1:
+            continue  # the RREF row at g is x_g itself
+        generators.append(g)
+        if 3 * len(generators) >= n:
+            return None
+        for w in reached[:done]:
+            ad(g, w)
+        reach({g: 1}, {})
+        while done < len(reached) and len(kept) < n:
+            w = reached[done]
+            done += 1
+            for s in generators:
+                ad(s, w)
+    return frozenset(generators)
+
+
+def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Scalar, ...]]]:
+    """All basis triples violating Jacobi, in lexicographic order, each with
+    its residual [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j];
+    empty means the data is a Lie algebra.
+
+    An algebra certified Lie by :attr:`LieAlgebra.lie_generators` has none.
+    Otherwise every linked triple is walked (:func:`_jacobiators`), which
+    also gives the full list of an algebra that fails on a generator."""
+    if not algebra.integer_terms.terms or algebra.lie_generators is not None:
+        return []
+    return list(_jacobiators(algebra, _linked_triples(algebra)))
 
 
 # -- group algebra ------------------------------------------------------------
@@ -575,15 +712,29 @@ def _json_matrix(value, name: str) -> list[list[Scalar]]:
 
 def algebra_from_json(doc: dict) -> LieAlgebra:
     """Read an algebra document; a pair given twice is a
-    :class:`~plesken.errors.BadParameter` naming it, never last-one-wins."""
+    :class:`~plesken.errors.BadParameter` naming it, never last-one-wins.
+
+    Each bracket's texts are read once, straight into its stored terms: a
+    text ``"0"`` is skipped unparsed, and a zero in any other spelling is
+    parsed and dropped.  Every entry is parsed before any key or length is
+    checked, as :func:`from_structure_constants` checks them."""
     dim = _json_int(doc, "dim")
-    table = {}
+    read: dict[tuple[int, int], tuple[int, Terms]] = {}
     for entry in doc.get("brackets", []):
         i, j = _json_int(entry, "i"), _json_int(entry, "j")
-        if (i, j) in table:
+        if (i, j) in read:
             raise BadParameter(f"bracket ({i},{j}) is given twice", witness=[i, j])
-        table[(i, j)] = _json_scalars(entry["c"], "c")
+        texts = _json_array(entry["c"], "c")
+        # a non-string is not "0", so the parse refuses it
+        parsed = [(k, Scalar.parse(text)) for k, text in enumerate(texts) if text != "0"]
+        read[(i, j)] = len(texts), tuple([(k, c) for k, c in parsed if c])
     labels = doc.get("labels")
     if labels is not None:
         _json_strings(labels, "labels")
-    return from_structure_constants(dim, table, labels)
+    _check_dim(dim)
+    brackets = {}
+    for (i, j), (length, terms) in read.items():
+        _check_pair(dim, i, j, length)
+        if terms:
+            brackets[(i, j)] = terms
+    return _checked(dim, brackets, labels)

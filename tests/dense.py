@@ -12,7 +12,9 @@ library derives from the stored terms.  The Jacobi and cocycle checks run
 in Gaussian integers; :func:`scalar_cocycle_terms` and
 :func:`scalar_residual` are their term-by-term ``Scalar`` walk, and
 :func:`gaussian_table` makes the sparse tables with Gaussian-rational
-coefficients both are compared on.  :func:`dense_rows` spells out the sparse
+coefficients both are compared on, and :func:`scalar_constraint_rows` sums
+the walk's terms into constraint rows over any set of triples.
+:func:`relabelled_table` restates an algebra in a seeded basis order.  :func:`dense_rows` spells out the sparse
 Gaussian-integer rows of the library as ``Scalar`` rows, for the dense
 Gauss-Jordan oracles :func:`dense_rref` and :func:`dense_nullspace` and for
 :func:`~plesken.linalg.rank_reversed`.  :func:`equivalence_map` finds its
@@ -32,7 +34,7 @@ from plesken import linalg
 from plesken.cohomology import BilinearForm, LinearFunctional, pair_index
 from plesken.errors import BaseMismatch, DefectNotInKernel
 from plesken.extensions import cocycle_from_extension, find_section
-from plesken.scalars import ONE, ZERO, I, Scalar
+from plesken.scalars import ONE, ZERO, I, Scalar, clear
 
 
 def vec_add(u, v):
@@ -258,6 +260,43 @@ def rescaled_table(algebra, scales):
     return {(i, j): [scales[i] * scales[j] / scales[k] * c
                      for k, c in enumerate(algebra.structure(i, j))]
             for i, j in algebra.brackets}
+
+
+def relabelled_table(algebra, rng):
+    """The bracket table of ``algebra`` in the basis y_a = x_p(a), p a seeded
+    permutation: the same algebra in another basis order, as a relabelled
+    group gives its L(G)."""
+    n = algebra.dim
+    order = list(range(n))
+    rng.shuffle(order)
+    position = {x: a for a, x in enumerate(order)}
+    table = {}
+    for i, j in algebra.brackets:
+        a, b = sorted((position[i], position[j]))
+        vec = algebra.structure(order[a], order[b])
+        table[(a, b)] = [vec[x] for x in order]
+    return table
+
+
+def scalar_constraint_rows(algebra, triples):
+    """The cocycle condition on each of ``triples`` as a sparse
+    Gaussian-integer row (re, im) over one common denominator, from the
+    ``Scalar`` terms of :func:`scalar_cocycle_terms`; zero rows are dropped."""
+    sums = []
+    for i, j, k in triples:
+        row = {}
+        for idx, c in scalar_cocycle_terms(algebra, i, j, k):
+            row[idx] = row.get(idx, ZERO) + c
+        sums.append({idx: c for idx, c in row.items() if c})
+    den, re, im = clear([c for row in sums for c in row.values()])
+    parts = iter(zip(re, im))
+    rows = []
+    for row in sums:
+        if row:
+            cleared = [(idx, *next(parts)) for idx in row]
+            rows.append(({idx: a for idx, a, _ in cleared if a},
+                         {idx: b for idx, _, b in cleared if b}))
+    return rows
 
 
 def scalar_cocycle_terms(algebra, i, j, k):

@@ -13,14 +13,14 @@ from hypothesis import given, settings, strategies as st
 import plesken
 from plesken import cli
 from plesken.cli import main
-from plesken.cohomology import BilinearForm, form_from_json
+from plesken.cohomology import BilinearForm, form_from_json, form_to_json
 from plesken.extensions import (
     extension_from_cocycle,
     extension_from_json,
     extension_to_json,
 )
-from plesken.groups import group_from_json
-from plesken.liealg import algebra_from_json
+from plesken.groups import group_from_json, preset
+from plesken.liealg import algebra_from_json, algebra_to_json, plesken_algebra
 from plesken.scalars import Scalar
 
 
@@ -252,6 +252,29 @@ def test_non_associative_group_names_first_triple(tmp_path, capsys):
     code, out, err = run_cli(capsys, "algebra", "plesken", "-g", str(path), "--json")
     assert code == 1
     assert out == '{"error":"NotAssociative","witness":[1,1,2]}\n'
+
+
+def test_broken_s5_names_the_first_failing_triple(tmp_path, capsys):
+    # one entry of L(S5) changed, on a pair that holds no generator of the
+    # Jacobi certificate: the read still names the lexicographically first
+    # failing triple of the full walk, as it did when every triple was walked
+    doc = algebra_to_json(plesken_algebra(preset("symmetric", 5))[0])
+    entry = doc["brackets"][-1]
+    assert (entry["i"], entry["j"], entry["c"][1]) == (45, 46, "0")
+    entry["c"][1] = "1"
+    lpath, apath = tmp_path / "L.json", tmp_path / "alpha.json"
+    lpath.write_text(json.dumps(doc))
+    apath.write_text(json.dumps(form_to_json(BilinearForm.zero(47))))
+    argv = ["extension", "build", "-L", str(lpath), "--alpha", str(apath)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: JacobiViolation: Jacobi identity fails on basis triple (0,34,45)\n"
+    code, out, err = run_cli(capsys, *argv, "--json")
+    residual = ["0"] * 47
+    residual[1] = "1"
+    assert (code, err) == (1, "")
+    assert out == json.dumps({"error": "JacobiViolation", "witness": [0, 34, 45, residual]},
+                             separators=(",", ":")) + "\n"
 
 
 HEIS3_DOC = {"dim": 3, "labels": ["X", "Y", "Z"],

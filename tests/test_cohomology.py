@@ -17,8 +17,10 @@ from dense import (
     functional_value,
     gaussian_form,
     gaussian_table,
+    relabelled_table,
     rescaled_table,
     scalar_cocycle_terms,
+    scalar_constraint_rows,
     scalar_residual,
 )
 from plesken import cli, cohomology, errors, linalg
@@ -42,6 +44,8 @@ from plesken.extensions import extension_from_cocycle
 from plesken.groups import from_permutation_generators, preset
 from plesken.liealg import (
     LieAlgebra,
+    _ad_generators,
+    _cyclic_sums,
     _default_labels,
     _linked_triples,
     _normalize_table,
@@ -545,6 +549,82 @@ def test_jacobi_and_cocycle_checks_make_no_scalar_products(monkeypatch):
     assert is_cocycle(rebuilt, alpha) == (True, None)
     assert calls == []
     assert ONE + ONE * ONE == S(2) and calls == ["__mul__", "__add__"]
+
+
+# -- the cocycle condition on the generators of a certified algebra -----------------
+
+
+def full_walk_is_cocycle(algebra, alpha):
+    """Oracle: the cocycle condition on every linked triple, first failure wins."""
+    rows = cohomology._cleared_rows(algebra, alpha.flat)
+    for i, j, k, _, _ in _cyclic_sums(algebra, _linked_triples(algebra), *rows):
+        return False, (i, j, k)
+    return True, None
+
+
+def _wedge_cocycle(rng, algebra):
+    """phi ^ psi for seeded phi, psi vanishing on [L, L]: a cocycle, and not
+    a coboundary of an L(G) with a center of dimension at least 2."""
+    n = algebra.dim
+    annihilator = dense_nullspace([list(row) for row in derived_subalgebra(algebra).basis], n)
+    phi, psi = ([sum((c * row[t] for c, row in zip(weights, annihilator)), ZERO)
+                 for t in range(n)]
+                for weights in [[S(rng.randint(-3, 3)) for _ in annihilator] for _ in range(2)])
+    return BilinearForm.from_entries(n, {(i, j): phi[i] * psi[j] - phi[j] * psi[i]
+                                         for i in range(n) for j in range(i + 1, n)})
+
+
+def test_is_cocycle_on_generators_matches_the_full_walk():
+    rng = random.Random(3301)
+    s5 = plesken_algebra(preset("symmetric", 5))[0]
+    heis125 = plesken_algebra(preset("heisenberg_p", 5))[0]
+    relabel = lambda g: LieAlgebra(g.dim, _normalize_table(g.dim, relabelled_table(g, rng)),
+                                   _default_labels(g.dim))
+    # c [x, y] is a Lie bracket too; c = 2/3 - i makes it Gaussian with E = 3
+    c = S(Fraction(2, 3), -1)
+    gaussian = LieAlgebra(s5.dim, {pair: tuple((k, c * x) for k, x in ts)
+                                   for pair, ts in s5.brackets.items()}, s5.basis_labels)
+    cases = [s5, relabel(s5), gaussian, relabel(heis125)]
+    assert all(algebra.lie_generators is not None for algebra in cases)
+    for algebra in cases:
+        forms = _oracle_forms(rng, algebra)[1:]
+        if algebra.dim == heis125.dim:
+            wedge = _wedge_cocycle(rng, algebra)
+            forms += [wedge, wedge.add(_sparse_form(rng, algebra.dim, 1))]
+        results = [is_cocycle(algebra, alpha) for alpha in forms]
+        assert results == [full_walk_is_cocycle(algebra, alpha) for alpha in forms]
+        assert results[0] == (True, None) and not all(ok for ok, _ in results)
+        if algebra.dim == heis125.dim:
+            assert results[-2:] == [(True, None), results[-1]] and not results[-1][0]
+
+
+def test_non_lie_record_above_the_crossover_keeps_the_full_walk():
+    # L(A5) + L(Heis27), dim 35, with one entry changed: Jacobi fails, so
+    # the generator triples cut out more than Z^2, and no check may use them
+    a5 = plesken_algebra(from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]))[0]
+    heis27 = plesken_algebra(preset("heisenberg_p", 3))[0]
+    n = a5.dim + heis27.dim
+    table = {}
+    for offset, part in ((0, a5), (a5.dim, heis27)):
+        for i, j in part.brackets:
+            vec = [ZERO] * n
+            vec[offset:offset + part.dim] = part.structure(i, j)
+            table[(offset + i, offset + j)] = vec
+    table[max(table)][0] += ONE
+    record = LieAlgebra(n, _normalize_table(n, table), _default_labels(n))
+    generators = _ad_generators(record)
+    assert generators is not None and record.lie_generators is None
+    nflat = flat_dim(n)
+    z2 = z2_basis(record)
+    assert z2 == linalg.Subspace.from_reduced(nflat, linalg._kernel(
+        scalar_constraint_rows(record, _linked_triples(record)), nflat))
+    on_generators = linalg.Subspace.from_reduced(nflat, linalg._kernel(
+        scalar_constraint_rows(record, _linked_triples(record, generators)), nflat))
+    assert z2.dim < on_generators.dim
+    alpha = next(BilinearForm.from_flat(n, row) for row in on_generators.basis
+                 if not z2.contains(row))
+    ok, witness = is_cocycle(record, alpha)
+    assert not ok and (ok, witness) == all_triples_is_cocycle(record, alpha)
 
 
 def test_zero_bracket_dim_1000_is_cheap():

@@ -19,13 +19,14 @@ from math import comb
 
 import pytest
 
-from dense import dense_nullspace, rescaled_table
+from dense import dense_nullspace, rescaled_table, scalar_constraint_rows
 from plesken import cli, cohomology, from_permutation_generators, linalg, plesken_algebra, preset
 from plesken.cohomology import _split_z2, b2_basis, h2, z2_basis
 from plesken.liealg import (
     _derived_rows,
     _killing_columns,
     _killing_full_rank,
+    _linked_triples,
     _split_ideal,
     algebra_to_json,
     center,
@@ -282,6 +283,23 @@ def test_takiff_algebras_have_no_h2(q8_algebra):
         assert _split_ideal(algebra)[1] is False
         result = h2(algebra)
         assert result.dimension == 0 and result.b2.dim == 2 * g.dim
+
+
+def test_takiff_of_a5_at_the_crossover():
+    # T(L(A5)), dim 44, takes the general path above the closure's size gate:
+    # Z^2 still reads every linked triple, and the triples holding one of
+    # the generators that certify Jacobi cut out the same Z^2, which is what
+    # lets is_cocycle read only those
+    algebra = takiff(a5_algebra())
+    generators = algebra.lie_generators
+    assert algebra.dim == 44 and 3 * len(generators) < 44
+    assert len(cohomology._constraint_rows(algebra)) == 11680
+    nflat = cohomology.flat_dim(44)
+    z2 = z2_basis(algebra)
+    on_generators = scalar_constraint_rows(algebra, _linked_triples(algebra, generators))
+    assert len(on_generators) < 11680 / 4
+    assert z2 == linalg.Subspace.from_reduced(nflat, linalg._kernel(on_generators, nflat))
+    assert z2.dim == 44
 
 
 def _order_at_most(generators, cap):

@@ -13,6 +13,7 @@ from dense import (
     dense_nullspace,
     dense_rref,
     gaussian_table,
+    relabelled_table,
     rescaled_table,
 )
 from plesken import errors
@@ -24,7 +25,10 @@ from plesken.liealg import (
     LieAlgebra,
     PleskenBasis,
     Subspace,
+    _ad_generators,
     _default_labels,
+    _jacobiators,
+    _linked_triples,
     _normalize_table,
     ad_matrix,
     algebra_from_json,
@@ -447,6 +451,101 @@ def test_jacobi_at_scale_matches_all_triples():
                   Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 999)))
         algebra = unchecked(n, {p: [scale * c for c in vec] for p, vec in table.items()})
         assert verify_lie_axioms(algebra) == all_triples_jacobi(algebra)
+
+
+# -- the Jacobi certificate on a Lie generating set ----------------------------------
+
+
+def full_walk_jacobi(algebra):
+    """Oracle: the Jacobiator on every linked triple, generators or not."""
+    return list(_jacobiators(algebra, _linked_triples(algebra)))
+
+
+@pytest.fixture(scope="module")
+def s5():
+    return plesken_algebra(preset("symmetric", 5))[0]
+
+
+def test_no_closure_below_its_dimension(fixture_set):
+    # the gate returns before the structure constants are even cleared
+    a5 = plesken_algebra(from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]))[0]
+    for algebra in [a for _, a in fixture_set.algebras] + [a5]:
+        assert algebra.dim <= 24
+        fresh = LieAlgebra(algebra.dim, algebra.brackets, algebra.basis_labels)
+        assert _ad_generators(fresh) is None and "integer_terms" not in fresh.__dict__
+        assert fresh.lie_generators is None
+        assert verify_lie_axioms(fresh) == full_walk_jacobi(fresh) == []
+
+
+def test_closure_reaches_all_of_l_from_its_generators(s5):
+    # the ad_S-closure, recomputed level by level with the bracket, spans L;
+    # each x_g joins S only when the closure of those before it misses it
+    generators = s5.lie_generators
+    assert sorted(generators) == sorted(_ad_generators(s5)) == [0, 1, 2, 7, 8]
+    n = s5.dim
+    units = [[ONE if t == g else ZERO for t in range(n)] for g in sorted(generators)]
+    reached, frontier = list(units), list(units)
+    while frontier:
+        span = Subspace.from_spanning(n, reached)
+        frontier = [v for w in frontier for x in units
+                    if not span.contains(v := bracket(s5, x, w))]
+        reached += frontier
+    assert Subspace.from_spanning(n, reached).dim == n
+
+
+def test_jacobi_certificate_matches_the_full_walk(s5):
+    rng = random.Random(2609)
+    a5 = plesken_algebra(from_permutation_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]))[0]
+    heis125 = plesken_algebra(preset("heisenberg_p", 5))[0]
+    cases = [s5, heis125] + [unchecked(g.dim, relabelled_table(g, rng))
+                             for g in (s5, s5, a5, heis125)]
+    # above the crossover over Q(i): L(S5) in a seeded Gaussian-rational basis
+    scales = [rng.choice([S(Fraction(1, 2), 1), S(0, 3), S(Fraction(2, 3), -1), S(-2)])
+              for _ in range(s5.dim)]
+    gaussian = unchecked(s5.dim, rescaled_table(s5, scales))
+    assert not gaussian.integer_terms.real and gaussian.integer_terms.den > 1
+    cases.append(gaussian)
+    for algebra in cases:
+        assert verify_lie_axioms(algebra) == full_walk_jacobi(algebra) == []
+    for algebra in cases[0], cases[2]:
+        # the walk of the generators is the full walk filtered, in order
+        generators = algebra.lie_generators
+        assert list(_linked_triples(algebra, generators)) == [
+            t for t in _linked_triples(algebra) if generators.intersection(t)]
+    # which path ran: every L(S5) basis is certified on a few generators; in
+    # its preset basis L(Heis125), with a 14-dimensional center, needs 3 |S|
+    # past its dimension, and L(A5) is below the crossover
+    assert [len(cases[i].lie_generators) < 6 for i in (0, 2, 3, -1)] == [True] * 4
+    assert [cases[i].lie_generators for i in (1, 4)] == [None] * 2
+
+
+def _perturbed(algebra, pair, k, delta):
+    table = {p: list(algebra.structure(*p)) for p in algebra.brackets}
+    vec = table.setdefault(pair, [ZERO] * algebra.dim)
+    vec[k] = vec[k] + delta
+    return table
+
+
+def test_one_entry_perturbations_keep_their_jacobi_witness(s5):
+    # a broken table is caught on the generators, then the full walk names
+    # the same first triple and the same residuals as it always has
+    algebra = s5
+    generators = algebra.lie_generators
+    rng = random.Random(4451)
+    pairs = sorted(algebra.brackets)
+    picks = [pair for pair in pairs if not set(pair) & generators][-2:]
+    picks += rng.sample(pairs, 1) + [(39, 41)]
+    assert (39, 41) not in algebra.brackets
+    for pair in picks:
+        table = _perturbed(algebra, pair, rng.randrange(algebra.dim), S(rng.choice([-1, 1, 2])))
+        broken = unchecked(algebra.dim, table)
+        assert broken.lie_generators is None
+        failures = verify_lie_axioms(broken)
+        assert failures and failures == full_walk_jacobi(broken)
+        with pytest.raises(errors.JacobiViolation) as exc:
+            from_structure_constants(algebra.dim, table)
+        i, j, k, residual = failures[0]
+        assert exc.value.witness == [i, j, k, [str(x) for x in residual]]
 
 
 def test_killing_form_makes_no_scalar_products(monkeypatch):

@@ -78,7 +78,7 @@ from .liealg import (
     _split_ideal,
 )
 from .linalg import Subspace, Vector
-from .scalars import ONE, ZERO, Scalar, clear
+from .scalars import ZERO, Scalar, clear
 
 
 def flat_dim(n: int) -> int:
@@ -155,7 +155,9 @@ class BilinearForm(Record, eq=True, hashable=False):
         return BilinearForm(self.dim, tuple(a + b for a, b in zip(self.flat, other.flat)))
 
     def sub(self, other: "BilinearForm") -> "BilinearForm":
-        return self.add(other.scale(-ONE))
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"forms of dim {self.dim} and {other.dim}")
+        return BilinearForm(self.dim, tuple(a - b for a, b in zip(self.flat, other.flat)))
 
     def scale(self, c: Scalar) -> "BilinearForm":
         return BilinearForm(self.dim, tuple(c * a for a in self.flat))
@@ -425,13 +427,13 @@ def _cohomologous(algebra: LieAlgebra, alpha: BilinearForm,
                   beta: BilinearForm) -> LinearFunctional | None:
     """:func:`are_cohomologous` for two cocycles the caller has certified."""
     n = algebra.dim
-    pairs = sorted(algebra.brackets)
-    rows = [algebra.structure(i, j) for i, j in pairs]
-    rhs = [beta.entry(i, j) - alpha.entry(i, j) for i, j in pairs]
-    # pairs with zero bracket force nothing; alpha and beta must already agree
+    rows, rhs = [], []
     for pair, a, b in zip(_pairs(n), alpha.flat, beta.flat):
-        if a != b and pair not in algebra.brackets:
-            return None
+        if pair in algebra.brackets:
+            rows.append(algebra.structure(*pair))
+            rhs.append(b - a)
+        elif a != b:
+            return None  # a zero bracket forces nothing; alpha and beta must agree
     if not rows:
         return LinearFunctional.zero(n)
     solution = linalg.solve(rows, rhs, n)

@@ -20,16 +20,16 @@ library, :func:`~plesken.linalg._combine`: a matrix M is read once by
 terms (r, Re, Im) of each nonzero column of D M, and every product and check
 is one sum of (x + i y) * column, scaled so that it is empty exactly when the
 check holds; the cost follows the nonzeros rather than (n+1)^2 per vector.
-An extension caches this form of f, g and its stored s, a section given is
-read once for both the check g s = I and the extraction, and phi once for all
-of its checks.  The checks that read the bracket sum the columns
-against the Gaussian-integer :attr:`~plesken.liealg.LieAlgebra.integer_terms`
-through the one bracket of term lists, :func:`~plesken.liealg._bracket_pairs`.
-A defect stays integer sums: only a coefficient alpha(i, j), a witness string
-and the entries of phi become ``Scalar``.  A section is found by the one
-exact solve of :mod:`plesken.linalg`, applied to g s = I, so it is not
-checked again; every extracted cocycle is certified once, by :func:`_cocycle`,
-and compared by :func:`~plesken.cohomology._cohomologous` with no re-check.
+An extension caches this form of f and g; a section is read once for both
+the check g s = I and the extraction, and phi once for all of its checks.
+The checks that read the bracket sum the columns against the Gaussian-integer
+:attr:`~plesken.liealg.LieAlgebra.integer_terms` through the one bracket of
+term lists, :func:`~plesken.liealg._bracket_pairs`.  A defect stays integer
+sums: only a coefficient alpha(i, j), a witness string and the entries of
+phi become ``Scalar``.  A section is found by the one exact solve of
+:mod:`plesken.linalg`, applied to g s = I, so it is not checked again; every
+extracted cocycle is certified once, by :func:`_cocycle`, and compared by
+:func:`~plesken.cohomology._cohomologous` with no re-check.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ class CentralExtension(Record):
     def projection_columns(self) -> tuple[int, dict[int, list[tuple[int, int, int]]]]:
         """:func:`_cleared_columns` of the projection g."""
         return _cleared_columns(self.projection_g)
-
-    @cached_property
-    def section_columns(self) -> tuple[int, dict[int, list[tuple[int, int, int]]]] | None:
-        """:func:`_cleared_columns` of the stored section s, None without one."""
-        return None if self.section_s is None else _cleared_columns(self.section_s)
 
 
 def extension_from_cocycle(base: LieAlgebra, alpha: BilinearForm) -> CentralExtension:
@@ -138,7 +133,7 @@ def verify_central_extension(ext: CentralExtension) -> list[str]:
     for j in range(n + 1):
         if linalg._combine(_bracket_pairs(terms, f_terms, ((j, 1, 0),))):
             failures.append(f"kernel line is not central: [f, x_{j}] != 0")
-    if s is not None and not _is_right_inverse(ext, s, ext.section_columns):
+    if s is not None and not _is_right_inverse(ext, s, _cleared_columns(s)):
         failures.append("stored section does not satisfy g s = I")
     return failures
 
@@ -223,7 +218,7 @@ def _kernel_coefficient(ext: CentralExtension, sums: dict[int, list[int]], den: 
 
 def cocycle_from_extension(ext: CentralExtension, section: Matrix) -> BilinearForm:
     """alpha(x_i, x_j) = [s x_i, s x_j] - s [x_i, x_j], read off the kernel line."""
-    cleared = ext.section_columns if section is ext.section_s else _cleared_columns(section)
+    cleared = _cleared_columns(section)
     if not _is_right_inverse(ext, section, cleared):
         raise NoSection("given map is not a section: g s != I")
     return _cocycle(ext, cleared)

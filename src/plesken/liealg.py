@@ -33,7 +33,7 @@ g_hat = g - g^-1 inside the group algebra, closed under the commutator.  Its
 structure constants are obtained by evaluating the group-algebra commutator
 and re-expressing the result in the hat basis; no closed bracket formula is
 hard-coded.  A commutator of two hat elements has at most eight nonzero
-coefficients, so :func:`hat_coordinates` reads only those, through the
+coefficients, so :func:`_hat_terms` reads only those, through the
 element -> basis index map :attr:`PleskenBasis.members`
 made once per basis, never a scan of all n pairs.
 """
@@ -200,9 +200,9 @@ def _checked(dim: int, brackets: dict[tuple[int, int], Terms],
     if len(lab) != dim:
         raise BadParameter(f"{len(lab)} labels for dimension {dim}")
     algebra = LieAlgebra(dim=dim, brackets=brackets, basis_labels=lab)
-    failures = verify_lie_axioms(algebra)
-    if failures:
-        i, j, k, residual = failures[0]
+    failure = next(_jacobi_failures(algebra), None)
+    if failure is not None:
+        i, j, k, residual = failure
         raise JacobiViolation(
             f"Jacobi identity fails on basis triple ({i},{j},{k})",
             witness=[i, j, k, [str(x) for x in residual]])
@@ -371,10 +371,11 @@ def _ad_generators(algebra: LieAlgebra) -> frozenset[int] | None:
     Like :func:`~plesken.groups._magma_generators`: walk the basis in index
     order; each x_g outside the closure so far joins S, first bracketed with
     the vectors already reached, and the closure grows breadth-first: each
-    vector reached is bracketed with every x_s.  A bracket whose residue
-    against the closure's RREF rows is nonzero is reached as itself, with
-    its content divided out, never as the residue, whose coefficients grow
-    with each reduction.  The walk ends as soon as the RREF has n rows."""
+    vector reached is bracketed with every x_s.  The closure is its RREF,
+    grown by :func:`linalg._keep` (reduced, as the skip of x_g needs); a
+    bracket it keeps is reached as itself, content divided out, never as
+    the residue, whose coefficients grow with each reduction.  The walk ends
+    as soon as the RREF has n rows."""
     n = algebra.dim
     if n < _CLOSURE_MIN_DIM:
         return None
@@ -383,21 +384,14 @@ def _ad_generators(algebra: LieAlgebra) -> frozenset[int] | None:
     if 3 * (n - len(image)) >= n:
         return None
     kept: dict[int, linalg.Row] = {}  # the closure so far, as its RREF
+    holders: dict[int, set[int]] = {}
     reached: list[list[tuple[int, int, int]]] = []
     generators: list[int] = []
 
     def reach(re: dict[int, int], im: dict[int, int]) -> None:
-        cols = linalg._columns(re, im)
-        rre, rim = linalg._reduce(dict(re), dict(im), [(p, kept[p]) for p in cols if p in kept])
-        if rre or rim:
-            lead = min(linalg._columns(rre, rim))
-            row = linalg._lead_real(rre, rim, lead)
-            for p, (ore, oim) in kept.items():
-                if lead in ore or lead in oim:
-                    kept[p] = linalg._primitive(*linalg._reduce(ore, oim, ((lead, row),)))
-            kept[lead] = row
+        if linalg._keep(kept, holders, dict(re), dict(im)) is not None:
             re, im = linalg._primitive(re, im)
-            reached.append([(k, re.get(k, 0), im.get(k, 0)) for k in cols])
+            reached.append([(k, re.get(k, 0), im.get(k, 0)) for k in linalg._columns(re, im)])
 
     def ad(s: int, w: list[tuple[int, int, int]]) -> None:
         sums = linalg._combine(_bracket_pairs(terms, ((s, 1, 0),), w))
@@ -432,9 +426,14 @@ def verify_lie_axioms(algebra: LieAlgebra) -> list[tuple[int, int, int, tuple[Sc
     An algebra certified Lie by :attr:`LieAlgebra.lie_generators` has none.
     Otherwise every linked triple is walked (:func:`_jacobiators`), which
     also gives the full list of an algebra that fails on a generator."""
+    return list(_jacobi_failures(algebra))
+
+
+def _jacobi_failures(algebra: LieAlgebra):
+    """:func:`verify_lie_axioms` lazily: a residual is unpacked when taken."""
     if not algebra.integer_terms.terms or algebra.lie_generators is not None:
-        return []
-    return list(_jacobiators(algebra, _linked_triples(algebra)))
+        return iter(())
+    return _jacobiators(algebra, _linked_triples(algebra))
 
 
 # -- group algebra ------------------------------------------------------------
@@ -480,8 +479,11 @@ def plesken_pairs(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
 
 
 def _hat_terms(element: GroupAlgebraElement, basis: PleskenBasis) -> Terms:
-    """The nonzero hat coordinates (k, c) of ``element``, in increasing k; see
-    :func:`hat_coordinates`."""
+    """The nonzero hat coordinates (k, c) of ``element``, in increasing k,
+    read from its nonzero coefficients only.  Raises ValueError when the
+    element is outside the span: pair weights that are not opposite (the
+    first such pair in basis order), else nonzero weight on a self-inverse
+    element (the first in the element's order)."""
     coeffs, members = element.coefficients, basis.members
     loose = next((g for g in coeffs if g not in members), None)
     terms = []
@@ -497,21 +499,6 @@ def _hat_terms(element: GroupAlgebraElement, basis: PleskenBasis) -> Terms:
         raise ValueError(
             f"element is not in the hat span: weight on self-inverse element {loose}")
     return tuple(terms)
-
-
-def hat_coordinates(group: FiniteGroup, element: GroupAlgebraElement,
-                    basis: PleskenBasis) -> list[Scalar]:
-    """Express a group-algebra element in the hat basis, reading only its
-    nonzero coefficients through :attr:`PleskenBasis.members`.
-
-    Raises ValueError when the element is outside the span: pair weights that
-    are not opposite (the first such pair in basis order), else nonzero
-    weight on a self-inverse element (the first in the element's order).
-    """
-    coords = [ZERO] * len(basis.pairs)
-    for k, c in _hat_terms(element, basis):
-        coords[k] = c
-    return coords
 
 
 def plesken_algebra(group: FiniteGroup) -> tuple[LieAlgebra, PleskenBasis]:

@@ -127,6 +127,8 @@ def projective_rep(algebra: LieAlgebra, matrices: Sequence[Matrix],
             raise DimensionMismatch("all matrices must be square of equal size")
     if d < 1:
         raise DimensionMismatch("degree must be at least 1")
+    if cocycle is not None and cocycle.dim != n:
+        raise DimensionMismatch(f"cocycle of dim {cocycle.dim} for algebra of dim {n}")
     rep = ProjectiveRep(algebra=algebra, degree=d, matrices=_freeze(matrices),
                         cocycle=cocycle)
     if cocycle is not None:

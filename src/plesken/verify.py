@@ -55,7 +55,6 @@ from .liealg import (
     ad_matrix,
     from_structure_constants,
     group_algebra_commutator,
-    hat_coordinates,
     hat_element,
     is_semisimple,
     plesken_algebra,
@@ -244,23 +243,27 @@ def random_cocycle(rng: random.Random, algebra: LieAlgebra,
 
 
 def criterion_plesken_construction(fixtures: FixtureSet, rng: random.Random) -> dict:
-    """Dimension law, Lie axioms, and the commutator oracle on every group."""
+    """Dimension law, Lie axioms, and the commutator oracle on every group:
+    each stored bracket sum_k c_k x_k of the fixture L(G), expanded as
+    sum_k c_k (g_k - g_k^-1), is the commutator of the two hat elements."""
     checked = []
-    for name, group in fixtures.groups:
-        algebra, basis = plesken_algebra(group)
+    for name, _ in fixtures.groups:
+        algebra = fixtures.algebra(f"L({name})")
+        group, basis = algebra.provenance
         expected_dim = (group.order - self_inverse_count(group)) // 2
         assert 2 * expected_dim == group.order - self_inverse_count(group)
         if algebra.dim != expected_dim:
             return _fail(f"{name}: dim {algebra.dim} != {expected_dim}")
         if verify_lie_axioms(algebra):
             return _fail(f"{name}: Jacobi violations found")
+        hats = [hat_element(group, g) for g, _ in basis.pairs]
         for i in range(algebra.dim):
             for j in range(i + 1, algebra.dim):
-                w = group_algebra_commutator(
-                    group, hat_element(group, basis.pairs[i][0]),
-                    hat_element(group, basis.pairs[j][0]))
-                coords = hat_coordinates(group, w, basis)
-                if tuple(coords) != algebra.structure(i, j):
+                expanded = {}
+                for k, c in algebra.brackets.get((i, j), ()):
+                    g, gi = basis.pairs[k]
+                    expanded[g], expanded[gi] = c, -c
+                if expanded != group_algebra_commutator(group, hats[i], hats[j]).coefficients:
                     return _fail(f"{name}: oracle mismatch at pair ({i},{j})")
         checked.append({"group": name, "order": group.order, "dim": algebra.dim})
     return _ok(groups=checked)

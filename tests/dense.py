@@ -108,7 +108,7 @@ def dense_bracket(algebra, u, v):
 def dense_hat_coordinates(group, element, basis):
     """Hat coordinates by a scan of every basis pair, then of every
     coefficient for weight outside the pairs; the same ValueErrors as
-    :func:`~plesken.liealg.hat_coordinates`."""
+    :func:`~plesken.liealg._hat_terms`."""
     coords = []
     coeffs = element.coefficients
     for g, gi in basis.pairs:

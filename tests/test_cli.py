@@ -158,6 +158,24 @@ def test_rep_flow(tmp_path, capsys):
     assert "ok: true" in out
 
 
+@pytest.mark.parametrize("upper", [
+    [["1"]],
+    [["1", "0", "0", "0"], ["0", "0", "0"], ["0", "0"], ["0"]],
+], ids=["dim2", "dim5"])
+def test_rep_cocycle_of_another_dimension_exits_1(tmp_path, capsys, upper):
+    # the dim-5 form holds the right alpha(X,Y) at its flat position
+    lpath, rpath = _write_heis_rep(tmp_path)
+    doc = json.loads(rpath.read_text())
+    dim = len(upper) + 1
+    rpath.write_text(json.dumps({**doc, "alpha": {"dim": dim, "upper": upper}}))
+    spath = tmp_path / "sigma.json"
+    spath.write_text(json.dumps({"v": ["1", "0", "0"]}))
+    for verb in (["rep", "cocycle"], ["rep", "twist", "--sigma", str(spath)]):
+        code, out, err = run_cli(capsys, *verb, "-L", str(lpath), "-r", str(rpath))
+        assert (code, out) == (1, "")
+        assert err == f"error: DimensionMismatch: cocycle of dim {dim} for algebra of dim 3\n"
+
+
 def test_rep_twist_without_algebra(tmp_path, capsys):
     _, rpath = _write_heis_rep(tmp_path)
     spath = tmp_path / "sigma.json"

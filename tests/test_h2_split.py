@@ -22,6 +22,7 @@ import pytest
 from dense import dense_nullspace, rescaled_table, scalar_constraint_rows
 from plesken import cli, cohomology, from_permutation_generators, linalg, plesken_algebra, preset
 from plesken.cohomology import _split_z2, b2_basis, h2, z2_basis
+from plesken.groups import from_cayley_table
 from plesken.liealg import (
     _derived_rows,
     _killing_columns,
@@ -352,3 +353,77 @@ def test_plesken_algebras_of_random_groups_are_reductive():
         assert h2(algebra).dimension == comb(c, 2)
         orders.add(group.order)
     assert len(orders) >= 3
+
+
+# -- the closed form of every L(G) ---------------------------------------------------
+#
+# L(G) is reductive (Cohen and Taylor, Amer. Math. Monthly 114, 2007): with c the
+# dimension of its center, Whitehead's lemmas and the Kunneth formula give
+# dim B^2 = dim L - c and dim H^2 = C(c, 2).  On the group side c counts the
+# pairs of non-real irreducible characters, (k - k_real) / 2, plus the real
+# characters of degree 2 and indicator +1; a group of odd order has no real
+# character but the trivial one, and S5 and Q8 have no such degree-2 character.
+
+
+def class_counts(table):
+    """(k, k_real): the conjugacy classes of the group with this Cayley table,
+    and those closed under inversion, with the identity and the inverses read
+    from the table itself."""
+    n = len(table)
+    e = next(a for a in range(n) if table[a][a] == a)
+    inv = [row.index(e) for row in table]
+    seen, k, k_real = set(), 0, 0
+    for x in range(n):
+        if x not in seen:
+            conjugates = {table[table[g][x]][inv[g]] for g in range(n)}
+            seen |= conjugates
+            k += 1
+            k_real += inv[x] in conjugates
+    return k, k_real
+
+
+def relabelled(group, seed):
+    """The group with its elements renamed by a seeded permutation."""
+    n = group.order
+    name = list(range(n))
+    random.Random(seed).shuffle(name)
+    table = [[0] * n for _ in range(n)]
+    for a, row in enumerate(group.table):
+        for b, ab in enumerate(row):
+            table[name[a]][name[b]] = name[ab]
+    return from_cayley_table(table)
+
+
+PRESETS_UP_TO_27 = ([("cyclic", n) for n in range(1, 28)]
+                    + [("dihedral", n) for n in range(1, 14)]
+                    + [("symmetric", n) for n in range(1, 5)]
+                    + [("quaternion8", 0), ("heisenberg_p", 3)]
+                    + [("elementary_abelian_p2", p) for p in (2, 3, 5)])
+
+
+@pytest.mark.parametrize("name,param,seed", [
+    *[(name, param, None) for name, param in PRESETS_UP_TO_27],
+    ("symmetric", 5, None), ("heisenberg_p", 5, None),
+    ("symmetric", 4, 1), ("dihedral", 6, 2), ("quaternion8", 0, 3), ("heisenberg_p", 3, 4),
+    ("symmetric", 5, 5),
+])
+def test_h2_and_center_of_plesken_algebras_match_the_closed_form(name, param, seed, monkeypatch):
+    group = preset(name, param)
+    if seed is not None:
+        group = relabelled(group, seed)
+    algebra, _ = plesken_algebra(group)
+    n, c = algebra.dim, center(algebra).dim
+    k, k_real = class_counts(group.table)
+    assert (k - k_real) % 2 == 0
+    if group.order % 2 or (name, param) in (("symmetric", 5), ("quaternion8", 0)):
+        assert c == (k - k_real) // 2
+    else:
+        assert c >= (k - k_real) // 2
+    results = [h2(algebra)]
+    if n <= 13:
+        # the general path too, which no L(G) takes unless it is abelian
+        results.append(general_h2(algebra, monkeypatch))
+    for result in results:
+        assert result.b2.dim == n - c
+        assert result.dimension == len(result.representatives) == comb(c, 2)
+        assert result.z2.dim == n - c + comb(c, 2)

@@ -16,7 +16,7 @@ from dense import (
     relabelled_table,
     rescaled_table,
 )
-from plesken import errors
+from plesken import errors, liealg
 from plesken.cohomology import BilinearForm
 from plesken.extensions import extension_from_cocycle
 from plesken.groups import from_permutation_generators, preset, self_inverse_count
@@ -27,6 +27,7 @@ from plesken.liealg import (
     Subspace,
     _ad_generators,
     _default_labels,
+    _hat_terms,
     _jacobiators,
     _linked_triples,
     _normalize_table,
@@ -38,7 +39,6 @@ from plesken.liealg import (
     derived_subalgebra,
     from_structure_constants,
     group_algebra_commutator,
-    hat_coordinates,
     hat_element,
     is_semisimple,
     killing_form,
@@ -141,9 +141,28 @@ def test_plesken_dimension_and_axioms(name, param):
     assert all(group.inverse[g] == gi and g < gi for g, gi in basis.pairs)
 
 
+def expanded_bracket(algebra, basis, i, j):
+    """The stored terms (k, c) of [x_i, x_j] expanded in the group algebra as
+    sum_k c (g_k - g_k^-1), as a coefficient dict."""
+    out = {}
+    for k, c in algebra.brackets.get((i, j), ()):
+        g, gi = basis.pairs[k]
+        out[g], out[gi] = c, -c
+    return out
+
+
+def densified_hat_terms(group, element, basis):
+    """The dense hat coordinates of ``element``, from :func:`_hat_terms`; the
+    group is unused and kept for the signature of the dense oracle."""
+    coords = [ZERO] * len(basis.pairs)
+    for k, c in _hat_terms(element, basis):
+        coords[k] = c
+    return coords
+
+
 @pytest.mark.parametrize("name,param", FIXTURE_GROUPS)
 def test_plesken_oracle_equivalence(name, param):
-    # every structure constant re-derived from the group-algebra commutator
+    # every stored bracket, expanded in the group algebra, is the commutator
     group = preset(name, param)
     algebra, basis = plesken_algebra(group)
     for i in range(algebra.dim):
@@ -151,7 +170,7 @@ def test_plesken_oracle_equivalence(name, param):
             w = group_algebra_commutator(
                 group, hat_element(group, basis.pairs[i][0]),
                 hat_element(group, basis.pairs[j][0]))
-            assert tuple(hat_coordinates(group, w, basis)) == algebra.structure(i, j)
+            assert expanded_bracket(algebra, basis, i, j) == w.coefficients
 
 
 @pytest.mark.parametrize("name,param", FIXTURE_GROUPS + [("symmetric", 5), ("heisenberg_p", 5)])
@@ -162,7 +181,7 @@ def test_hat_coordinates_match_dense_oracle_on_every_commutator(name, param):
     for i, u in enumerate(hats):
         for v in hats[i + 1:]:
             w = group_algebra_commutator(group, u, v)
-            assert hat_coordinates(group, w, basis) == dense_hat_coordinates(group, w, basis)
+            assert densified_hat_terms(group, w, basis) == dense_hat_coordinates(group, w, basis)
 
 
 def _outcome(fn, *args):
@@ -206,7 +225,7 @@ def test_hat_coordinates_reject_like_dense_oracle(name, param):
         items = list(coeffs.items())
         rng.shuffle(items)
         element = GroupAlgebraElement(dict(items))
-        got = _outcome(hat_coordinates, group, element, basis)
+        got = _outcome(densified_hat_terms, group, element, basis)
         assert got == _outcome(dense_hat_coordinates, group, element, basis)
         assert got[0] is ValueError
         seen.add((kind, got[1].split(":")[1].split()[0]))
@@ -296,6 +315,33 @@ def test_verify_axioms_broken_table():
     i, j, k, residual = failures[0]
     assert (i, j, k) == (0, 1, 2)
     assert residual == (ZERO, ZERO, ONE)
+
+
+def test_non_jacobi_table_is_refused_at_its_first_failing_triple(monkeypatch):
+    # a dense seeded table fails Jacobi on most triples; both readers name the
+    # first failure of the full list and unpack no other residual
+    rng = random.Random("first-failure")
+    n = 12
+    table = {(i, j): [rng.randint(-2, 2) for _ in range(n)]
+             for i in range(n) for j in range(i + 1, n)}
+    failures = verify_lie_axioms(unchecked(n, table))
+    assert len(failures) > 1
+    i, j, k, residual = failures[0]
+    doc = algebra_to_json(unchecked(n, table))
+    jacobiators, unpacked = liealg._jacobiators, []
+
+    def counted(algebra, triples):
+        for failure in jacobiators(algebra, triples):
+            unpacked.append(failure[:3])
+            yield failure
+
+    monkeypatch.setattr(liealg, "_jacobiators", counted)
+    for read in (lambda: from_structure_constants(n, table), lambda: algebra_from_json(doc)):
+        unpacked.clear()
+        with pytest.raises(errors.JacobiViolation) as exc:
+            read()
+        assert exc.value.witness == [i, j, k, [str(x) for x in residual]]
+        assert unpacked == [(i, j, k)]
 
 
 # breaks Jacobi on three of the four triples, with complex residuals;

@@ -101,6 +101,23 @@ def test_projective_rep_rejects_mismatched_cocycle(abelian2):
     assert exc.value.witness == [0, 1]
 
 
+@pytest.mark.parametrize("dim", [2, 5])
+def test_projective_rep_refuses_a_cocycle_of_another_dimension(heis_rep, heis3, monkeypatch,
+                                                              dim):
+    # the dim-5 form holds the defects of dim 3 at their flat positions, and
+    # the dim-2 form is too short; shapes are checked first and no defect is
+    # formed
+    alpha = BilinearForm.from_entries(dim, {(0, 1): ONE})
+    formed = []
+    monkeypatch.setattr(projreps, "_defect", lambda *args: formed.append(args))
+    with pytest.raises(errors.DimensionMismatch) as exc:
+        projective_rep(heis3, heis_rep.matrices, cocycle=alpha)
+    assert str(exc.value) == f"cocycle of dim {dim} for algebra of dim 3"
+    with pytest.raises(errors.DimensionMismatch, match="square"):
+        projective_rep(heis3, [[[ONE]], [[ONE, ZERO]], [[ONE]]], cocycle=alpha)
+    assert formed == []
+
+
 def test_projective_rep_rejects_e12_e23():
     algebra = from_structure_constants(2, {})
     e12 = [[ZERO, ONE, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]

@@ -3,13 +3,14 @@ dense-sum statements in :mod:`dense`: equal values from the same rng calls."""
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
 
 import dense
 from plesken import verify
-from plesken.liealg import from_structure_constants
+from plesken.liealg import LieAlgebra, from_structure_constants
 from plesken.linalg import Subspace
 from plesken.scalars import ZERO
 
@@ -60,3 +61,19 @@ def test_cocycle_draws_match_on_gaussian_rows_with_unequal_leads(seed):
     assert any(re[p] != 1 for p, (re, _) in z2._kept.items())
     got, want = _both(seed, verify.random_cocycle, dense.random_cocycle, algebra, z2)
     assert got == want
+
+
+def test_commutator_oracle_catches_negated_brackets(fixture_set):
+    # L(Heis27) with every bracket negated is still Lie, of the right
+    # dimension, and keeps its provenance; only the oracle can tell
+    good = fixture_set.algebra("L(Heis27)")
+    bad = LieAlgebra(dim=good.dim, basis_labels=good.basis_labels, provenance=good.provenance,
+                     brackets={pair: tuple((k, -c) for k, c in ts)
+                               for pair, ts in good.brackets.items()})
+    fixtures = copy.copy(fixture_set)
+    fixtures.algebras = [(name, bad if name == "L(Heis27)" else algebra)
+                         for name, algebra in fixture_set.algebras]
+    assert verify.criterion_plesken_construction(fixture_set, random.Random(0))["passed"]
+    outcome = verify.criterion_plesken_construction(fixtures, random.Random(0))
+    assert not outcome["passed"]
+    assert outcome["details"]["reason"].startswith("Heis27: oracle mismatch at pair")

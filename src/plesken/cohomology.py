@@ -149,18 +149,27 @@ class BilinearForm(Record, eq=True, hashable=False):
                     acc = acc + m * coeff
         return acc
 
+    # add, sub and scale skip a ZERO operand by identity and keep a zero
+    # result the ZERO singleton, so a sparse form costs its nonzeros only
+
     def add(self, other: "BilinearForm") -> "BilinearForm":
         if other.dim != self.dim:
             raise DimensionMismatch(f"forms of dim {self.dim} and {other.dim}")
-        return BilinearForm(self.dim, tuple(a + b for a, b in zip(self.flat, other.flat)))
+        return BilinearForm(self.dim, tuple(
+            a if b is ZERO else b if a is ZERO else (a + b or ZERO)
+            for a, b in zip(self.flat, other.flat)))
 
     def sub(self, other: "BilinearForm") -> "BilinearForm":
         if other.dim != self.dim:
             raise DimensionMismatch(f"forms of dim {self.dim} and {other.dim}")
-        return BilinearForm(self.dim, tuple(a - b for a, b in zip(self.flat, other.flat)))
+        return BilinearForm(self.dim, tuple(
+            a if b is ZERO else -b if a is ZERO else (a - b or ZERO)
+            for a, b in zip(self.flat, other.flat)))
 
     def scale(self, c: Scalar) -> "BilinearForm":
-        return BilinearForm(self.dim, tuple(c * a for a in self.flat))
+        if not c:
+            return BilinearForm.zero(self.dim)
+        return BilinearForm(self.dim, tuple(a if a is ZERO else c * a for a in self.flat))
 
     def is_zero(self) -> bool:
         return not any(self.flat)
@@ -389,7 +398,8 @@ def h2(algebra: LieAlgebra) -> H2Result:
     Representatives are the Z^2 basis vectors reduced, in order, against the
     B^2 RREF basis and the representatives found so far, normalized to lead 1
     (:meth:`~plesken.linalg.Subspace.complement_rows`, in Gaussian integers);
-    only they become scalars and forms.
+    only they become scalars and forms, each made once, as the tuple
+    :meth:`BilinearForm.from_flat` keeps.
     """
     b2 = b2_basis(algebra)
     z2 = _split_z2(algebra, b2)

@@ -504,11 +504,13 @@ class Subspace:
                 f"vector of length {len(vector)} in ambient dim {self.ambient_dim}")
         return self._holds(_cleared(vector))
 
-    def complement_rows(self, space: "Subspace") -> list[list[Scalar]]:
+    def complement_rows(self, space: "Subspace") -> list[tuple[Scalar, ...]]:
         """Rows extending this basis to one of the sum with ``space``: the
         basis vectors of ``space``, in order, reduced against this basis and
         the rows found so far, kept when nonzero and scaled to lead 1.  Each
-        is zero on every earlier pivot, so it joins the basis as it stands."""
+        is zero on every earlier pivot, so it joins the basis as it stands.
+        Each row is made once, as a tuple, as :attr:`basis` makes its rows,
+        so a caller that keeps it needs no copy."""
         rows = dict(self._kept)
         out = []
         for row in space._kept.values():
@@ -516,5 +518,5 @@ class Subspace:
             if re or im:
                 lead = min(_columns(re, im))
                 rows[lead] = row = _lead_real(re, im, lead)
-                out.append(_scalars(row, row[0][lead], self.ambient_dim))
+                out.append(tuple(_scalars(row, row[0][lead], self.ambient_dim)))
         return out

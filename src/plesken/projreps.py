@@ -357,8 +357,9 @@ def verify_projective_equivalence(rep1: ProjectiveRep, rep2: ProjectiveRep,
     """Check Phi_2(x_i) = f Phi_1(x_i) f^-1 + delta(x_i) I for every i.
 
     For invertible f this is (Phi_2(x_i) - delta(x_i) I) f = f Phi_1(x_i),
-    which is tested on integer numerators; the residual
-    Phi_2(x_i) - delta(x_i) I - f Phi_1(x_i) f^-1 is built for failures only.
+    which is tested on integer numerators once f has full rank; f^-1 and the
+    residual Phi_2(x_i) - delta(x_i) I - f Phi_1(x_i) f^-1 are built for
+    failures only.
     """
     if rep1.degree != rep2.degree:
         raise DimensionMismatch(
@@ -369,8 +370,7 @@ def verify_projective_equivalence(rep1: ProjectiveRep, rep2: ProjectiveRep,
     d = rep1.degree
     if len(f) != d or any(len(row) != d for row in f):
         raise DimensionMismatch(f"f must be {d} x {d}")
-    f_inv = linalg.invert(f)
-    if f_inv is None:
+    if linalg.rank(f, d) < d:
         raise SingularF("witness matrix f is not invertible")
     shifted = [_shift_diagonal(m, s) for m, s in zip(rep2.matrices, delta.vector)]
     den1, phi1 = _clear(rep1.matrices)
@@ -382,10 +382,13 @@ def verify_projective_equivalence(rep1: ProjectiveRep, rep2: ProjectiveRep,
                * max(_magnitude(phi1) * den2, _magnitude(phi2) * den1))
     f_packed = _pack(f_int, w)
     failures = []
+    f_inv = None  # read only by a failure's residual
     for i, (x1, x2) in enumerate(zip(phi1, phi2)):
         left = _times(_pack(x2, w), f_packed, w)
         right = _times(f_packed, _pack(x1, w), w)
         if any(x * den1 != y * den2 for x, y in zip(left, right)):
+            if f_inv is None:
+                f_inv = linalg.invert(f)
             residual = _conjugation_residual(shifted[i], f, rep1.matrices[i], f_inv)
             failures.append((i, residual))
     return EquivalenceReport(failures=tuple(failures),

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +15,20 @@ from hypothesis import given, settings, strategies as st
 import plesken
 from plesken import cli
 from plesken.cli import main
-from plesken.cohomology import BilinearForm, form_from_json, form_to_json
+from dense import relabelled_table
+from plesken.cohomology import BilinearForm, form_from_json, form_to_json, h2
 from plesken.extensions import (
     extension_from_cocycle,
     extension_from_json,
     extension_to_json,
 )
 from plesken.groups import group_from_json, preset
-from plesken.liealg import algebra_from_json, algebra_to_json, plesken_algebra
+from plesken.liealg import (
+    algebra_from_json,
+    algebra_to_json,
+    from_structure_constants,
+    plesken_algebra,
+)
 from plesken.scalars import Scalar
 
 
@@ -28,6 +36,51 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _h2_algebras():
+    """(name, algebra document): zero-bracket algebras of dim 0, 1, 2 and 24
+    (276 representatives of 276 entries), and L(Heis27) in a seeded basis
+    order."""
+    heis27 = plesken_algebra(preset("heisenberg_p", 3))[0]
+    relabelled = from_structure_constants(
+        heis27.dim, relabelled_table(heis27, random.Random(27)))
+    return [(f"dim{n}", {"dim": n}) for n in (0, 1, 2, 24)] + [
+        ("heis27", algebra_to_json(relabelled))]
+
+
+H2_ALGEBRAS = _h2_algebras()
+
+
+@pytest.mark.parametrize("name,doc", H2_ALGEBRAS, ids=[n for n, _ in H2_ALGEBRAS])
+def test_h2_json_streams_the_bytes_of_the_whole_document(tmp_path, capsys, name, doc):
+    # the verb writes a generator of representatives; the bytes are those of
+    # json.dumps of the materialised document
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = h2(algebra_from_json(doc))
+    whole = {"z2": result.z2.dim, "b2": result.b2.dim, "h2": result.dimension,
+             "representatives": [form_to_json(rep) for rep in result.representatives]}
+    code, out, _ = run_cli(capsys, "cohomology", "h2", "--json", "-L", str(path))
+    assert code == 0
+    assert out == json.dumps(whole, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_h2_json_holds_one_representative_document_at_a_time(tmp_path):
+    # dim 24 has the document of L(E49): 276 representatives of 276 entries,
+    # 0.31 MiB of text; json.dumps of the whole document peaked at 5.0 MiB
+    path = tmp_path / "dim24.json"
+    path.write_text('{"dim": 24}', encoding="utf-8")
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(["cohomology", "h2", "--json", "-L", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue().startswith('{"b2":0,"h2":276,"representatives":[{"dim":24,')
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_group_then_algebra_flow(tmp_path, capsys):
@@ -676,16 +729,17 @@ def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
 
 
 def test_json_into_a_closed_pipe_exits_141(tmp_path):
-    # the JSON document is one write, into a pipe closed before it
+    # the JSON document goes out in writes of 8 KiB or more, the first into
+    # a pipe closed before it
     code, _, stderr = _h2_into_a_closed_pipe(tmp_path, "--json")
     assert (code, stderr) == (141, b"")
 
 
 def test_unbuffered_json_cut_short_exits_141(tmp_path):
-    # unbuffered, stdout writes to the raw pipe, where one write(2) of the
-    # 2.5 MB document takes only what the 4 KiB pipe holds before its reader
-    # closes it; the rest must still be written, so the run fails (141)
-    # instead of exiting 0 with the document cut short
+    # unbuffered, stdout writes to the raw pipe, where the first write(2) of
+    # the 2.5 MB document, 8 KiB or more, takes only what the 4 KiB pipe
+    # holds before its reader closes it; the rest must still be written, so
+    # the run fails (141) instead of exiting 0 with the document cut short
     code, first, stderr = _h2_into_a_closed_pipe(tmp_path, "--json", read=64,
                                                  PYTHONUNBUFFERED="1")
     assert first.startswith(b'{"b2":0,"h2":780,')

@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from plesken import cli
 from plesken.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -143,4 +144,45 @@ def test_error_output_matches_golden(case, argv, as_json, paths, capsys):
     assert (captured.err if as_json else captured.out) == ""
     name = f"{case}.json" if as_json else f"{case}.txt"
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+        assert got == handle.read()
+
+
+def _materialised(doc):
+    """``doc`` with every container the writer walks made a dict or a list."""
+    if isinstance(doc, dict):
+        return {key: _materialised(value) for key, value in doc.items()}
+    if doc is None or isinstance(doc, (str, int)):
+        return doc
+    return list(doc)
+
+
+def _lazy(doc):
+    """``doc`` with every list the writer walks made an iterator."""
+    if isinstance(doc, dict):
+        return {key: _lazy(value) for key, value in doc.items()}
+    return iter(doc) if isinstance(doc, list) else doc
+
+
+@pytest.mark.parametrize("case,argv,code", [(c, a, 0) for c, a in CASES]
+                         + [(c, a, 1) for c, a in ERROR_CASES],
+                         ids=[c for c, _ in CASES + ERROR_CASES])
+def test_json_writer_prints_what_json_dumps_prints(case, argv, code, paths, capsys,
+                                                   monkeypatch):
+    # each document is materialised, then written with every list it walks
+    # turned into an iterator: the writer takes any iterable as a list, and
+    # prints the bytes of one json.dumps of the whole document
+    docs = []
+    write_json = cli._write_json
+
+    def spy(doc):
+        docs.append(_materialised(doc))
+        write_json(_lazy(docs[-1]))
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    capsys.readouterr()
+    assert main(argv.format(**paths).split() + ["--json"]) == code
+    got = capsys.readouterr().out
+    assert len(docs) == 1
+    assert got == json.dumps(docs[0], sort_keys=True, separators=(",", ":")) + "\n"
+    with open(os.path.join(GOLDEN, f"{case}.json"), encoding="utf-8") as handle:
         assert got == handle.read()

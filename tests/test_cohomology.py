@@ -338,6 +338,42 @@ def test_form_add_rejects_dimension_mismatch():
         BilinearForm.zero(3).sub(BilinearForm.zero(2))
 
 
+def test_form_arithmetic_pays_per_nonzero(monkeypatch):
+    # a one-entry form added to a dim-1000 form meets it at most at one of
+    # 499 500 entries, so it costs at most one Scalar addition (two of these
+    # three meet it), and a sum that cancels is ZERO itself
+    n = 1000
+    entries = {(0, 1): S(2), (5, 7): I, (n - 2, n - 1): S(1, 1)}
+    big = BilinearForm.from_entries(n, entries)
+    terms = [((0, 1), S(Fraction(1, 3))), ((3, 9), -I), ((5, 7), -I)]
+    ones = [BilinearForm.from_entries(n, {pair: x}) for pair, x in terms]
+    made = {}
+    for name in ("__add__", "__sub__", "__mul__", "__neg__"):
+        original = Scalar.__dict__[name]
+
+        def counted(self, *args, _original=original, _name=name):
+            made[_name] = made.get(_name, 0) + 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    sums = [big.add(one) for one in ones]
+    assert made == {"__add__": 2}
+    differences = [big.sub(one) for one in ones]
+    assert made == {"__add__": 2, "__sub__": 2, "__neg__": 1}
+    scaled = [big.scale(S(3, -1)), big.scale(ZERO)]
+    assert made == {"__add__": 2, "__sub__": 2, "__neg__": 1, "__mul__": 3}
+    monkeypatch.undo()
+    # the entrywise results, over the entries where either form is nonzero
+    for (pair, x), total, difference in zip(terms, sums, differences):
+        assert total == BilinearForm.from_entries(n, {**entries, pair: entries.get(pair, ZERO) + x})
+        assert difference == BilinearForm.from_entries(
+            n, {**entries, pair: entries.get(pair, ZERO) - x})
+    assert scaled[0] == BilinearForm.from_entries(
+        n, {pair: S(3, -1) * x for pair, x in entries.items()})
+    assert sums[2].flat[pair_index(n, 5, 7)] is ZERO
+    assert all(x is ZERO for x in big.sub(big).flat + scaled[1].flat)
+
+
 # -- the linked-triple walk against the all-triples walk ----------------------------
 
 

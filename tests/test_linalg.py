@@ -220,13 +220,14 @@ def dense_reduce_against(v, rows, pivots):
 
 
 def dense_complement_rows(base, space):
-    """Rows of space reduced in order against base and the rows found so far."""
+    """Rows of space reduced in order against base and the rows found so far,
+    as tuples."""
     work, pivots, out = [list(r) for r in base], dense_rref(base, len(space[0]))[1], []
     for row in space:
         residue = dense_reduce_against(row, work, pivots)
         lead = next((t for t, x in enumerate(residue) if x), None)
         if lead is not None:
-            residue = [x / residue[lead] for x in residue]
+            residue = tuple(x / residue[lead] for x in residue)
             out.append(residue)
             work.append(residue)
             pivots.append(lead)
@@ -353,7 +354,8 @@ def test_integer_core_matches_dense_oracles(big, monkeypatch):
     space = [_unit(5, (0, ONE)), _unit(5, (1, ONE), (2, ONE))]
     found = linalg.Subspace.from_spanning(5, base).complement_rows(
         linalg.Subspace.from_spanning(5, space))
-    assert found == dense_complement_rows(base, space) == [_unit(5, (4, ONE)), _unit(5, (1, ONE))]
+    assert found == dense_complement_rows(base, space) == [tuple(_unit(5, (4, ONE))),
+                                                           tuple(_unit(5, (1, ONE)))]
     # complex leads and zeros that are not the singleton, on both sides
     for z in NONSINGLETON_ZEROS:
         m = [[TWO_MINUS_I, z, I, z], [z, ONE + I, z, Scalar(3, 2)], [z, z, z, z]]

@@ -216,6 +216,24 @@ def test_singular_f_rejected(heis_rep):
                                       LinearFunctional.zero(3))
 
 
+def test_f_is_inverted_only_for_the_first_failure(heis_rep, monkeypatch):
+    inverted = []
+    invert = linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda m: inverted.append(m) or invert(m))
+    shear = [[ONE, ZERO], [Scalar(1, 1), ONE]]
+    zero = LinearFunctional.zero(3)
+    assert verify_projective_equivalence(heis_rep, heis_rep, linalg.identity_matrix(2), zero).ok
+    assert inverted == []
+    # all three basis vectors fail against a shift of every matrix; f^-1 is made once
+    other = twist(heis_rep, LinearFunctional.of([1, 1, 1]))
+    report = verify_projective_equivalence(heis_rep, other, shear, zero)
+    assert [i for i, _ in report.failures] == [0, 1, 2] and inverted == [shear]
+    singular = [[ONE, Scalar(Fraction(1, 2))], [Scalar(2), ONE]]
+    with pytest.raises(errors.SingularF, match="^witness matrix f is not invertible$"):
+        verify_projective_equivalence(heis_rep, heis_rep, singular, zero)
+    assert inverted == [shear]
+
+
 def test_witness_requires_verifying_pair(heis_rep):
     twisted = twist(heis_rep, LinearFunctional.of([1, 0, 0]))
     with pytest.raises(errors.NotEquivalent):

@@ -82,14 +82,17 @@ def test_importtime_reports_every_core_module(tmp_path):
     assert sorted(m for m in reported if m.split(".")[0] == "plesken") == CORE
 
 
-# (golden case, the modules its verb family loads beyond the core)
+# (golden case, the modules its verb family loads beyond the core, and the
+# golden's suffix: "json" runs the case with --json, through the writer that
+# streams the document)
 FAMILIES = [
-    ("group_make_q8", ["plesken.groups"]),
-    ("algebra_plesken_q8", ["plesken.groups"]),
-    ("h2_heis3", []),
-    ("extension_equiv_true", ["plesken.extensions"]),
-    ("rep_twist_with_algebra", ["plesken.projreps"]),
-    ("verify_all", EVERY),
+    ("group_make_q8", ["plesken.groups"], "txt"),
+    ("algebra_plesken_q8", ["plesken.groups"], "txt"),
+    ("h2_heis3", [], "txt"),
+    ("h2_heis27", [], "json"),
+    ("extension_equiv_true", ["plesken.extensions"], "txt"),
+    ("rep_twist_with_algebra", ["plesken.projreps"], "txt"),
+    ("verify_all", EVERY, "txt"),
 ]
 
 
@@ -98,14 +101,14 @@ def paths(tmp_path_factory):
     return build_paths(tmp_path_factory.mktemp("startup"))
 
 
-@pytest.mark.parametrize("case,extra", FAMILIES, ids=[c for c, _ in FAMILIES])
-def test_each_verb_loads_only_its_family(tmp_path, paths, case, extra):
-    argv = dict(CASES)[case].format(**paths).split()
+@pytest.mark.parametrize("case,extra,suffix", FAMILIES, ids=[c for c, _, _ in FAMILIES])
+def test_each_verb_loads_only_its_family(tmp_path, paths, case, extra, suffix):
+    argv = dict(CASES)[case].format(**paths).split() + (["--json"] if suffix == "json" else [])
     code, stdout, modules, watched = _probe(tmp_path, argv)
     assert code == 0
     assert modules == sorted(set(CORE + extra))
     assert watched == (["random"] if case == "verify_all" else [])
-    with open(os.path.join(GOLDEN, f"{case}.txt"), encoding="utf-8") as handle:
+    with open(os.path.join(GOLDEN, f"{case}.{suffix}"), encoding="utf-8") as handle:
         assert stdout == handle.read()
 
 
